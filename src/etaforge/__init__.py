@@ -36,7 +36,6 @@ from .modgroup import (
     NumericDegeneracyError,
     UpperHalfPoint,
     apply_mobius,
-    compose,
     decompose,
     evaluate_word,
     reduce_to_fundamental_domain,
@@ -83,7 +82,6 @@ __all__ = [
     "S",
     "T",
     "t_power",
-    "compose",
     "apply_mobius",
     "decompose",
     "evaluate_word",

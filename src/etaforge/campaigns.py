@@ -13,7 +13,8 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, inf, isnan
+from operator import eq
 from typing import Callable
 
 from .dedekind import (
@@ -41,10 +42,12 @@ from .qseries import (
 
 __all__ = [
     "CliConfig",
+    "CheckResult",
     "VerificationReport",
     "random_unimodular_matrix",
     "CAMPAIGNS",
     "run_campaign",
+    "reports_json",
 ]
 
 JSON_SCHEMA_VERSION = 1
@@ -73,12 +76,33 @@ class CliConfig:
 
 
 @dataclass
-class VerificationReport:
-    """Outcome of one campaign.
+class CheckResult:
+    """One named check over `count` inputs.  An exact check fails (residual
+    1.0, worst input = first failing one) on any inequality, whatever the
+    tolerance; a numeric check fails on any residual not <= the tolerance."""
 
-    `failures` holds (input description, residual) pairs, worst first; it is
-    empty exactly when max_residual is within the campaign tolerance.
-    """
+    name: str
+    exact: bool
+    count: int = 0
+    max_residual: float = 0.0
+    worst_input: str = ""
+    failures: list[tuple[str, float]] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+
+def _severity(residual: float) -> float:
+    """Ordering key for residuals: NaN ranks as the worst value."""
+    return inf if isnan(residual) else residual
+
+
+@dataclass
+class VerificationReport:
+    """Outcome of one campaign: its named checks, in the order they ran, and
+    their summary (an exact check counts as one trial).  `failures` holds
+    (input description, residual) pairs, worst first; empty when all pass."""
 
     campaign: str
     trials: int
@@ -87,6 +111,7 @@ class VerificationReport:
     seed: int
     wall_time: float
     failures: list[tuple[str, float]] = field(default_factory=list)
+    checks: dict[str, CheckResult] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -107,7 +132,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return reports_json([self])
 
     def human_lines(self) -> list[str]:
         status = "PASS" if self.passed else "FAIL"
@@ -121,38 +146,77 @@ class VerificationReport:
         return lines
 
 
+def reports_json(reports: list[VerificationReport]) -> str:
+    """The schema-1 JSON text: one campaign's report, or the suite of several."""
+    if len(reports) == 1:
+        payload = reports[0].to_json_dict()
+    else:
+        payload = {
+            "schema": JSON_SCHEMA_VERSION,
+            "suite": "all",
+            "passed": all(r.passed for r in reports),
+            "reports": [
+                {key: val for key, val in r.to_json_dict().items() if key != "schema"}
+                for r in reports
+            ],
+        }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
 class _Recorder:
-    """Accumulates trial residuals and turns them into a report."""
+    """Accumulates named check results and turns them into a report."""
 
     def __init__(self, campaign: str, tolerance: float, seed: int):
         self.campaign = campaign
         self.tolerance = tolerance
         self.seed = seed
-        self.trials = 0
-        self.max_residual = 0.0
-        self.failures: list[tuple[str, float]] = []
+        self.checks: dict[str, CheckResult] = {}
         self._start = time.perf_counter()
 
-    def record(self, description: str, residual: float) -> None:
-        self.trials += 1
-        if residual > self.max_residual:
-            self.max_residual = residual
-        if residual > self.tolerance:
-            self.failures.append((description, residual))
+    def record(self, description: str, residual: float, check: str | None = None) -> None:
+        """One input of the numeric check `check` (by default a check of its own)."""
+        name = check or description
+        result = self.checks.get(name)
+        if result is None:
+            result = self.checks[name] = CheckResult(name, exact=False)
+        result.count += 1
+        if result.count == 1 or _severity(residual) > _severity(result.max_residual):
+            result.max_residual, result.worst_input = residual, description
+        if not residual <= self.tolerance:
+            result.failures.append((description, residual))
 
-    def record_exact(self, description: str, equal: bool) -> None:
-        self.record(description, 0.0 if equal else 1.0)
+    def record_exact(
+        self, description: str, equal: bool, count: int = 1, first_failure: str = ""
+    ) -> None:
+        """Exact check `description` over `count` inputs: it fails whenever not equal."""
+        result = self.checks[description] = CheckResult(description, exact=True, count=count)
+        if not equal:
+            result.max_residual, result.worst_input = 1.0, first_failure
+            suffix = f" (first failure {first_failure})" if first_failure else ""
+            result.failures.append((description + suffix, 1.0))
+
+    def record_sweep(self, description: str, holds: Callable[..., bool], inputs) -> None:
+        """Exact check that holds(*item) is true for every input item."""
+        count, first_failure = 0, ""
+        for item in inputs:
+            count += 1
+            if not holds(*item) and not first_failure:
+                first_failure = str(item) if len(item) > 1 else str(item[0])
+        self.record_exact(description, not first_failure, count, first_failure)
 
     def report(self) -> VerificationReport:
-        self.failures.sort(key=lambda item: (-item[1], item[0]))
+        checks = self.checks.values()
+        failures = [item for check in checks for item in check.failures]
+        failures.sort(key=lambda item: (-_severity(item[1]), item[0]))
         return VerificationReport(
             campaign=self.campaign,
-            trials=self.trials,
+            trials=sum(1 if check.exact else check.count for check in checks),
             tolerance=self.tolerance,
-            max_residual=self.max_residual,
+            max_residual=max([0.0, *(check.max_residual for check in checks)], key=_severity),
             seed=self.seed,
             wall_time=time.perf_counter() - self._start,
-            failures=self.failures[:MAX_RECORDED_FAILURES],
+            failures=failures[:MAX_RECORDED_FAILURES],
+            checks=self.checks,
         )
 
 
@@ -193,7 +257,7 @@ def run_pentagonal(config: CliConfig) -> VerificationReport:
     """Euler-product identities: pentagonal series and the character theta form."""
     order = config.order or 10_000
     char_order = config.order or 2400
-    rec = _Recorder("pentagonal", config.tolerance or 0.0, config.seed)
+    rec = _Recorder("pentagonal", 0.0, config.seed)
     euler = euler_product_series(order)
     rec.record_exact(f"euler == pentagonal at order {order}", euler == pentagonal_series(order))
     rec.record_exact(
@@ -215,7 +279,7 @@ def run_pentagonal(config: CliConfig) -> VerificationReport:
 def run_jtp(config: CliConfig) -> VerificationReport:
     """Triple product vs theta sum, the z -> wz shift relation, and z-symmetry."""
     order = config.order or 200
-    rec = _Recorder("jtp", config.tolerance or 0.0, config.seed)
+    rec = _Recorder("jtp", 0.0, config.seed)
     product = jtp_product_side(order)
     rec.record_exact(f"product == sum at w-order {order}", product == jtp_sum_side(order))
     rec.record_exact(
@@ -237,103 +301,66 @@ def run_reciprocity(config: CliConfig) -> VerificationReport:
     min(order, 200), matching their costs.
     """
     limit = config.order or 500
-    rec = _Recorder("reciprocity", config.tolerance or 0.0, config.seed)
-
-    bad = 0
-    pairs = 0
-    for h, k in _coprime_pairs(limit):
-        pairs += 1
-        lhs = dedekind_sum_fast(h, k) + dedekind_sum_fast(k, h)
-        if 12 * h * k * lhs != h * h + k * k - 3 * h * k + 1:
-            bad += 1
-    rec.record_exact(f"reciprocity on {pairs} coprime pairs <= {limit}", bad == 0)
-
-    bad = sum(
-        1
-        for h in range(1, limit + 1)
-        if 12 * h * dedekind_sum_fast(1, h) != h * h - 3 * h + 2
+    rec = _Recorder("reciprocity", 0.0, config.seed)
+    rec.record_sweep(
+        f"s(1, h) closed form for h <= {limit}",
+        lambda h: 12 * h * dedekind_sum_fast(1, h) == h * h - 3 * h + 2,
+        ((h,) for h in range(1, limit + 1)),
     )
-    rec.record_exact(f"s(1, h) closed form for h <= {limit}", bad == 0)
-
-    oracle_limit = min(limit, 300)
-    bad = sum(
-        1
-        for h, k in _coprime_pairs(oracle_limit)
-        if dedekind_sum_fast(h, k) != dedekind_sum_naive(h, k)
-    )
-    rec.record_exact(f"fast == defining sum on coprime pairs <= {oracle_limit}", bad == 0)
-
-    sweep_limit = min(limit, 200)
-    bad_period = 0
-    bad_odd = 0
-    bad_floor = 0
-    bad_floor_sq = 0
-    for h, k in _coprime_pairs(sweep_limit):
-        if dedekind_sum_fast(h + k, k) != dedekind_sum_fast(h, k):
-            bad_period += 1
-        if dedekind_sum_fast(-h, k) != -dedekind_sum_fast(h, k):
-            bad_odd += 1
-        lhs1, rhs1 = floor_sum_check(h, k)
-        if lhs1 != rhs1:
-            bad_floor += 1
-        lhs2, rhs2 = floor_square_sum_check(h, k)
-        if lhs2 != rhs2:
-            bad_floor_sq += 1
-    rec.record_exact(f"periodicity on coprime pairs <= {sweep_limit}", bad_period == 0)
-    rec.record_exact(f"oddness on coprime pairs <= {sweep_limit}", bad_odd == 0)
-    rec.record_exact(f"floor-sum identity on coprime pairs <= {sweep_limit}", bad_floor == 0)
-    rec.record_exact(
-        f"floor-square-sum identity on coprime pairs <= {sweep_limit}", bad_floor_sq == 0
-    )
+    fast, naive, sweep_limit = dedekind_sum_fast, dedekind_sum_naive, min(limit, 200)
+    for label, bound, holds in (
+        ("reciprocity", limit, lambda h, k: 12 * h * k * (fast(h, k) + fast(k, h))
+         == h * h + k * k - 3 * h * k + 1),
+        ("fast == defining sum", min(limit, 300), lambda h, k: fast(h, k) == naive(h, k)),
+        ("periodicity", sweep_limit, lambda h, k: fast(h + k, k) == fast(h, k)),
+        ("oddness", sweep_limit, lambda h, k: fast(-h, k) == -fast(h, k)),
+        ("floor-sum identity", sweep_limit, lambda h, k: eq(*floor_sum_check(h, k))),
+        ("floor-square-sum identity", sweep_limit,
+         lambda h, k: eq(*floor_square_sum_check(h, k))),
+    ):
+        rec.record_sweep(f"{label} on coprime pairs <= {bound}", holds, _coprime_pairs(bound))
 
     denom_limit = min(limit, 300)
-    bad = sum(
-        1
-        for k in range(1, denom_limit + 1)
-        for h in range(0, k)
-        if (6 * k) % dedekind_sum_naive(h, k).denominator != 0
-    )
-    rec.record_exact(
-        f"denominator of s(h, k) divides 6k for k <= {denom_limit} (all h)", bad == 0
+    rec.record_sweep(
+        f"denominator of s(h, k) divides 6k for k <= {denom_limit} (all h)",
+        lambda h, k: (6 * k) % naive(h, k).denominator == 0,
+        ((h, k) for k in range(1, denom_limit + 1) for h in range(0, k)),
     )
     return rec.report()
+
+
+def _omega_is_integral(mat: ModularMatrix) -> bool:
+    try:
+        omega(*mat.entries())
+    except AssertionError:
+        return False
+    return True
+
+
+def _omega_descends(mat: ModularMatrix) -> bool:
+    """omega(M) = omega(M') + q - 3 for the descent step M' of M (needs c >= 2)."""
+    a, b, c, d = mat.entries()
+    r = (-d) % c
+    q = (d + r) // c
+    return omega(a, b, c, d) == omega(a * q - b, a, r, c) + q - 3
 
 
 def run_omega(config: CliConfig) -> VerificationReport:
     """Integrality of the multiplier exponent, plus its descent recursion."""
     trials = config.trials or 10_000
-    rec = _Recorder("omega", config.tolerance or 0.0, config.seed)
+    rec = _Recorder("omega", 0.0, config.seed)
     rng = random.Random(config.seed)
-    bad = 0
-    first_bad = ""
-    for _ in range(trials):
-        mat = random_unimodular_matrix(rng)
-        try:
-            omega(*mat.entries())
-        except AssertionError:
-            bad += 1
-            first_bad = first_bad or str(mat)
-    rec.record_exact(
-        f"omega integral on {trials} random matrices"
-        + (f" (first failure {first_bad})" if first_bad else ""),
-        bad == 0,
+    rec.record_sweep(
+        f"omega integral on {trials} random matrices",
+        _omega_is_integral,
+        ((random_unimodular_matrix(rng),) for _ in range(trials)),
     )
-
     recursion_trials = min(trials, 1000)
-    bad = 0
-    done = 0
-    while done < recursion_trials:
-        mat = random_unimodular_matrix(rng)
-        a, b, c, d = mat.entries()
-        if c < 2:
-            continue
-        done += 1
-        r = (-d) % c
-        q = (d + r) // c
-        u = a * q - b
-        if omega(a, b, c, d) != omega(u, a, r, c) + q - 3:
-            bad += 1
-    rec.record_exact(f"omega descent recursion on {recursion_trials} matrices with c >= 2", bad == 0)
+    rec.record_sweep(
+        f"omega descent recursion on {recursion_trials} matrices with c >= 2",
+        _omega_descends,
+        ((random_unimodular_matrix(rng, min_c=2),) for _ in range(recursion_trials)),
+    )
     return rec.report()
 
 
@@ -353,7 +380,7 @@ def run_functional_eq(config: CliConfig) -> VerificationReport:
     for _ in range(trials):
         mat = random_unimodular_matrix(rng)
         tau = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 2.0))
-        rec.record(f"M = {mat}, tau = {tau}", functional_eq_residual(mat, tau))
+        rec.record(f"M = {mat}, tau = {tau}", functional_eq_residual(mat, tau), "random")
     return rec.report()
 
 
@@ -381,14 +408,16 @@ def run_theta(config: CliConfig) -> VerificationReport:
     rng = random.Random(config.seed)
     for tau, z, w in THETA_FIXED_CASES:
         rec.record(
-            f"fixed tau = {tau}, z = {z}, w = {w}", theta_identity_residual(tau, z, w, tol)
+            f"fixed tau = {tau}, z = {z}, w = {w}",
+            theta_identity_residual(tau, z, w, tol),
+            "fixed probes",
         )
     for _ in range(trials):
         tau = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.3, 3.0))
         z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.3, 0.3))
         w = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.3, 0.3))
         rec.record(
-            f"tau = {tau}, z = {z}, w = {w}", theta_identity_residual(tau, z, w, tol)
+            f"tau = {tau}, z = {z}, w = {w}", theta_identity_residual(tau, z, w, tol), "random"
         )
     return rec.report()
 
@@ -400,12 +429,18 @@ def run_poisson(config: CliConfig) -> VerificationReport:
     rec = _Recorder("poisson", tol, config.seed)
     rng = random.Random(config.seed)
     for u, a, b in POISSON_FIXED_CASES:
-        rec.record(f"fixed u = {u}, a = {a}, b = {b}", gaussian_poisson_residual(u, a, b, tol))
+        rec.record(
+            f"fixed u = {u}, a = {a}, b = {b}",
+            gaussian_poisson_residual(u, a, b, tol),
+            "fixed probes",
+        )
     for _ in range(trials):
         u = 4.0 ** rng.uniform(-1.0, 1.0)
         a = rng.uniform(-1.0, 1.0)
         b = rng.uniform(-1.0, 1.0)
-        rec.record(f"u = {u}, a = {a}, b = {b}", gaussian_poisson_residual(u, a, b, tol))
+        rec.record(
+            f"u = {u}, a = {a}, b = {b}", gaussian_poisson_residual(u, a, b, tol), "random"
+        )
     return rec.report()
 
 

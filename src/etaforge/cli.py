@@ -17,17 +17,9 @@ import os
 import re
 import sys
 
-from .campaigns import JSON_SCHEMA_VERSION, CliConfig, run_campaign
+from .campaigns import CAMPAIGNS, JSON_SCHEMA_VERSION, CliConfig, reports_json, run_campaign
 from .dedekind import dedekind_sum_fast, dedekind_sum_naive
-from .evaluate import (
-    DEFAULT_TOL,
-    SMALL_IM,
-    ConvergenceBudgetError,
-    eta_char_eval,
-    eta_pentagonal_eval,
-    eta_product_eval,
-    eta_transformed_eval,
-)
+from .evaluate import DEFAULT_TOL, EVAL_METHODS, SMALL_IM, ConvergenceBudgetError, eta_eval
 from .modgroup import (
     ModularMatrix,
     NumericDegeneracyError,
@@ -53,20 +45,8 @@ def parse_complex_literal(text: str) -> complex:
     return complex(float(match.group("re")), float(match.group("im")))
 
 
-_EVALUATORS = {
-    "product": eta_product_eval,
-    "pentagonal": eta_pentagonal_eval,
-    "character": eta_char_eval,
-    "transformed": eta_transformed_eval,
-}
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    tau = parse_complex_literal(args.tau)
-    method = args.method
-    if method == "auto":
-        method = "transformed" if tau.imag < SMALL_IM else "pentagonal"
-    result = _EVALUATORS[method](tau, args.tol)
+    method, result = eta_eval(parse_complex_literal(args.tau), args.tol, args.method)
     if args.format == "json":
         payload = {
             "schema": JSON_SCHEMA_VERSION,
@@ -128,20 +108,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = CliConfig(tolerance=args.tol, order=args.order, trials=args.trials, seed=seed)
     reports = run_campaign(args.suite, config)
     all_passed = all(r.passed for r in reports)
-
-    if len(reports) == 1:
-        json_payload = reports[0].to_json_dict()
-    else:
-        json_payload = {
-            "schema": JSON_SCHEMA_VERSION,
-            "suite": "all",
-            "passed": all_passed,
-            "reports": [
-                {key: val for key, val in r.to_json_dict().items() if key != "schema"}
-                for r in reports
-            ],
-        }
-    json_text = json.dumps(json_payload, indent=2, sort_keys=True)
+    json_text = reports_json(reports)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -169,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--tau", required=True, help="point as RE+IMi, e.g. 0+1i")
     p_eval.add_argument(
         "--method",
-        choices=["auto", "product", "pentagonal", "character", "transformed"],
+        choices=EVAL_METHODS,
         default="auto",
         help="series route; auto picks transformed below im = %s" % SMALL_IM,
     )
@@ -197,11 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(func=_cmd_decompose)
 
     p_ver = sub.add_parser("verify", help="run an identity-verification campaign")
+    p_ver.add_argument("suite", choices=[*CAMPAIGNS, "all"])
     p_ver.add_argument(
-        "suite",
-        choices=["jtp", "pentagonal", "reciprocity", "functional-eq", "theta", "poisson", "omega", "all"],
+        "--tol", type=float, default=None, help="override the tolerance of numeric campaigns"
     )
-    p_ver.add_argument("--tol", type=float, default=None, help="override campaign tolerance")
     p_ver.add_argument("--order", type=int, default=None, help="series truncation order")
     p_ver.add_argument("--trials", type=int, default=None, help="random trial count")
     p_ver.add_argument(

@@ -41,6 +41,7 @@ __all__ = [
     "eta_char_eval",
     "transform_factor",
     "eta_transformed_eval",
+    "eta_eval",
     "functional_eq_residual",
     "theta_identity_residual",
     "gaussian_poisson_residual",
@@ -264,10 +265,28 @@ def eta_transformed_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL
     return _eta_image_eval(IDENTITY, tau, tol)
 
 
-def _eta_auto(tau: complex, tol: float) -> EvalResult:
-    if tau.imag < SMALL_IM:
-        return eta_transformed_eval(tau, tol)
-    return eta_pentagonal_eval(tau, tol)
+def _routes() -> dict:
+    # Built per call, so a module-level evaluator rebound at run time (for
+    # example by a tracer) is the one used.
+    return {
+        "product": eta_product_eval,
+        "pentagonal": eta_pentagonal_eval,
+        "character": eta_char_eval,
+        "transformed": eta_transformed_eval,
+    }
+
+
+EVAL_METHODS = ("auto", *_routes())
+
+
+def eta_eval(
+    tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL, method: str = "auto"
+) -> tuple[str, EvalResult]:
+    """eta(tau) by one of EVAL_METHODS, with the route taken; `auto` takes
+    `transformed` below Im tau = SMALL_IM and `pentagonal` elsewhere."""
+    if method == "auto":
+        method = "transformed" if _as_tau(tau).imag < SMALL_IM else "pentagonal"
+    return method, _routes()[method](tau, tol)
 
 
 def functional_eq_residual(
@@ -288,7 +307,7 @@ def functional_eq_residual(
     # |factor|, so truncation error on the image side gets amplified by it;
     # tighten the series tolerance accordingly
     inner_tol = tol / (8.0 * max(1.0, abs(factor)))
-    eta_base = _eta_auto(z, inner_tol)
+    _, eta_base = eta_eval(z, inner_tol)
     shift = round(mat.a / mat.c)
     balanced = t_power(-shift) @ mat
     img = apply_mobius(balanced, UpperHalfPoint(z.real, z.imag))

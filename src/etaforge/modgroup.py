@@ -22,7 +22,6 @@ __all__ = [
     "S",
     "T",
     "t_power",
-    "compose",
     "apply_mobius",
     "decompose",
     "evaluate_word",
@@ -95,11 +94,6 @@ def t_power(m: int) -> ModularMatrix:
     return ModularMatrix(1, m, 0, 1)
 
 
-def compose(m1: ModularMatrix, m2: ModularMatrix) -> ModularMatrix:
-    """Canonical representative of the product m1 * m2."""
-    return m1 @ m2
-
-
 @dataclass(frozen=True)
 class UpperHalfPoint:
     """A point of the upper half-plane; construction rejects Im <= 0."""
@@ -110,10 +104,6 @@ class UpperHalfPoint:
     def __post_init__(self):
         if not self.im > 0:
             raise ValueError(f"point must have positive imaginary part, got im = {self.im}")
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "UpperHalfPoint":
-        return cls(z.real, z.imag)
 
     def __complex__(self) -> complex:
         return complex(self.re, self.im)

@@ -60,10 +60,6 @@ class QSeries:
     def one(cls, order: int) -> "QSeries":
         return cls({0: 1}, order)
 
-    @classmethod
-    def zero(cls, order: int) -> "QSeries":
-        return cls({}, order)
-
     def coeff(self, e: int) -> int:
         """Coefficient at exponent e; raises if e is beyond the known range."""
         if e > self.order:

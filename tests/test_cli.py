@@ -54,6 +54,13 @@ def test_eval_auto_picks_transformed(capsys):
     assert "method=transformed" in out
 
 
+@pytest.mark.parametrize("tau, method", [("0+0.049i", "transformed"), ("0+0.05i", "pentagonal")])
+def test_eval_auto_crossover(capsys, tau, method):
+    code, out, _ = run(capsys, "eval", "--tau", tau)
+    assert code == 0
+    assert f"method={method} " in out
+
+
 def test_eval_json_format(capsys):
     code, out, _ = run(capsys, "eval", "--tau", "0+1i", "--format", "json")
     assert code == 0
@@ -156,6 +163,29 @@ def test_verify_reciprocity(capsys):
     code, out, _ = run(capsys, "verify", "reciprocity", "--order", "60")
     assert code == 0
     assert "PASS" in out
+
+
+EXACT_REPORT_BYTES = """{{
+  "campaign": "{campaign}",
+  "failures": [],
+  "max_residual": 0.0,
+  "passed": true,
+  "schema": 1,
+  "seed": 0,
+  "tolerance": 0.0,
+  "trials": {trials}
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "campaign, order, trials",
+    [("jtp", "40", 3), ("pentagonal", "400", 3), ("reciprocity", "60", 8)],
+)
+def test_verify_exact_json_bytes(capsys, campaign, order, trials):
+    code, out, _ = run(capsys, "verify", campaign, "--order", order, "--format", "json")
+    assert code == 0
+    assert out == EXACT_REPORT_BYTES.format(campaign=campaign, trials=trials)
 
 
 def test_verify_functional_eq(capsys):

@@ -14,7 +14,6 @@ from etaforge import (
     ModularMatrix,
     UpperHalfPoint,
     apply_mobius,
-    compose,
     decompose,
     evaluate_word,
     reduce_to_fundamental_domain,
@@ -49,9 +48,9 @@ def test_non_unimodular_rejected():
 
 
 def test_compose():
-    assert compose(S, S) == IDENTITY           # S^2 = -I ~ I
-    assert compose(T, T) == t_power(2)
-    assert compose(compose(t_power(2), S), T) == ModularMatrix(2, 1, 1, 1)
+    assert S @ S == IDENTITY           # S^2 = -I ~ I
+    assert T @ T == t_power(2)
+    assert t_power(2) @ S @ T == ModularMatrix(2, 1, 1, 1)
 
 
 def test_inverse():
