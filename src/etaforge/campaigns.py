@@ -30,7 +30,7 @@ from .evaluate import (
     gaussian_poisson_residual,
     theta_identity_residual,
 )
-from .modgroup import IDENTITY, ModularMatrix, S, t_power
+from .modgroup import ModularMatrix, S
 from .qseries import (
     euler_product_series,
     eta_char_qseries,
@@ -231,18 +231,22 @@ def random_unimodular_matrix(
 
     Draws 1..max_t_factors T-exponents from [-exp_bound, exp_bound] and
     interleaves S, which is unimodular by construction; candidates whose
-    entries exceed max_entry or whose lower-left entry is below min_c are
-    redrawn.
+    entries exceed max_entry or whose lower-left entry is below min_c (in the
+    canonical sign form) are redrawn.  The word is multiplied out in plain
+    integers, each factor T^m S taking (a, b; c, d) to (am + b, -a; cm + d, -c),
+    and only the accepted candidate becomes a ModularMatrix.  Each candidate
+    draws its factor count and then its exponents, in that order.
     """
     for _ in range(10_000):
-        mat = IDENTITY
+        a, b, c, d = 1, 0, 0, 1
         for _ in range(rng.randint(1, max_t_factors)):
-            mat = mat @ t_power(rng.randint(-exp_bound, exp_bound)) @ S
-        if max(abs(e) for e in mat.entries()) > max_entry:
+            m = rng.randint(-exp_bound, exp_bound)
+            a, b, c, d = a * m + b, -a, c * m + d, -c
+        if max(abs(a), abs(b), abs(c), abs(d)) > max_entry:
             continue
-        if mat.c < min_c:
+        if abs(c) < min_c:
             continue
-        return mat
+        return ModularMatrix(a, b, c, d)
     raise RuntimeError("failed to draw a random matrix within the entry bound")
 
 

@@ -39,14 +39,12 @@ def dedekind_sum_naive(h: int, k: int) -> Fraction:
     """s(h, k) by direct evaluation of the defining sum.
 
     Works for any integer h (coprimality is not part of the definition).
-    Each term is r/k * ((hr mod k)/k - 1/2); accumulating the numerators over
-    the common denominator 2k^2 keeps the loop in integer arithmetic.
+    Each term is r/k * ((hr mod k)/k - 1/2); over the common denominator 2k^2
+    the sum is 2 sum r (hr mod k) - k sum r, so the loop accumulates the
+    integers r (hr mod k) and the constant k sum r = k^2 (k-1)/2 is taken out.
     """
     _check_modulus(k)
-    total = 0
-    for r in range(1, k):
-        hr_mod_k = h * r - k * ((h * r) // k)
-        total += r * (2 * hr_mod_k - k)
+    total = 2 * sum(r * (h * r % k) for r in range(1, k)) - k * k * (k - 1) // 2
     return Fraction(total, 2 * k * k)
 
 
@@ -61,17 +59,24 @@ def dedekind_sum_fast(h: int, k: int) -> Fraction:
 
     until the second argument reaches 1, where s vanishes.  Each step is a
     Euclidean division, so the (h, k) pair shrinks like gcd computation.
+
+    The partial sums stay in integers.  After the step at (h, k) the sum so
+    far is s(h0, k0) -+ s(k mod h, h), and 6k s(h, k) is an integer for every
+    s(h, k), so the sum is num / (12 k0 h) for an integer num.  A step thus
+    goes from num / (12 k0 k) to num' / (12 k0 h) with one exact division by
+    k.  The last step has h = 1, and the only Fraction built is num / (12 k0).
     """
     _check_modulus(k)
     _check_coprime(h, k)
     h %= k
-    total = Fraction(0)
+    k0 = k
+    num = 0
     sign = 1
     while h > 0:
-        total += sign * Fraction(h * h + k * k - 3 * h * k + 1, 12 * h * k)
+        num = (num * h + sign * (h * h + k * k - 3 * h * k + 1) * k0) // k
         sign = -sign
         h, k = k % h, h
-    return total
+    return Fraction(num, 12 * k0)
 
 
 def floor_sum_check(h: int, k: int) -> tuple[int, int]:
@@ -110,18 +115,22 @@ def omega(a: int, b: int, c: int, d: int) -> int:
     """Multiplier exponent omega(a, b, c, d) = (a + d)/c + 12 s(-d, c).
 
     Defined for a unimodular integer matrix with c >= 1.  The value is always
-    an integer; the combination is computed in exact rational arithmetic and
-    integrality is asserted, so a non-integer result can only mean a bug in
-    the Dedekind-sum code, never bad input.
+    an integer.  With s(-d, c) = p/q it is ((a + d) q + 12 c p) / (c q), formed
+    and divided in exact integer arithmetic; a nonzero remainder is asserted
+    against, so a non-integer result can only mean a bug in the Dedekind-sum
+    code, never bad input.
     """
     if a * d - b * c != 1:
         raise ValueError(f"matrix ({a}, {b}; {c}, {d}) must have determinant 1")
     if c < 1:
         raise ValueError(f"c must be >= 1, got {c}")
-    value = Fraction(a + d, c) + 12 * dedekind_sum_fast(-d, c)
-    if value.denominator != 1:
+    s = dedekind_sum_fast(-d, c)
+    num = (a + d) * s.denominator + 12 * c * s.numerator
+    den = c * s.denominator
+    value, rem = divmod(num, den)
+    if rem:
         raise AssertionError(
-            f"omega({a}, {b}, {c}, {d}) = {value} is not an integer; "
+            f"omega({a}, {b}, {c}, {d}) = {num}/{den} is not an integer; "
             "Dedekind-sum arithmetic is broken"
         )
-    return value.numerator
+    return value

@@ -12,6 +12,12 @@ Truncation policy: each series is cut where a geometric majorant of the tail,
 taken with an explicit safety factor 2, drops below the requested tolerance.
 The majorants are exact term-magnitude formulas, so the reported bound is a
 genuine bound and not a heuristic.
+
+Invalid input: every public entry point raises ValueError, before any
+summation, for a tau off the open upper half-plane, a tolerance that is not
+a finite positive number, or a non-finite theta/Poisson parameter (z, w, u,
+a, b; u must also be positive).  A series that would need more than
+MAX_SERIES_TERMS terms raises ConvergenceBudgetError instead.
 """
 
 from __future__ import annotations
@@ -92,14 +98,19 @@ class TransformContext:
 
 def _as_tau(tau: UpperHalfPoint | complex) -> complex:
     z = complex(tau)
-    if not z.imag > 0:
-        raise ValueError(f"tau must lie in the upper half-plane, got {z}")
+    if not (z.imag > 0 and cmath.isfinite(z)):
+        raise ValueError(f"tau must be a finite point of the upper half-plane, got {z}")
     return z
 
 
 def _check_tol(tol: float) -> None:
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+
+
+def _check_finite(name: str, value: complex) -> None:
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def eta_product_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL) -> EvalResult:
@@ -140,9 +151,14 @@ def eta_pentagonal_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL)
     Terms are added in symmetric rings |n| <= N; the omitted tails on the two
     sides are majorized geometrically from the exact magnitudes
     e^(-3 pi t (n +- 1/6)^2).
+
+    The sum runs at tau - m for m = round(Re tau), where the term phases stay
+    small, and eta(tau) = e^(pi i m/12) eta(tau - m) restores the exact phase.
     """
     z = _as_tau(tau)
     _check_tol(tol)
+    m = round(z.real)
+    z -= m
     t = z.imag
     c = 3.0 * math.pi
 
@@ -164,7 +180,7 @@ def eta_pentagonal_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL)
             if bound <= tol * abs(value):
                 # at extreme heights value and bound both underflow to 0.0
                 rel = bound / abs(value) if value else 0.0
-                return EvalResult(value, rel, terms)
+                return EvalResult(_translation_phase(m) * value, rel, terms)
         n += 1
         value += term(n) + term(-n)
         terms += 2
@@ -181,10 +197,13 @@ def eta_char_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL) -> Ev
     The character is even, so the bilateral half-weighted form collapses to a
     one-sided sum.  The tail majorant treats every n as potentially
     contributing, which over-counts the zero-character terms and is therefore
-    safe.
+    safe.  As in eta_pentagonal_eval the sum runs at tau - round(Re tau): every
+    n prime to 6 has n^2 = 1 mod 24, so the shift is the phase e^(pi i m/12).
     """
     z = _as_tau(tau)
     _check_tol(tol)
+    m = round(z.real)
+    z -= m
     t = z.imag
     c = math.pi / 12.0
     value = complex(0.0)
@@ -197,7 +216,7 @@ def eta_char_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL) -> Ev
                 bound = 2.0 * math.exp(-c * t * (n + 1) ** 2) / (1.0 - ratio)
                 if bound <= tol * abs(value):
                     rel = bound / abs(value) if value else 0.0
-                    return EvalResult(value, rel, terms)
+                    return EvalResult(_translation_phase(m) * value, rel, terms)
         n += 1
         chi = chi12(n)
         if chi:
@@ -332,7 +351,11 @@ def _bilateral_theta_sum(
 
     a Gaussian profile in x; summation starts at the profile vertex and stops
     once both one-sided geometric majorants fall below tol_abs/4 (the bound is
-    then reported with safety factor 2).
+    then reported with safety factor 2).  A side can stop only where the
+    magnitude ratio is at most 1/2 and the magnitude itself is at most
+    tol_abs/4, so the distance of those points from the vertex bounds the term
+    count from below; past MAX_SERIES_TERMS the budget error is raised before
+    any term is summed.
     """
     t = tau.imag
     if not t > 0:
@@ -344,6 +367,16 @@ def _bilateral_theta_sum(
     beta = 2.0 * pi * (w.imag - tau.real * zi)
     c0 = 2.0 * pi * zi * w.real + pi * t * zi * zi
     log_target = math.log(tol_abs / 4.0)
+    peak = c0 + beta * beta / (4.0 * pi * t)
+    half_width = max(
+        math.log(2.0) / (2.0 * pi * t) - 0.5,
+        math.sqrt(max(peak - log_target, 0.0) / (pi * t)),
+    )
+    if 2.0 * half_width - 1.0 > MAX_SERIES_TERMS:
+        raise ConvergenceBudgetError(
+            f"theta sum at tau = {tau}, z = {z}, w = {w} needs more than "
+            f"{MAX_SERIES_TERMS} terms"
+        )
 
     def term(n: int) -> complex:
         nz = n + z
@@ -408,12 +441,12 @@ def theta_identity_residual(
     term budget runs out, which raises a budget error rather than returning a
     silently under-resolved residual.
     """
-    tau_c = complex(tau)
-    if not tau_c.imag > 0:
-        raise ValueError(f"tau must lie in the upper half-plane, got {tau_c}")
+    tau_c = _as_tau(tau)
     _check_tol(tol)
     z_c = complex(z)
     w_c = complex(w)
+    _check_finite("z", z_c)
+    _check_finite("w", w_c)
     h1, _, _ = _bilateral_theta_sum(tau_c, z_c, w_c, tol)
     prefactor = cmath.exp(-2j * math.pi * w_c * z_c) / cmath.sqrt(-1j * tau_c)
     scale = abs(prefactor)
@@ -430,9 +463,11 @@ def gaussian_poisson_residual(u: float, a: float, b: float, tol: float = DEFAULT
 
     for u > 0 and real a, b, both sides truncated to tail <= tol.
     """
-    if not u > 0:
-        raise ValueError(f"u must be positive, got {u}")
+    if not (u > 0 and math.isfinite(u)):
+        raise ValueError(f"u must be finite and positive, got {u}")
     _check_tol(tol)
+    _check_finite("a", a)
+    _check_finite("b", b)
     lhs, _, _ = _bilateral_theta_sum(complex(0.0, u), complex(a), complex(b), tol)
     scale = 1.0 / math.sqrt(u)
     inner, _, _ = _bilateral_theta_sum(complex(0.0, 1.0 / u), complex(b), complex(-a), tol / scale)

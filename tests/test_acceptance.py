@@ -13,6 +13,7 @@ import math
 import random
 import time
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -31,8 +32,12 @@ from etaforge import (
     reduce_to_fundamental_domain,
     run_campaign,
 )
+from etaforge.campaigns import reports_json
 
 ETA_I_REFERENCE = 0.7682254223260566590025942  # 40-digit pentagonal oracle
+
+# `etaforge verify all --format json --seed 0 --out tests/golden/verify_all_seed0.json`
+GOLDEN_SEED0 = Path(__file__).parent / "golden" / "verify_all_seed0.json"
 
 
 def announce(number: int, text: str) -> None:
@@ -206,3 +211,9 @@ def test_12_performance_budgets(verify_all):
         12,
         f"dedekind_sum_fast at k ~ 1e18 in {best * 1000:.2f} ms; verify all in {elapsed:.1f}s",
     )
+
+
+def test_verify_all_seed0_report_matches_golden(verify_all):
+    reports, _ = verify_all
+    expected = GOLDEN_SEED0.read_bytes()
+    assert (reports_json(list(reports.values())) + "\n").encode() == expected

@@ -3,11 +3,12 @@ that no tolerance can pass."""
 
 import json
 import math
+import random
 
 import pytest
 
 from etaforge import campaigns
-from etaforge.campaigns import _Recorder
+from etaforge.campaigns import _Recorder, random_unimodular_matrix
 from etaforge.cli import main
 from etaforge.dedekind import dedekind_sum_naive, omega
 from etaforge.qseries import jtp_sum_side, pentagonal_series
@@ -64,3 +65,27 @@ def test_tolerance_cannot_pass_broken_exact_identity(
     assert code == 1
     assert payload["passed"] is False
     assert payload["failures"] and all(f["residual"] == 1.0 for f in payload["failures"])
+
+
+# Draws recorded from the word-by-word ModularMatrix construction: the first
+# matrices of a stream and the next rng.random() after them, which pins how
+# many random numbers the draws consume.  Seed 5 with min_c = 2 redraws a
+# c = 1 candidate; the last stream ends in a translation (c = 0, sign fixed).
+PINNED_DRAWS = [
+    (0, {}, [(36807, 10091, 7171, 1966), (-7, 1, 6, -1), (-163, -34, 24, 5),
+             (-23939, 4926, 4573, -941), (-19, 6, 3, -1)], 0.19935579046706298),
+    (0, {"min_c": 2}, [(36807, 10091, 7171, 1966), (-7, 1, 6, -1), (-163, -34, 24, 5),
+                       (-23939, 4926, 4573, -941), (-19, 6, 3, -1)], 0.19935579046706298),
+    (5, {"min_c": 2}, [(13567, 1341, 2074, 205), (305, 1259, 86, 355), (4282, -739, 817, -141),
+                       (5757, 1105, 3350, 643), (54669, 5938, 9713, 1055)], 0.31915254850071706),
+    (3, {"max_t_factors": 3, "exp_bound": 2, "max_entry": 5, "min_c": 0},
+     [(2, -1, 1, 0), (1, -1, 1, 0), (5, 2, 2, 1), (-2, -3, 1, 1), (-1, 0, 2, -1), (1, 1, 0, 1)],
+     0.6390681405441619),
+]
+
+
+@pytest.mark.parametrize("seed, kwargs, entries, next_random", PINNED_DRAWS)
+def test_random_unimodular_matrix_draws_are_pinned(seed, kwargs, entries, next_random):
+    rng = random.Random(seed)
+    assert [random_unimodular_matrix(rng, **kwargs).entries() for _ in entries] == entries
+    assert rng.random() == next_random

@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from etaforge import dedekind
 from etaforge import (
     dedekind_sum_fast,
     dedekind_sum_naive,
@@ -72,6 +73,20 @@ def test_fast_equals_naive_negative_and_large_h():
         if gcd(h, k) != 1:
             continue
         assert dedekind_sum_fast(h, k) == dedekind_sum_naive(h, k), (h, k)
+
+
+def test_fast_equals_naive_sweep_outside_zero_to_k():
+    for k in range(1, 41):
+        for h in [*range(-2 * k - 1, 0), *range(k + 1, 3 * k + 2)]:
+            if gcd(h, k) == 1:
+                assert dedekind_sum_fast(h, k) == dedekind_sum_naive(h, k), (h, k)
+
+
+def test_fast_at_modulus_near_1e18():
+    # value computed by the step-by-step Fraction descent
+    assert dedekind_sum_fast(999_999_999_999_999_989, 10**18 + 9) == Fraction(
+        -4166666666666666666666666666666668, 1000000000000000009
+    )
 
 
 def test_fast_rejects_non_coprime_and_bad_modulus():
@@ -148,6 +163,18 @@ def test_omega_rejects_bad_input():
         omega(1, 0, 0, 1)  # c = 0
     with pytest.raises(ValueError):
         omega(0, 1, -1, 0)  # c < 0
+
+
+def test_omega_asserts_on_non_integral_value(monkeypatch):
+    exact = dedekind.dedekind_sum_fast
+
+    def off_by(h, k):
+        return exact(h, k) + Fraction(1, 7 * k)
+
+    monkeypatch.setattr(dedekind, "dedekind_sum_fast", off_by)
+    for entries in ((0, -1, 1, 0), (2, 1, 1, 1), (13567, 1341, 2074, 205)):
+        with pytest.raises(AssertionError):
+            omega(*entries)
 
 
 def test_omega_integral_on_random_matrices():

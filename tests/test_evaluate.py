@@ -8,10 +8,12 @@ Gamma(1/4) / (2 pi^(3/4)) to all quoted digits.
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from etaforge import evaluate
 from etaforge import (
     ConvergenceBudgetError,
     ModularMatrix,
@@ -113,6 +115,43 @@ def test_rejects_lower_half_plane_and_bad_tol():
             evaluator(1 - 1j)
     with pytest.raises(ValueError):
         eta_pentagonal_eval(1j, -1e-9)
+
+
+def non_finite_calls():
+    """(entry point, args) with inf or nan in each tau, tol, z, w, u, a, b slot."""
+    tau_routes = (*ALL_EVALUATORS, evaluate.eta_eval)
+    for x in (math.nan, math.inf, -math.inf):
+        for tau in (complex(x, 1.0), complex(0.3, x)):
+            yield from ((route, (tau,)) for route in tau_routes)
+            yield transform_factor, (S, tau)
+            yield functional_eq_residual, (S, tau)
+            yield theta_identity_residual, (tau, 0, 0)
+        yield from ((route, (1j, x)) for route in tau_routes)
+        yield functional_eq_residual, (S, 1j, x)
+        for z in (complex(x, 0.1), complex(0.2, x)):
+            yield theta_identity_residual, (1j, z, 0)
+            yield theta_identity_residual, (1j, 0, z)
+        yield theta_identity_residual, (1j, 0, 0, x)
+        for args in ((x, 0.1, 0.2), (1.0, x, 0.2), (1.0, 0.1, x), (1.0, 0.1, 0.2, x)):
+            yield gaussian_poisson_residual, args
+
+
+NON_FINITE_CALLS = list(non_finite_calls())
+
+
+@pytest.mark.parametrize(
+    "fn, args", NON_FINITE_CALLS, ids=[f"{fn.__name__}{args}" for fn, args in NON_FINITE_CALLS]
+)
+def test_non_finite_input_raises_value_error(fn, args):
+    with pytest.raises(ValueError, match="finite"):
+        fn(*args)
+
+
+def test_direct_series_split_off_large_real_part():
+    tau = complex(-1.9958923010938387, 0.020140973318589484)
+    reference = eta_transformed_eval(tau).value
+    for evaluator in (eta_pentagonal_eval, eta_char_eval):
+        assert rel(evaluator(tau).value, reference) <= 1e-11, evaluator.__name__
 
 
 def test_product_budget_error_near_real_axis():
@@ -234,8 +273,22 @@ def test_theta_identity_complex_parameters():
 
 
 def test_theta_identity_budget_error():
+    start = time.perf_counter()
     with pytest.raises(ConvergenceBudgetError):
         theta_identity_residual(1e-14j, 0, 0)
+    # the term count is predicted, not summed up to the budget
+    assert time.perf_counter() - start < 1.0
+
+
+def test_theta_sum_just_inside_budget_still_sums(monkeypatch):
+    args = (0.0005j, 0.25 + 0.1j, -0.3j, 1e-12)
+    _, _, terms = evaluate._bilateral_theta_sum(*args)
+    assert terms > 1000
+    monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", terms)
+    assert evaluate._bilateral_theta_sum(*args)[2] == terms
+    monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", terms - 1)
+    with pytest.raises(ConvergenceBudgetError):
+        evaluate._bilateral_theta_sum(*args)
 
 
 def test_theta_identity_rejects_lower_half_plane():
