@@ -30,7 +30,7 @@ from .evaluate import (
     gaussian_poisson_residual,
     theta_identity_residual,
 )
-from .modgroup import ModularMatrix, S
+from .modgroup import ModularMatrix, S, descent_step
 from .qseries import (
     euler_product_series,
     eta_char_qseries,
@@ -342,11 +342,9 @@ def _omega_is_integral(mat: ModularMatrix) -> bool:
 
 
 def _omega_descends(mat: ModularMatrix) -> bool:
-    """omega(M) = omega(M') + q - 3 for the descent step M' of M (needs c >= 2)."""
-    a, b, c, d = mat.entries()
-    r = (-d) % c
-    q = (d + r) // c
-    return omega(a, b, c, d) == omega(a * q - b, a, r, c) + q - 3
+    """omega(M) = omega(M') + q - 3 for the descent step M = M' S T^q (c >= 2)."""
+    q, reduced = descent_step(*mat.entries())
+    return omega(*mat.entries()) == omega(*reduced) + q - 3
 
 
 def run_omega(config: CliConfig) -> VerificationReport:

@@ -2,11 +2,12 @@
 identities, with explicit truncation-error control.
 
 Three independent series routes to eta are provided (infinite product,
-pentagonal-exponent sum, character-weighted theta sum) plus a fourth that
-reduces the argument to the fundamental domain and transports the value back
-through the transformation law.  Every evaluator reports a rigorous bound on
-its truncation error; double-precision rounding is outside that bound and is
-documented instead (all tolerances here are meaningful down to ~1e-13).
+pentagonal-exponent sum, character-weighted theta sum), each summed at
+tau - round(Re tau) behind one front end that restores the exact phase, plus a
+fourth that reduces the argument to the fundamental domain and transports the
+value back through the transformation law.  Every evaluator reports a rigorous
+bound on its truncation error; double-precision rounding is outside that bound
+and is documented instead (all tolerances here are meaningful down to ~1e-13).
 
 Truncation policy: each series is cut where a geometric majorant of the tail,
 taken with an explicit safety factor 2, drops below the requested tolerance.
@@ -17,7 +18,8 @@ Invalid input: every public entry point raises ValueError, before any
 summation, for a tau off the open upper half-plane, a tolerance that is not
 a finite positive number, or a non-finite theta/Poisson parameter (z, w, u,
 a, b; u must also be positive).  A series that would need more than
-MAX_SERIES_TERMS terms raises ConvergenceBudgetError instead.
+MAX_SERIES_TERMS terms raises ConvergenceBudgetError instead, before summing
+where a closed-form lower bound on its term count already passes the budget.
 """
 
 from __future__ import annotations
@@ -113,6 +115,22 @@ def _check_finite(name: str, value: complex) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _over_budget(what: str) -> ConvergenceBudgetError:
+    """The error for a sum whose term count is bounded below past the budget."""
+    return ConvergenceBudgetError(f"{what} needs more than {MAX_SERIES_TERMS} terms")
+
+
+def _translated(series, tau: UpperHalfPoint | complex, tol: float) -> EvalResult:
+    """Front end of the direct routes: checks tau and tol, runs `series(z, tol) ->
+    (value, relative tail bound, terms)` at z = tau - round(Re tau) = tau - m,
+    where term phases stay small, and applies eta(tau) = e^(pi i m/12) eta(z)."""
+    z = _as_tau(tau)
+    _check_tol(tol)
+    m = round(z.real)
+    value, rel, terms = series(z - m, tol)
+    return EvalResult(_translation_phase(m) * value, rel, terms)
+
+
 def eta_product_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL) -> EvalResult:
     """eta(tau) from its defining product e^(pi i tau/12) prod (1 - q^n).
 
@@ -121,8 +139,10 @@ def eta_product_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL) ->
     dropping all factors beyond N.  Arguments very close to the real axis
     would need more than the term budget; use eta_transformed_eval there.
     """
-    z = _as_tau(tau)
-    _check_tol(tol)
+    return _translated(_product_series, tau, tol)
+
+
+def _product_series(z: complex, tol: float) -> tuple[complex, float, int]:
     t = z.imag
     log_absq = -2.0 * math.pi * t
     absq = math.exp(log_absq)
@@ -142,7 +162,7 @@ def eta_product_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL) ->
         prod *= 1.0 - qn
     value = cmath.exp(1j * math.pi * z / 12.0) * prod
     tail = 2.0 * absq ** (n_terms + 1) / (1.0 - absq)
-    return EvalResult(value, tail, n_terms)
+    return value, tail, n_terms
 
 
 def eta_pentagonal_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL) -> EvalResult:
@@ -150,17 +170,18 @@ def eta_pentagonal_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL)
 
     Terms are added in symmetric rings |n| <= N; the omitted tails on the two
     sides are majorized geometrically from the exact magnitudes
-    e^(-3 pi t (n +- 1/6)^2).
-
-    The sum runs at tau - m for m = round(Re tau), where the term phases stay
-    small, and eta(tau) = e^(pi i m/12) eta(tau - m) restores the exact phase.
+    e^(-3 pi t (n +- 1/6)^2).  Only a ring N >= ln 2/(6 pi t) - 4/3 can end the
+    sum, so when 2N + 1 passes MAX_SERIES_TERMS the budget error comes first.
     """
-    z = _as_tau(tau)
-    _check_tol(tol)
-    m = round(z.real)
-    z -= m
+    return _translated(_pentagonal_series, tau, tol)
+
+
+def _pentagonal_series(z: complex, tol: float) -> tuple[complex, float, int]:
     t = z.imag
     c = 3.0 * math.pi
+    min_rings = math.log(2.0) / (2.0 * c * t) - 4.0 / 3.0
+    if 2.0 * min_rings + 1.0 > MAX_SERIES_TERMS:
+        raise _over_budget(f"pentagonal evaluation at im(tau) = {t}")
 
     def term(n: int) -> complex:
         sign = -1.0 if n % 2 else 1.0
@@ -179,8 +200,7 @@ def eta_pentagonal_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL)
             bound = 2.0 * (tail_hi + tail_lo)
             if bound <= tol * abs(value):
                 # at extreme heights value and bound both underflow to 0.0
-                rel = bound / abs(value) if value else 0.0
-                return EvalResult(_translation_phase(m) * value, rel, terms)
+                return value, bound / abs(value) if value else 0.0, terms
         n += 1
         value += term(n) + term(-n)
         terms += 2
@@ -197,15 +217,18 @@ def eta_char_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL) -> Ev
     The character is even, so the bilateral half-weighted form collapses to a
     one-sided sum.  The tail majorant treats every n as potentially
     contributing, which over-counts the zero-character terms and is therefore
-    safe.  As in eta_pentagonal_eval the sum runs at tau - round(Re tau): every
-    n prime to 6 has n^2 = 1 mod 24, so the shift is the phase e^(pi i m/12).
+    safe.  Every n prime to 6 has n^2 = 1 mod 24, so the integer translation
+    is the phase e^(pi i m/12).  The budget counts every index n, and only an
+    n >= 6 ln 2/(pi t) - 3/2 can end the sum, so past the budget that fails first.
     """
-    z = _as_tau(tau)
-    _check_tol(tol)
-    m = round(z.real)
-    z -= m
+    return _translated(_char_series, tau, tol)
+
+
+def _char_series(z: complex, tol: float) -> tuple[complex, float, int]:
     t = z.imag
     c = math.pi / 12.0
+    if math.log(2.0) / (2.0 * c * t) - 1.5 > MAX_SERIES_TERMS:
+        raise _over_budget(f"character evaluation at im(tau) = {t}")
     value = complex(0.0)
     n = 0
     terms = 0
@@ -215,8 +238,7 @@ def eta_char_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL) -> Ev
             if ratio <= 0.5:
                 bound = 2.0 * math.exp(-c * t * (n + 1) ** 2) / (1.0 - ratio)
                 if bound <= tol * abs(value):
-                    rel = bound / abs(value) if value else 0.0
-                    return EvalResult(_translation_phase(m) * value, rel, terms)
+                    return value, bound / abs(value) if value else 0.0, terms
         n += 1
         chi = chi12(n)
         if chi:
@@ -373,10 +395,7 @@ def _bilateral_theta_sum(
         math.sqrt(max(peak - log_target, 0.0) / (pi * t)),
     )
     if 2.0 * half_width - 1.0 > MAX_SERIES_TERMS:
-        raise ConvergenceBudgetError(
-            f"theta sum at tau = {tau}, z = {z}, w = {w} needs more than "
-            f"{MAX_SERIES_TERMS} terms"
-        )
+        raise _over_budget(f"theta sum at tau = {tau}, z = {z}, w = {w}")
 
     def term(n: int) -> complex:
         nz = n + z

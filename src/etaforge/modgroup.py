@@ -3,9 +3,11 @@ constructive generator words.
 
 Matrices are kept in a canonical sign form (c > 0, or c = 0 and d > 0) so each
 object represents a class modulo +-I.  `decompose` rewrites any element as a
-word in the generators S: z -> -1/z and T: z -> z + 1 by Euclidean descent on
-the lower-left entry, and `reduce_to_fundamental_domain` moves any point of
-the upper half-plane into |Re| <= 1/2, |tau| >= 1.
+word in the generators S: z -> -1/z and T: z -> z + 1 by repeating one
+Euclidean descent step on the lower-left entry (`descent_step`), and
+`evaluate_word` multiplies a word back out in plain integers.
+`reduce_to_fundamental_domain` moves any point of the upper half-plane into
+|Re| <= 1/2, |tau| >= 1.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "t_power",
     "apply_mobius",
     "decompose",
+    "descent_step",
     "evaluate_word",
     "reduce_to_fundamental_domain",
 ]
@@ -161,43 +164,39 @@ class GeneratorWord:
 
 
 def evaluate_word(word: GeneratorWord) -> ModularMatrix:
-    """Multiply out a generator word; the empty word is the identity."""
-    result = IDENTITY
+    """Multiply out a generator word in plain integers (S takes (a, b; c, d) to
+    (b, -a; d, -c), T^m to (a, am + b; c, cm + d)); the empty word is I."""
+    a, b, c, d = 1, 0, 0, 1
     for f in word.factors:
-        result = result @ (S if f == "S" else t_power(f))
-    return result
+        if f == "S":
+            a, b, c, d = b, -a, d, -c
+        else:
+            b, d = a * f + b, c * f + d
+    return ModularMatrix(a, b, c, d)
+
+
+def descent_step(a: int, b: int, c: int, d: int) -> tuple[int, tuple[int, int, int, int]]:
+    """One Euclidean descent step on c >= 2: the unique r in [1, c-1] with
+    -d = r mod c and q = (d + r)/c give (a, b; c, d) = (aq - b, a; r, c) S T^q,
+    whose first factor has the smaller lower-left entry r."""
+    r = (-d) % c
+    if r == 0:
+        raise AssertionError(f"r = 0 in descent for ({a}, {b}; {c}, {d}); c, d not coprime?")
+    q = (d + r) // c
+    return q, (a * q - b, a, r, c)
 
 
 def decompose(mat: ModularMatrix) -> GeneratorWord:
-    """Write a canonical matrix as a word in S and T-powers.
-
-    c = 0 is a plain translation T^b.  c = 1 forces b = ad - 1, giving the
-    closed form T^a S T^d.  For c >= 2, pick the unique r in [1, c-1] with
-    -d = r mod c (r = 0 is impossible since gcd(c, d) = 1), set q = (d + r)/c
-    and u = aq - b; then (a, b; c, d) = (u, a; r, c) S T^q and the first
-    factor has strictly smaller lower-left entry, so the descent terminates.
-    """
-    factors: list[WordFactor] = []
-
-    def descend(a: int, b: int, c: int, d: int) -> None:
-        if c == 0:
-            factors.append(b)
-            return
-        if c == 1:
-            factors.append(a)
-            factors.append("S")
-            factors.append(d)
-            return
-        r = (-d) % c
-        if r == 0:
-            raise AssertionError(f"r = 0 in descent for ({a}, {b}; {c}, {d}); c, d not coprime?")
-        q = (d + r) // c
-        descend(a * q - b, a, r, c)
-        factors.append("S")
-        factors.append(q)
-
-    descend(*mat.entries())
-    return GeneratorWord(tuple(factors))
+    """Write a canonical matrix as a word in S and T-powers: each `descent_step`
+    peels S T^q off the right until c = 1, where b = ad - 1 gives T^a S T^d
+    (at most c steps); c = 0 is the plain translation T^b."""
+    a, b, c, d = mat.entries()
+    peeled: list[WordFactor] = []
+    while c >= 2:
+        q, (a, b, c, d) = descent_step(a, b, c, d)
+        peeled += (q, "S")
+    head = [b] if c == 0 else [a, "S", d]
+    return GeneratorWord((*head, *reversed(peeled)))
 
 
 def apply_mobius(mat: ModularMatrix, tau: UpperHalfPoint) -> UpperHalfPoint:

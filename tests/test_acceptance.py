@@ -152,16 +152,6 @@ def test_09_cross_representation_grid():
     announce(9, f"three evaluators agree on 100-point grid (worst {worst:.2e}); eta(i) to 10 digits")
 
 
-def test_10_theta_and_poisson_identities():
-    worst = 0.0
-    for tau, z, w in ((1j, 0, 0), (2j, 0, 0), (1j, 0.5, 1.0 / 6.0)):
-        worst = max(worst, theta_identity_residual(tau, z, w))
-    for u, a, b in ((1, 0, 0), (4, 0, 0), (1, 1.0 / 3.0, 1.0 / 5.0)):
-        worst = max(worst, gaussian_poisson_residual(u, a, b))
-    assert worst < 1e-12, f"max theta/poisson residual {worst:.3e}"
-    announce(10, f"theta and Gaussian summation identities, max residual {worst:.2e}")
-
-
 def test_10_theta_and_poisson_identities(verify_all):
     worst = 0.0
     for campaign in ("theta", "poisson"):

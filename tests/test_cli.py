@@ -138,6 +138,13 @@ def test_decompose_with_check(capsys):
     assert "check: OK" in out
 
 
+def test_decompose_deep_descent_with_check(capsys):
+    # the descent from c = 1000 takes 999 steps
+    code, out, _ = run(capsys, "decompose", "1", "0", "1000", "1", "--check")
+    assert code == 0
+    assert "check: OK, word recomposes to [1 0; 1000 1]" in out
+
+
 def test_decompose_non_unimodular_exits_2(capsys):
     code, _, err = run(capsys, "decompose", "1", "0", "0", "2")
     assert code == 2

@@ -16,6 +16,7 @@ from etaforge import (
     floor_sum_check,
     omega,
 )
+from etaforge.modgroup import descent_step
 
 
 def dedekind_sum_literal(h: int, k: int) -> Fraction:
@@ -202,8 +203,6 @@ def test_omega_descent_recursion():
             continue
         a = pow(d, -1, c)
         b = (a * d - 1) // c
-        r = (-d) % c
-        q = (d + r) // c
-        u = a * q - b
-        assert omega(a, b, c, d) == omega(u, a, r, c) + q - 3
+        q, reduced = descent_step(a, b, c, d)
+        assert omega(a, b, c, d) == omega(*reduced) + q - 3
         done += 1

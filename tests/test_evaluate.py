@@ -147,16 +147,54 @@ def test_non_finite_input_raises_value_error(fn, args):
         fn(*args)
 
 
-def test_direct_series_split_off_large_real_part():
-    tau = complex(-1.9958923010938387, 0.020140973318589484)
+@pytest.mark.parametrize(
+    "tau", [complex(-1.9958923010938387, 0.020140973318589484), complex(1e12 + 0.3, 0.5)]
+)
+def test_direct_series_split_off_large_real_part(tau):
     reference = eta_transformed_eval(tau).value
-    for evaluator in (eta_pentagonal_eval, eta_char_eval):
+    for evaluator in (eta_product_eval, eta_pentagonal_eval, eta_char_eval):
         assert rel(evaluator(tau).value, reference) <= 1e-11, evaluator.__name__
 
 
 def test_product_budget_error_near_real_axis():
     with pytest.raises(ConvergenceBudgetError):
         eta_product_eval(0.5 + 1e-9j)
+
+
+@pytest.mark.parametrize("evaluator", [eta_pentagonal_eval, eta_char_eval])
+def test_direct_series_budget_error_near_real_axis_is_fast(evaluator):
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceBudgetError):
+        evaluator(0.5 + 1e-12j)
+    # the term count is predicted from the tail ratio, not summed up to the budget
+    assert time.perf_counter() - start < 1.0
+
+
+def test_pentagonal_just_inside_budget_still_sums(monkeypatch):
+    # at this height the tail-ratio condition, which the budget check predicts,
+    # is what ends the sum
+    terms = eta_pentagonal_eval(0.3 + 1e-4j).terms_used
+    assert terms > 700
+    monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", terms)
+    assert eta_pentagonal_eval(0.3 + 1e-4j).terms_used == terms
+    monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", terms - 1)
+    with pytest.raises(ConvergenceBudgetError):
+        eta_pentagonal_eval(0.3 + 1e-4j)
+
+
+def test_character_just_inside_budget_still_sums(monkeypatch):
+    # the character route's budget counts every index n it visits, while
+    # terms_used counts only the n prime to 6; record the last index
+    visited = []
+    monkeypatch.setattr(evaluate, "chi12", lambda n: visited.append(n) or chi12(n))
+    result = eta_char_eval(0.3 + 1e-4j)
+    last = visited[-1]
+    assert last > 13_000 and result.terms_used < last
+    monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", last)
+    assert eta_char_eval(0.3 + 1e-4j) == result
+    monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", last - 1)
+    with pytest.raises(ConvergenceBudgetError):
+        eta_char_eval(0.3 + 1e-4j)
 
 
 def test_extreme_height_underflows_cleanly():

@@ -19,6 +19,7 @@ from etaforge import (
     reduce_to_fundamental_domain,
     t_power,
 )
+from etaforge.modgroup import descent_step
 
 
 def random_word_matrix(rng, exp_bound=20, max_factors=30):
@@ -141,6 +142,29 @@ def test_decompose_round_trip():
         # no adjacent T-power factors
         for left, right in zip(word.factors, word.factors[1:]):
             assert not (isinstance(left, int) and isinstance(right, int))
+
+
+def test_decompose_deep_descent_round_trip():
+    # one descent step per unit of c: far deeper than the interpreter's
+    # recursion limit
+    m = ModularMatrix(1, 0, 10**4, 1)
+    word = decompose(m)
+    assert sum(1 for f in word.factors if f == "S") == 10**4
+    assert evaluate_word(word) == m
+
+
+def test_descent_step_factorization():
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(1000):
+        m = random_word_matrix(rng)
+        if m.c < 2:
+            continue
+        q, reduced = descent_step(*m.entries())
+        assert 1 <= reduced[2] < m.c
+        assert ModularMatrix(*reduced) @ S @ t_power(q) == m, m
+        checked += 1
+    assert checked > 900
 
 
 def negative_residue_steps(d: int, c: int) -> int:
