@@ -25,6 +25,7 @@ from .dedekind import (
     omega,
 )
 from .evaluate import (
+    _check_tol,
     eta_pentagonal_eval,
     functional_eq_residual,
     gaussian_poisson_residual,
@@ -67,8 +68,8 @@ class CliConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if self.tolerance is not None:
+            _check_tol(self.tolerance)
         if self.order is not None and self.order < 1:
             raise ValueError(f"order must be positive, got {self.order}")
         if self.trials is not None and self.trials < 1:

@@ -116,7 +116,7 @@ def _check_finite(name: str, value: complex) -> None:
 
 
 def _over_budget(what: str) -> ConvergenceBudgetError:
-    """The error for a sum whose term count is bounded below past the budget."""
+    """The one budget error, from a closed-form term-count bound or a running count."""
     return ConvergenceBudgetError(f"{what} needs more than {MAX_SERIES_TERMS} terms")
 
 
@@ -205,9 +205,7 @@ def _pentagonal_series(z: complex, tol: float) -> tuple[complex, float, int]:
         value += term(n) + term(-n)
         terms += 2
         if terms > MAX_SERIES_TERMS:
-            raise ConvergenceBudgetError(
-                f"pentagonal evaluation at im(tau) = {t} exceeded {MAX_SERIES_TERMS} terms"
-            )
+            raise _over_budget(f"pentagonal evaluation at im(tau) = {t}")
 
 
 def eta_char_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL) -> EvalResult:
@@ -218,8 +216,9 @@ def eta_char_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL) -> Ev
     one-sided sum.  The tail majorant treats every n as potentially
     contributing, which over-counts the zero-character terms and is therefore
     safe.  Every n prime to 6 has n^2 = 1 mod 24, so the integer translation
-    is the phase e^(pi i m/12).  The budget counts every index n, and only an
-    n >= 6 ln 2/(pi t) - 3/2 can end the sum, so past the budget that fails first.
+    is the phase e^(pi i m/12).  The budget counts summed terms, n prime to 6.
+    Only an index n >= 6 ln 2/(pi t) - 3/2 can end the sum, and at least n/3 - 1
+    integers up to n are prime to 6, so past the budget that bound fails first.
     """
     return _translated(_char_series, tau, tol)
 
@@ -227,7 +226,8 @@ def eta_char_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL) -> Ev
 def _char_series(z: complex, tol: float) -> tuple[complex, float, int]:
     t = z.imag
     c = math.pi / 12.0
-    if math.log(2.0) / (2.0 * c * t) - 1.5 > MAX_SERIES_TERMS:
+    min_index = math.log(2.0) / (2.0 * c * t) - 1.5
+    if min_index / 3.0 - 1.0 > MAX_SERIES_TERMS:
         raise _over_budget(f"character evaluation at im(tau) = {t}")
     value = complex(0.0)
     n = 0
@@ -244,10 +244,8 @@ def _char_series(z: complex, tol: float) -> tuple[complex, float, int]:
         if chi:
             value += chi * cmath.exp(c * 1j * z * n * n)
             terms += 1
-        if n > MAX_SERIES_TERMS:
-            raise ConvergenceBudgetError(
-                f"character evaluation at im(tau) = {t} exceeded {MAX_SERIES_TERMS} terms"
-            )
+            if terms > MAX_SERIES_TERMS:
+                raise _over_budget(f"character evaluation at im(tau) = {t}")
 
 
 def transform_factor(mat: ModularMatrix, tau: UpperHalfPoint | complex) -> TransformContext:
@@ -432,10 +430,7 @@ def _bilateral_theta_sum(
             value += term(n_lo)
             terms += 1
         if terms > MAX_SERIES_TERMS:
-            raise ConvergenceBudgetError(
-                f"theta sum at tau = {tau}, z = {z}, w = {w} exceeded "
-                f"{MAX_SERIES_TERMS} terms"
-            )
+            raise _over_budget(f"theta sum at tau = {tau}, z = {z}, w = {w}")
     tail = 2.0 * (
         math.exp(log_mag(n_hi + 1 + zr))
         / -math.expm1(-pi * t * (2.0 * (n_hi + 1 + zr) + 1.0) + beta)

@@ -130,20 +130,14 @@ class GeneratorWord:
     def __post_init__(self):
         merged: list[WordFactor] = []
         for f in self.factors:
-            if f == "S":
-                merged.append("S")
-            elif isinstance(f, int):
-                if f == 0:
+            if f != "S":
+                if not isinstance(f, int):
+                    raise ValueError(f"word factor must be 'S' or a T-exponent, got {f!r}")
+                if merged and merged[-1] != "S":
+                    f += merged.pop()
+                if not f:
                     continue
-                if merged and isinstance(merged[-1], int):
-                    combined = merged[-1] + f
-                    merged.pop()
-                    if combined:
-                        merged.append(combined)
-                else:
-                    merged.append(f)
-            else:
-                raise ValueError(f"word factor must be 'S' or a T-exponent, got {f!r}")
+            merged.append(f)
         object.__setattr__(self, "factors", tuple(merged))
 
     def __len__(self):

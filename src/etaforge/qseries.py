@@ -38,8 +38,8 @@ class QSeries:
     """Power series in one variable, truncated at `order`, with int coefficients.
 
     Coefficients are stored sparsely (zero entries are dropped).  Exponents
-    above `order` are unknown, not zero; arithmetic truncates to the minimum
-    order of its operands so an unknown coefficient is never reported.
+    above `order` are unknown, not zero, so `coeff` refuses them.  There is no
+    series arithmetic: the producers below build a series, callers read it.
     """
 
     __slots__ = ("coeffs", "order")
@@ -74,40 +74,6 @@ class QSeries:
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.order, tuple(sorted(self.coeffs.items()))))
-
-    def __neg__(self) -> "QSeries":
-        return QSeries({e: -c for e, c in self.coeffs.items()}, self.order)
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        out = {e: c for e, c in self.coeffs.items() if e <= order}
-        for e, c in other.coeffs.items():
-            if e <= order:
-                out[e] = out.get(e, 0) + c
-        return QSeries(out, order)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        """Exact Cauchy product, truncated to min(order, other.order)."""
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            if e1 > order:
-                continue
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e <= order:
-                    out[e] = out.get(e, 0) + c1 * c2
-        return QSeries(out, order)
-
     def __repr__(self):
         terms = sorted(self.coeffs.items())
         head = " ".join(f"{c:+d}*q^{e}" for e, c in terms[:6])
@@ -121,7 +87,8 @@ class BiSeries:
 
     A key (m, j) holds the coefficient of w^m * z^(2j); j may be negative.
     Both sides of the Jacobi triple product live here, so for every monomial
-    |j| <= m (a z^2 step always costs at least one power of w).
+    |j| <= m (a z^2 step always costs at least one power of w).  Subtraction,
+    the one operation, truncates to the lower order of its two operands.
     """
 
     __slots__ = ("coeffs", "order")
@@ -163,12 +130,6 @@ class BiSeries:
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.order, tuple(sorted(self.coeffs.items()))))
-
-    def __neg__(self) -> "BiSeries":
-        return BiSeries({k: -c for k, c in self.coeffs.items()}, self.order)
-
     def __sub__(self, other: "BiSeries") -> "BiSeries":
         if not isinstance(other, BiSeries):
             return NotImplemented
@@ -208,8 +169,6 @@ def pentagonal_series(n_order: int) -> QSeries:
 
     The exponents (3n^2 -+ n)/2 are the generalized pentagonal numbers.
     """
-    if n_order < 0:
-        raise ValueError(f"order must be >= 0, got {n_order}")
     coeffs = {0: 1}
     n = 1
     while True:
@@ -231,8 +190,6 @@ def jtp_product_side(n_order: int) -> BiSeries:
     Expanded exactly to w-order N.  Only factors with 2n - 1 <= N can
     contribute, so n runs to ceil((N + 1) / 2).
     """
-    if n_order < 0:
-        raise ValueError(f"order must be >= 0, got {n_order}")
     coeffs: dict[tuple[int, int], int] = {(0, 0): 1}
     for n in range(1, (n_order + 2) // 2 + 1):
         for shift, dj, sign in ((2 * n, 0, -1), (2 * n - 1, 1, 1), (2 * n - 1, -1, 1)):
@@ -250,8 +207,6 @@ def jtp_product_side(n_order: int) -> BiSeries:
 
 def jtp_sum_side(n_order: int) -> BiSeries:
     """Theta sum sum over n of w^(n^2) z^(2n), truncated to w-order N."""
-    if n_order < 0:
-        raise ValueError(f"order must be >= 0, got {n_order}")
     coeffs = {(0, 0): 1}
     n = 1
     while n * n <= n_order:
@@ -268,8 +223,9 @@ def jtp_shift_residual(n_order: int) -> BiSeries:
     after the extra z^2 w factor a source monomial (m, j) lands at
     (m + 2j + 1, j + 1).  A z^2 step at w-cost 2n - 1 uses each odd weight at
     most once, hence |j| <= sqrt(m); source terms with m up to (sqrt(N) + 2)^2
-    therefore cover every target w-degree <= N.  The residual is the zero
-    series exactly when the shift relation holds.
+    therefore cover every target w-degree <= N.  Subtraction truncates to
+    order N, so the same expansion also serves as F(w, z).  The residual is
+    the zero series exactly when the shift relation holds.
     """
     if n_order < 0:
         raise ValueError(f"order must be >= 0, got {n_order}")
@@ -281,7 +237,7 @@ def jtp_shift_residual(n_order: int) -> BiSeries:
         if m2 <= n_order:
             key = (m2, j + 1)
             shifted[key] = shifted.get(key, 0) + c
-    return BiSeries(shifted, n_order) - jtp_product_side(n_order)
+    return BiSeries(shifted, n_order) - source
 
 
 def eta_char_qseries(n_order: int) -> QSeries:
@@ -291,8 +247,6 @@ def eta_char_qseries(n_order: int) -> QSeries:
     over integer-indexed coefficients.  Equals u times the Euler product
     rewritten in u^24, which is what the tests pin down.
     """
-    if n_order < 0:
-        raise ValueError(f"order must be >= 0, got {n_order}")
     coeffs = {}
     n = 1
     while n * n <= n_order:

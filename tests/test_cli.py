@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from etaforge import campaigns
 from etaforge.cli import main, parse_complex_literal
 
 
@@ -250,6 +251,25 @@ def test_verify_bad_trials_exits_2(capsys):
     code, _, err = run(capsys, "verify", "omega", "--trials", "0")
     assert code == 2
     assert "positive" in err
+
+
+def test_verify_infinite_tolerance_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "functional-eq", "--trials", "3", "--tol", "inf")
+    assert code == 2
+    assert "PASS" not in out
+    assert "finite and positive" in err
+
+
+def test_verify_all_rejects_infinite_tolerance_before_any_campaign(capsys, monkeypatch):
+    ran = []
+    for name, runner in campaigns.CAMPAIGNS.items():
+        monkeypatch.setitem(
+            campaigns.CAMPAIGNS, name, lambda config, n=name, r=runner: ran.append(n) or r(config)
+        )
+    code, out, _ = run(capsys, "verify", "all", "--tol", "inf")
+    assert code == 2
+    assert ran == []
+    assert out == ""
 
 
 def test_usage_error_exits_2():

@@ -182,19 +182,16 @@ def test_pentagonal_just_inside_budget_still_sums(monkeypatch):
         eta_pentagonal_eval(0.3 + 1e-4j)
 
 
-def test_character_just_inside_budget_still_sums(monkeypatch):
-    # the character route's budget counts every index n it visits, while
-    # terms_used counts only the n prime to 6; record the last index
-    visited = []
-    monkeypatch.setattr(evaluate, "chi12", lambda n: visited.append(n) or chi12(n))
-    result = eta_char_eval(0.3 + 1e-4j)
-    last = visited[-1]
-    assert last > 13_000 and result.terms_used < last
-    monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", last)
-    assert eta_char_eval(0.3 + 1e-4j) == result
-    monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", last - 1)
+@pytest.mark.parametrize("tau", [0.3 + 1e-4j, 0.1 + 1e-3j, 0.7 + 3e-5j])
+def test_character_just_inside_budget_still_sums(monkeypatch, tau):
+    # the budget counts the summed terms that terms_used reports
+    result = eta_char_eval(tau)
+    assert result.terms_used > 100
+    monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", result.terms_used)
+    assert eta_char_eval(tau) == result
+    monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", result.terms_used - 1)
     with pytest.raises(ConvergenceBudgetError):
-        eta_char_eval(0.3 + 1e-4j)
+        eta_char_eval(tau)
 
 
 def test_extreme_height_underflows_cleanly():

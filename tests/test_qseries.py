@@ -5,6 +5,9 @@ polynomial oracle defined below, independent of the sparse implementation.
 
 import random
 
+import pytest
+
+from etaforge import qseries
 from etaforge import (
     BiSeries,
     QSeries,
@@ -19,7 +22,7 @@ from etaforge import (
 
 
 def poly_mul(a: list[int], b: list[int], order: int) -> list[int]:
-    """Dense truncated polynomial product, the oracle for series arithmetic."""
+    """Dense truncated polynomial product, the oracle behind `brute_euler`."""
     out = [0] * (order + 1)
     for i, ca in enumerate(a):
         if ca == 0 or i > order:
@@ -46,39 +49,32 @@ def as_qseries(dense: list[int], order: int) -> QSeries:
     return QSeries({e: c for e, c in enumerate(dense) if c}, order)
 
 
-# --- QSeries arithmetic -----------------------------------------------------
+# --- Series containers ------------------------------------------------------
 
 
-def test_mul_difference_of_squares():
-    one_minus = QSeries({0: 1, 1: -1}, 5)
-    one_plus = QSeries({0: 1, 1: 1}, 5)
-    assert (one_minus * one_plus).coeffs == {0: 1, 2: -1}
+def test_sub_truncates_to_min_order():
+    a = BiSeries({(0, 0): 1, (1, 1): 2, (9, 3): 5}, 10)
+    b = BiSeries({(0, 0): 1, (1, -1): 1}, 3)
+    difference = a - b
+    assert difference.order == 3
+    assert difference.coeffs == {(1, 1): 2, (1, -1): -1}
+    assert (b - a).order == 3
 
 
-def test_mul_identity_element():
-    a = QSeries({0: 3, 2: -7, 5: 11}, 5)
-    assert a * QSeries.one(5) == a
-
-
-def test_mul_three_factors_order_six():
-    # (1-q)(1-q^2)(1-q^3) = 1 - q - q^2 + q^4 + q^5 - q^6, frozen from poly_mul
-    factors = [
-        QSeries({0: 1, 1: -1}, 6),
-        QSeries({0: 1, 2: -1}, 6),
-        QSeries({0: 1, 3: -1}, 6),
-    ]
-    product = factors[0] * factors[1] * factors[2]
-    assert product.coeffs == {0: 1, 1: -1, 2: -1, 4: 1, 5: 1, 6: -1}
-    oracle = poly_mul(poly_mul([1, -1], [1, 0, -1], 6), [1, 0, 0, -1], 6)
-    assert product == as_qseries(oracle, 6)
-
-
-def test_mul_truncates_to_min_order():
-    a = QSeries({0: 1, 1: 1}, 10)
-    b = QSeries({0: 1, 1: 1}, 3)
-    assert (a * b).order == 3
-    assert (a + b).order == 3
-    assert (a - b).order == 3
+@pytest.mark.parametrize(
+    "producer",
+    [
+        euler_product_series,
+        pentagonal_series,
+        jtp_product_side,
+        jtp_sum_side,
+        jtp_shift_residual,
+        eta_char_qseries,
+    ],
+)
+def test_negative_order_rejected(producer):
+    with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
+        producer(-1)
 
 
 def test_unknown_coefficient_is_rejected():
@@ -186,6 +182,16 @@ def test_jtp_shift_residual_zero():
         assert jtp_shift_residual(order).is_zero(), (
             f"shift relation residual nonzero at w-order {order}"
         )
+
+
+def test_jtp_shift_residual_expands_the_product_once(monkeypatch):
+    calls = []
+    original = qseries.jtp_product_side
+    monkeypatch.setattr(
+        qseries, "jtp_product_side", lambda order: calls.append(order) or original(order)
+    )
+    assert jtp_shift_residual(60).is_zero()
+    assert len(calls) == 1
 
 
 def test_jtp_z_inversion_symmetry():
