@@ -301,8 +301,9 @@ def run_reciprocity(config: CliConfig) -> VerificationReport:
     """Exact Dedekind-sum identities over coprime sweeps.
 
     The reciprocity law and the s(1, h) closed form run to `order` (default
-    500); the fast-vs-defining-sum cross-check runs to min(order, 300) and the
-    remaining identities (periodicity, oddness, floor sums) to
+    500); the fast-vs-defining-sum cross-check and the denominator check
+    share one pass of the defining sum to min(order, 300), and the
+    remaining identities (periodicity, oddness, floor sums) run to
     min(order, 200), matching their costs.
     """
     limit = config.order or 500
@@ -312,26 +313,50 @@ def run_reciprocity(config: CliConfig) -> VerificationReport:
         lambda h: 12 * h * dedekind_sum_fast(1, h) == h * h - 3 * h + 2,
         ((h,) for h in range(1, limit + 1)),
     )
-    fast, naive, sweep_limit = dedekind_sum_fast, dedekind_sum_naive, min(limit, 200)
-    for label, bound, holds in (
-        ("reciprocity", limit, lambda h, k: 12 * h * k * (fast(h, k) + fast(k, h))
-         == h * h + k * k - 3 * h * k + 1),
-        ("fast == defining sum", min(limit, 300), lambda h, k: fast(h, k) == naive(h, k)),
-        ("periodicity", sweep_limit, lambda h, k: fast(h + k, k) == fast(h, k)),
-        ("oddness", sweep_limit, lambda h, k: fast(-h, k) == -fast(h, k)),
-        ("floor-sum identity", sweep_limit, lambda h, k: eq(*floor_sum_check(h, k))),
-        ("floor-square-sum identity", sweep_limit,
-         lambda h, k: eq(*floor_square_sum_check(h, k))),
-    ):
-        rec.record_sweep(f"{label} on coprime pairs <= {bound}", holds, _coprime_pairs(bound))
-
-    denom_limit = min(limit, 300)
+    fast, sweep_limit, naive_limit = dedekind_sum_fast, min(limit, 200), min(limit, 300)
     rec.record_sweep(
-        f"denominator of s(h, k) divides 6k for k <= {denom_limit} (all h)",
-        lambda h, k: (6 * k) % naive(h, k).denominator == 0,
-        ((h, k) for k in range(1, denom_limit + 1) for h in range(0, k)),
+        f"reciprocity on coprime pairs <= {limit}",
+        lambda h, k: 12 * h * k * (fast(h, k) + fast(k, h)) == h * h + k * k - 3 * h * k + 1,
+        _coprime_pairs(limit),
+    )
+    agrees, divides = _defining_sum_sweeps(naive_limit)
+    rec.record_exact(f"fast == defining sum on coprime pairs <= {naive_limit}", *agrees)
+    for label, holds in (
+        ("periodicity", lambda h, k: fast(h + k, k) == fast(h, k)),
+        ("oddness", lambda h, k: fast(-h, k) == -fast(h, k)),
+        ("floor-sum identity", lambda h, k: eq(*floor_sum_check(h, k))),
+        ("floor-square-sum identity", lambda h, k: eq(*floor_square_sum_check(h, k))),
+    ):
+        rec.record_sweep(
+            f"{label} on coprime pairs <= {sweep_limit}", holds, _coprime_pairs(sweep_limit)
+        )
+    rec.record_exact(
+        f"denominator of s(h, k) divides 6k for k <= {naive_limit} (all h)", *divides
     )
     return rec.report()
+
+
+def _defining_sum_sweeps(limit: int) -> tuple[tuple[bool, int, str], tuple[bool, int, str]]:
+    """One pass of the defining sum over k <= limit and 0 <= h < k, for two checks.
+
+    Returns (equal, count, first_failure) for "fast == defining sum" on the
+    coprime pairs with h >= 1, then for "denominator divides 6k" on every
+    pair, each in `record_exact`'s argument order.
+    """
+    fast, naive = dedekind_sum_fast, dedekind_sum_naive
+    coprime = pairs = 0
+    wrong_sum = wrong_denominator = ""
+    for k in range(1, limit + 1):
+        for h in range(k):
+            pairs += 1
+            s = naive(h, k)
+            if (6 * k) % s.denominator and not wrong_denominator:
+                wrong_denominator = str((h, k))
+            if h and gcd(h, k) == 1:
+                coprime += 1
+                if fast(h, k) != s and not wrong_sum:
+                    wrong_sum = str((h, k))
+    return (not wrong_sum, coprime, wrong_sum), (not wrong_denominator, pairs, wrong_denominator)
 
 
 def _omega_is_integral(mat: ModularMatrix) -> bool:

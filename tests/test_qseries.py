@@ -49,6 +49,29 @@ def as_qseries(dense: list[int], order: int) -> QSeries:
     return QSeries({e: c for e, c in enumerate(dense) if c}, order)
 
 
+def brute_jtp(order: int) -> BiSeries:
+    """The triple product by repeated dense multiplication, ascending n.
+
+    The table is dense in both variables: row m covers every z^2-exponent
+    |j| <= order, so it assumes no bound on j beyond the order itself.
+    """
+    width = 2 * order + 1
+    acc = [[0] * width for _ in range(order + 1)]
+    acc[0][order] = 1
+    for n in range(1, order + 1):
+        for dm, dj, sign in ((2 * n, 0, -1), (2 * n - 1, 1, 1), (2 * n - 1, -1, 1)):
+            product = [row[:] for row in acc]
+            for m in range(order + 1 - dm):
+                for i, c in enumerate(acc[m]):
+                    if c:
+                        product[m + dm][i + dj] += sign * c
+            acc = product
+    return BiSeries(
+        {(m, i - order): c for m, row in enumerate(acc) for i, c in enumerate(row) if c},
+        order,
+    )
+
+
 # --- Series containers ------------------------------------------------------
 
 
@@ -114,7 +137,7 @@ def test_euler_product_order_fifteen_support():
 
 
 def test_euler_product_matches_brute_force():
-    for order in (1, 2, 13, 40, 120):
+    for order in (*range(61), 120):
         assert euler_product_series(order) == as_qseries(brute_euler(order), order), (
             f"euler product disagrees with dense oracle at order {order}"
         )
@@ -160,6 +183,13 @@ def test_jtp_product_low_slices():
     prod = jtp_product_side(4)
     assert prod.z2_slice(1) == {1: 1, -1: 1}     # z^2 + z^-2
     assert prod.z2_slice(4) == {2: 1, -2: 1}     # z^4 + z^-4
+
+
+def test_jtp_product_matches_brute_force():
+    for order in range(41):
+        assert jtp_product_side(order) == brute_jtp(order), (
+            f"triple product disagrees with dense oracle at w-order {order}"
+        )
 
 
 def test_jtp_sum_side_enumeration():
