@@ -4,10 +4,11 @@ identities, with explicit truncation-error control.
 Three independent series routes to eta are provided (infinite product,
 pentagonal-exponent sum, character-weighted theta sum), each summed at
 tau - round(Re tau) behind one front end that restores the exact phase, plus a
-fourth that reduces the argument to the fundamental domain and transports the
-value back through the transformation law.  Every evaluator reports a rigorous
-bound on its truncation error; double-precision rounding is outside that bound
-and is documented instead (all tolerances here are meaningful down to ~1e-13).
+fourth that reduces the argument to the fundamental domain (exactly, rounding
+the reduced point once) and transports the value back through the
+transformation law.  Every evaluator reports a rigorous bound on its
+truncation error; double-precision rounding is outside that bound and is
+documented instead (all tolerances here are meaningful down to ~1e-13).
 
 Truncation policy: each series is cut where a geometric majorant of the tail,
 taken with an explicit safety factor 2, drops below the requested tolerance.
@@ -36,7 +37,6 @@ from .modgroup import (
     UpperHalfPoint,
     apply_mobius,
     reduce_to_fundamental_domain,
-    t_power,
 )
 from .qseries import chi12
 
@@ -262,46 +262,64 @@ def transform_factor(mat: ModularMatrix, tau: UpperHalfPoint | complex) -> Trans
     return TransformContext(mat, phase, sqrt_factor)
 
 
+def _law_factor(a: int, b: int, c: int, d: int, z: complex) -> complex:
+    """TransformContext.factor for (a, b; c, d) with c > 0 at z, from the
+    integer entries without building the context."""
+    phase = cmath.exp(1j * math.pi * ((omega(a, b, c, d) % 24) / 12))
+    return phase * cmath.sqrt(-1j * (c * z + d))
+
+
 def _translation_phase(m: int) -> complex:
     """exp(pi i m / 12) from the exact residue of m mod 24."""
     return cmath.exp(1j * math.pi * (m % 24) / 12.0)
 
 
-def _eta_image_eval(
-    mat: ModularMatrix, tau: UpperHalfPoint | complex, tol: float
-) -> EvalResult:
-    """eta(mat * tau) computed from the fundamental-domain value of tau.
+def _reduced(z: complex, tol: float) -> tuple[ModularMatrix, UpperHalfPoint, EvalResult]:
+    """Reduce tau once: (R, tau_red = R tau, eta(tau_red) by the pentagonal sum).
 
-    tau is reduced to tau_red = R(tau); then mat*tau = C(tau_red) with
-    C = mat R^-1 known exactly as integers, and eta is transported by the
-    transformation law evaluated at the well-conditioned point tau_red.  This
-    deliberately avoids evaluating anything at the float image mat*tau, whose
-    imaginary part may be far below float resolution.
-    """
-    z = _as_tau(tau)
+    tau_red is the exact image of tau, correctly rounded, with Im at least
+    sqrt(3)/2, so the sum needs only a handful of terms."""
     tau_red, reducer = reduce_to_fundamental_domain(UpperHalfPoint(z.real, z.imag))
-    inner = eta_pentagonal_eval(tau_red, tol)
-    comp = mat @ reducer.inverse()
-    if comp.is_identity():
-        return inner
-    if comp.c == 0:
-        # canonical form with c = 0 is the translation by comp.b
-        value = _translation_phase(comp.b) * inner.value
+    return reducer, tau_red, eta_pentagonal_eval(tau_red, tol)
+
+
+def _transported(
+    mat: ModularMatrix, reducer: ModularMatrix, tau_red: UpperHalfPoint, inner: EvalResult
+) -> EvalResult:
+    """eta(mat * tau) from inner = eta(tau_red), tau_red = reducer * tau.
+
+    mat * tau = C(tau_red) with C = mat reducer^-1 formed in plain integers,
+    and eta is transported by the transformation law evaluated at the
+    well-conditioned point tau_red.  This deliberately avoids evaluating
+    anything at the float image mat * tau, whose imaginary part may be far
+    below float resolution.
+    """
+    a, b, c, d = mat.entries()
+    ra, rb, rc, rd = reducer.entries()
+    a, b, c, d = a * rd - b * rc, b * ra - a * rb, c * rd - d * rc, d * ra - c * rb
+    if c < 0 or (c == 0 and d < 0):
+        a, b, c, d = -a, -b, -c, -d
+    if c == 0:
+        # C is the translation by b
+        if not b:
+            return inner
+        value = _translation_phase(b) * inner.value
     else:
-        value = transform_factor(comp, tau_red).factor * inner.value
+        value = _law_factor(a, b, c, d, complex(tau_red)) * inner.value
     return EvalResult(value, inner.tail_bound, inner.terms_used)
 
 
 def eta_transformed_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL) -> EvalResult:
     """eta(tau) via reduction to the fundamental domain.
 
-    Inside the domain the imaginary part is at least sqrt(3)/2, so the
-    pentagonal sum needs only a handful of terms; the transformation law then
+    The reduced point is the exact image of tau, correctly rounded; inside
+    the domain the imaginary part is at least sqrt(3)/2, so the pentagonal
+    sum needs only a handful of terms, and the transformation law then
     carries the value back.  This route works for arguments far too close to
     the real axis for any direct series.
     """
     _check_tol(tol)
-    return _eta_image_eval(IDENTITY, tau, tol)
+    return _transported(IDENTITY, *_reduced(_as_tau(tau), tol))
 
 
 def _routes() -> dict:
@@ -324,8 +342,13 @@ def eta_eval(
     """eta(tau) by one of EVAL_METHODS, with the route taken; `auto` takes
     `transformed` below Im tau = SMALL_IM and `pentagonal` elsewhere."""
     if method == "auto":
-        method = "transformed" if _as_tau(tau).imag < SMALL_IM else "pentagonal"
+        method = "pentagonal" if _direct(_as_tau(tau).imag) else "transformed"
     return method, _routes()[method](tau, tol)
+
+
+def _direct(im: float) -> bool:
+    """The `auto` rule: the direct pentagonal sum at Im tau >= SMALL_IM."""
+    return im >= SMALL_IM
 
 
 def functional_eq_residual(
@@ -335,25 +358,33 @@ def functional_eq_residual(
 
     The image value is computed with the integer translation round(a/c) split
     off exactly, so eta is only ever evaluated at well-scaled points even when
-    the matrix entries reach 10^6.
+    the matrix entries reach 10^6.  Each side takes the `auto` route; when
+    either is below SMALL_IM, tau is reduced once and both sides that need it
+    transport the same eta(tau_red).
     """
     if mat.c <= 0:
         raise ValueError(f"functional equation residual requires c > 0, got c = {mat.c}")
     z = _as_tau(tau)
     _check_tol(tol)
-    factor = transform_factor(mat, z).factor
+    factor = _law_factor(*mat.entries(), z)
     # the residual is normalized by |eta(tau)| while |eta(M tau)| is larger by
     # |factor|, so truncation error on the image side gets amplified by it;
     # tighten the series tolerance accordingly
     inner_tol = tol / (8.0 * max(1.0, abs(factor)))
-    _, eta_base = eta_eval(z, inner_tol)
     shift = round(mat.a / mat.c)
-    balanced = t_power(-shift) @ mat
+    balanced = ModularMatrix(mat.a - shift * mat.c, mat.b - shift * mat.d, mat.c, mat.d)
     img = apply_mobius(balanced, UpperHalfPoint(z.real, z.imag))
-    if img.im >= SMALL_IM:
+    # each side by the `auto` rule, sharing one reduction of tau
+    base_direct, img_direct = _direct(z.imag), _direct(img.im)
+    reduced = None if base_direct and img_direct else _reduced(z, inner_tol)
+    if base_direct:
+        eta_base = eta_pentagonal_eval(z, inner_tol)
+    else:
+        eta_base = _transported(IDENTITY, *reduced)
+    if img_direct:
         eta_img = eta_pentagonal_eval(img, inner_tol)
     else:
-        eta_img = _eta_image_eval(balanced, z, inner_tol)
+        eta_img = _transported(balanced, *reduced)
     image_value = _translation_phase(shift) * eta_img.value
     return abs(image_value - factor * eta_base.value) / abs(eta_base.value)
 

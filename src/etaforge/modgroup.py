@@ -7,11 +7,13 @@ word in the generators S: z -> -1/z and T: z -> z + 1 by repeating one
 Euclidean descent step on the lower-left entry (`descent_step`), and
 `evaluate_word` multiplies a word back out in plain integers.
 `reduce_to_fundamental_domain` moves any point of the upper half-plane into
-|Re| <= 1/2, |tau| >= 1.
+-1/2 <= Re < 1/2, |tau| >= 1, deciding every step in exact integers, and
+returns the reduced point correctly rounded.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -31,15 +33,9 @@ __all__ = [
     "reduce_to_fundamental_domain",
 ]
 
-# Tolerance for the fundamental-domain boundary; points within EPS of
-# |tau| = 1 or |Re tau| = 1/2 are accepted on either side.
-DOMAIN_EPS = 1e-12
-
-MAX_REDUCTION_STEPS = 10_000
-
 
 class NumericDegeneracyError(Exception):
-    """Raised when fundamental-domain reduction fails to settle numerically."""
+    """Raised when a reduced point lies beyond the float range."""
 
 
 @dataclass(frozen=True)
@@ -99,14 +95,17 @@ def t_power(m: int) -> ModularMatrix:
 
 @dataclass(frozen=True)
 class UpperHalfPoint:
-    """A point of the upper half-plane; construction rejects Im <= 0."""
+    """A finite point of the upper half-plane; construction rejects Im <= 0
+    and a non-finite part."""
 
     re: float
     im: float
 
     def __post_init__(self):
-        if not self.im > 0:
-            raise ValueError(f"point must have positive imaginary part, got im = {self.im}")
+        if not (self.im > 0 and math.isfinite(self.im) and math.isfinite(self.re)):
+            raise ValueError(
+                f"point must be finite with positive imaginary part, got {self.re} + {self.im}i"
+            )
 
     def __complex__(self) -> complex:
         return complex(self.re, self.im)
@@ -211,26 +210,45 @@ def apply_mobius(mat: ModularMatrix, tau: UpperHalfPoint) -> UpperHalfPoint:
 def reduce_to_fundamental_domain(
     tau: UpperHalfPoint,
 ) -> tuple[UpperHalfPoint, ModularMatrix]:
-    """Move tau into |Re| <= 1/2 + eps, |tau| >= 1 - eps; returns (image, matrix).
+    """Move tau into -1/2 <= Re < 1/2, |tau| >= 1; returns (image, matrix M)
+    with M tau = image.
 
-    Alternates integer translations with the inversion z -> -1/z while
-    |z| < 1; each inversion strictly increases the imaginary part, so the
-    loop terminates for any genuine upper half-plane point.  The returned
-    matrix M satisfies M tau = image.  Boundary points may come back as
-    either equivalent representative.
+    Every step is decided in exact integers.  The float parts of tau are
+    dyadic, so tau = (x + iy)/D exactly.  For the running matrix (a, b; c, d)
+    the image is (num + iyD)/den with num = PQ + acy^2, den = Q^2 + c^2 y^2,
+    P = ax + bD and Q = cx + dD (ad - bc = 1 gives the imaginary part), and
+    r2 = P^2 + a^2 y^2 is |image|^2 den.  The translation by
+    -n = -floor(Re + 1/2) takes num to num - n den and r2 to
+    r2 - n(2 num - n den); the inversion z -> -1/z, taken while r2 < den,
+    takes (num, den, r2) to (-num, r2, den).  Each inversion strictly raises
+    the imaginary part, so the loop ends.  The image is then rounded once,
+    correctly, so only its float Re can land on 1/2.
+
+    Raises NumericDegeneracyError when the image's imaginary part exceeds
+    the float range; the image's Im is at most max(Im tau, 1/Im tau), so
+    this needs Im tau below 5.6e-309.
     """
-    z = complex(tau)
-    acc = IDENTITY
-    for _ in range(MAX_REDUCTION_STEPS):
-        shift = round(z.real)
-        if shift:
-            z -= shift
-            acc = t_power(-shift) @ acc
-        if abs(z) < 1.0 - DOMAIN_EPS:
-            z = -1.0 / z
-            acc = S @ acc
-        else:
-            return UpperHalfPoint(z.real, z.imag), acc
-    raise NumericDegeneracyError(
-        f"fundamental-domain reduction did not settle after {MAX_REDUCTION_STEPS} steps"
-    )
+    xn, xd = float(tau.re).as_integer_ratio()
+    yn, yd = float(tau.im).as_integer_ratio()
+    # both denominators are powers of two
+    D = max(xd, yd)
+    x, y = xn * (D // xd), yn * (D // yd)
+    a, b, c, d = 1, 0, 0, 1
+    num, den, r2 = x * D, D * D, x * x + y * y
+    while True:
+        n = (2 * num + den) // (2 * den)
+        if n:
+            r2 -= n * (2 * num - n * den)
+            num -= n * den
+            a, b = a - n * c, b - n * d
+        if r2 >= den:
+            break
+        a, b, c, d = -c, -d, a, b
+        num, den, r2 = -num, r2, den
+    try:
+        image = UpperHalfPoint(num / den, y * D / den)
+    except OverflowError:
+        raise NumericDegeneracyError(
+            f"the reduced point of {complex(tau)} has imaginary part beyond the float range"
+        ) from None
+    return image, ModularMatrix(a, b, c, d)

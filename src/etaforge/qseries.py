@@ -244,25 +244,33 @@ def jtp_sum_side(n_order: int) -> BiSeries:
 def jtp_shift_residual(n_order: int) -> BiSeries:
     """(z^2 w) * F(w, wz) - F(w, z) truncated to w-order N, with F the triple product.
 
+    The residual is the zero series exactly when the shift relation holds;
+    see `_jtp_expansion`, which computes it.
+    """
+    return _jtp_expansion(n_order)[1]
+
+
+def _jtp_expansion(n_order: int) -> tuple[BiSeries, BiSeries]:
+    """F(w, z) and its shift residual, both to w-order N, from one expansion of F.
+
     Substituting z -> wz sends the monomial w^m z^(2j) to w^(m+2j) z^(2j), so
     after the extra z^2 w factor a source monomial (m, j) lands at
     (m + 2j + 1, j + 1).  A z^2 step at w-cost 2n - 1 uses each odd weight at
     most once, hence |j| <= sqrt(m); source terms with m up to (sqrt(N) + 2)^2
-    therefore cover every target w-degree <= N.  Subtraction truncates to
-    order N, so the same expansion also serves as F(w, z).  The residual is
-    the zero series exactly when the shift relation holds.
+    therefore cover every target w-degree <= N.  The same expansion, cut at
+    order N, is F(w, z) itself.
     """
     if n_order < 0:
         raise ValueError(f"order must be >= 0, got {n_order}")
-    source_order = (isqrt(n_order) + 2) ** 2
-    source = jtp_product_side(source_order)
+    source = jtp_product_side((isqrt(n_order) + 2) ** 2)
+    product = BiSeries({k: c for k, c in source.coeffs.items() if k[0] <= n_order}, n_order)
     shifted: dict[tuple[int, int], int] = {}
     for (m, j), c in source.coeffs.items():
         m2 = m + 2 * j + 1
         if m2 <= n_order:
             key = (m2, j + 1)
             shifted[key] = shifted.get(key, 0) + c
-    return BiSeries(shifted, n_order) - source
+    return product, BiSeries(shifted, n_order) - product
 
 
 def eta_char_qseries(n_order: int) -> QSeries:

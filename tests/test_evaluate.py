@@ -274,6 +274,42 @@ def test_eta_transformed_tiny_imaginary_part():
     assert abs(result.value) > 0.0
 
 
+def test_eta_transformed_matches_mpmath_near_real_axis():
+    # a float reduction loses up to 9.1e-11 relative on these points; the
+    # exact one leaves only the rounding of tau_red and of the series
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(5)
+    for _ in range(6):
+        tau = complex(rng.uniform(-1, 1), 10 ** rng.uniform(-6, -5))
+        with mpmath.workdps(30):
+            ref = mpmath.eta(mpmath.mpc(tau.real, tau.imag))
+        value = eta_transformed_eval(tau).value
+        assert abs(mpmath.mpc(value) - ref) / abs(ref) < 1e-12, tau
+
+
+@pytest.mark.parametrize(
+    "mat, tau, reductions",
+    [
+        (S, 0.3 + 1e-4j, 1),  # both sides below SMALL_IM
+        (S, 0.3 + 0.5j, 0),  # both sides direct
+        (ModularMatrix(1, 0, 40, 1), 0.1 + 0.2j, 1),  # only the image below SMALL_IM
+        (ModularMatrix(2, 1, 1, 1), -0.5 + 0.01j, 1),  # both below, image at Im 0.04
+        (S, 0.3 + 0.04j, 1),  # only tau below SMALL_IM
+    ],
+)
+def test_functional_eq_residual_reduces_tau_at_most_once(monkeypatch, mat, tau, reductions):
+    calls = []
+    original = evaluate.reduce_to_fundamental_domain
+
+    def counting(point):
+        calls.append(point)
+        return original(point)
+
+    monkeypatch.setattr(evaluate, "reduce_to_fundamental_domain", counting)
+    assert functional_eq_residual(mat, tau) < 1e-10
+    assert len(calls) == reductions
+
+
 def test_functional_eq_residual_examples():
     assert functional_eq_residual(S, 1j) < 1e-12
     assert functional_eq_residual(S, 1 + 1j) < 1e-10

@@ -2,12 +2,15 @@
 decomposition round trips, and fundamental-domain reduction.
 """
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from etaforge import (
     IDENTITY,
+    NumericDegeneracyError,
     S,
     T,
     GeneratorWord,
@@ -109,6 +112,28 @@ def test_upper_half_point_rejects_lower_half():
         UpperHalfPoint(1.0, -2.0)
     with pytest.raises(ValueError):
         UpperHalfPoint(0.0, float("nan"))
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "re, im", [(0, INF), (INF, 1), (-INF, 1.0), (float("nan"), 1.0), (INF, INF)]
+)
+def test_upper_half_point_rejects_non_finite(re, im):
+    with pytest.raises(ValueError, match="finite"):
+        UpperHalfPoint(re, im)
+
+
+def test_non_finite_point_never_reaches_reduction_or_mobius():
+    # UpperHalfPoint(0, inf) used to reduce to itself, UpperHalfPoint(inf, 1)
+    # raised OverflowError there, and S sent it to a point with im = nan
+    with pytest.raises(ValueError, match="finite"):
+        reduce_to_fundamental_domain(UpperHalfPoint(0, INF))
+    with pytest.raises(ValueError, match="finite"):
+        reduce_to_fundamental_domain(UpperHalfPoint(INF, 1))
+    with pytest.raises(ValueError, match="finite"):
+        apply_mobius(S, UpperHalfPoint(INF, 1))
 
 
 # --- generator words ----------------------------------------------------------
@@ -220,3 +245,51 @@ def test_reduce_properties_random():
         # the returned matrix actually maps tau to the reduced point
         image = complex(apply_mobius(mat, tau))
         assert abs(image - complex(reduced)) <= 1e-9 * max(1.0, abs(image)), complex(tau)
+
+
+def exact_image(mat, tau):
+    """M tau from the exact dyadic values of tau's parts, as two Fractions."""
+    x, y = Fraction(tau.re), Fraction(tau.im)
+    a, b, c, d = mat.entries()
+    den = (c * x + d) ** 2 + (c * y) ** 2
+    return ((a * x + b) * (c * x + d) + a * c * y * y) / den, y / den
+
+
+@pytest.mark.parametrize("re_scale", [1.0, 1e3, 1e6, 1e12])
+def test_reduce_returns_the_exact_image_correctly_rounded(re_scale):
+    rng = random.Random(int(re_scale))
+    for _ in range(300):
+        tau = UpperHalfPoint(rng.uniform(-re_scale, re_scale), 10 ** rng.uniform(-9, 1))
+        reduced, mat = reduce_to_fundamental_domain(tau)
+        re, im = exact_image(mat, tau)
+        assert (reduced.re, reduced.im) == (float(re), float(im)), complex(tau)
+        assert -Fraction(1, 2) <= re < Fraction(1, 2), complex(tau)
+        assert re * re + im * im >= 1, complex(tau)
+
+
+def test_reduce_boundary_points():
+    # the exact loop sends Re = 1/2 to -1/2 and leaves |tau| = 1 uninverted
+    assert reduce_to_fundamental_domain(UpperHalfPoint(0.5, 1.0)) == (
+        UpperHalfPoint(-0.5, 1.0),
+        T.inverse(),
+    )
+    assert reduce_to_fundamental_domain(UpperHalfPoint(0.0, 1.0)) == (
+        UpperHalfPoint(0.0, 1.0),
+        IDENTITY,
+    )
+
+
+def test_reduce_far_below_float_resolution():
+    # a float reduction loses c tau + d here; the exact one finds the true
+    # reducer, whose image is near the top of the float range
+    tau = UpperHalfPoint(0.3, 1e-300)
+    reduced, mat = reduce_to_fundamental_domain(tau)
+    re, im = exact_image(mat, tau)
+    assert (reduced.re, reduced.im) == (float(re), float(im))
+    assert math.isclose(reduced.im, 3.08e267, rel_tol=1e-3)
+    assert -0.5 <= reduced.re < 0.5
+
+
+def test_reduce_image_beyond_float_range_raises():
+    with pytest.raises(NumericDegeneracyError, match="float range"):
+        reduce_to_fundamental_domain(UpperHalfPoint(0.0, 5e-324))

@@ -224,6 +224,14 @@ def test_jtp_shift_residual_expands_the_product_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_jtp_expansion_cut_is_the_product_at_that_order():
+    # the jtp campaign reads product == sum and z-symmetry from this cut
+    for order in range(41):
+        product, residual = qseries._jtp_expansion(order)
+        assert product == jtp_product_side(order), order
+        assert residual.is_zero(), order
+
+
 def test_jtp_z_inversion_symmetry():
     for side in (jtp_product_side(40), jtp_sum_side(40)):
         for (m, j), c in side.coeffs.items():

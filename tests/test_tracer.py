@@ -45,10 +45,10 @@ def test_install_wraps_and_uninstall_restores_every_site():
         metrics = spans.layer_metrics()
     finally:
         spans.uninstall()
-    # one defining sum per pair k <= 10, 0 <= h < k; the product side of the
-    # jtp campaign and the expansion inside its shift residual
+    # one defining sum per pair k <= 10, 0 <= h < k; one triple-product
+    # expansion serves every check of the jtp campaign
     assert metrics["dedekind.dedekind_sum_naive.calls"] == 55
-    assert metrics["qseries.jtp_product_side.calls"] == 2
+    assert metrics["qseries.jtp_product_side.calls"] == 1
     left_patched = [
         _site(owner, attr)
         for (owner, attr), original in zip(sites, originals)
