@@ -241,11 +241,27 @@ def random_unimodular_matrix(
     integers, each factor T^m S taking (a, b; c, d) to (am + b, -a; cm + d, -c),
     and only the accepted candidate becomes a ModularMatrix.  Each candidate
     draws its factor count and then its exponents, in that order.
+
+    The factor count comes from `rng.randint`, once per candidate.  The
+    exponents are written out on `rng.getrandbits` as the rejection sampling
+    `randint` does: draw (2 exp_bound + 1).bit_length() bits and redraw while
+    the value is not below 2 exp_bound + 1.  The stream is therefore that of
+    `randint(-exp_bound, exp_bound)`, draw for draw.
     """
+    if max_t_factors < 1:
+        raise ValueError(f"max_t_factors must be >= 1, got {max_t_factors}")
+    if exp_bound < 0:
+        raise ValueError(f"exp_bound must be >= 0, got {exp_bound}")
+    width = 2 * exp_bound + 1
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
     for _ in range(10_000):
         a, b, c, d = 1, 0, 0, 1
         for _ in range(rng.randint(1, max_t_factors)):
-            m = rng.randint(-exp_bound, exp_bound)
+            m = getrandbits(bits)
+            while m >= width:
+                m = getrandbits(bits)
+            m -= exp_bound
             a, b, c, d = a * m + b, -a, c * m + d, -c
         if max(abs(a), abs(b), abs(c), abs(d)) > max_entry:
             continue
@@ -253,13 +269,6 @@ def random_unimodular_matrix(
             continue
         return ModularMatrix(a, b, c, d)
     raise RuntimeError("failed to draw a random matrix within the entry bound")
-
-
-def _coprime_pairs(limit: int):
-    for k in range(1, limit + 1):
-        for h in range(1, k):
-            if gcd(h, k) == 1:
-                yield h, k
 
 
 def run_pentagonal(config: CliConfig) -> VerificationReport:
@@ -301,65 +310,82 @@ def run_jtp(config: CliConfig) -> VerificationReport:
 
 
 def run_reciprocity(config: CliConfig) -> VerificationReport:
-    """Exact Dedekind-sum identities over coprime sweeps.
+    """Exact Dedekind-sum identities, decided in one pass over k <= order.
 
-    The reciprocity law and the s(1, h) closed form run to `order` (default
-    500); the fast-vs-defining-sum cross-check and the denominator check
-    share one pass of the defining sum to min(order, 300), and the
-    remaining identities (periodicity, oddness, floor sums) run to
-    min(order, 200), matching their costs.
+    The pass visits every 0 <= h < k for k <= `order` (default 500) and has
+    three limits, matching the checks' costs: the reciprocity law and the
+    s(1, h) closed form run to `order`; the O(k) defining sum is evaluated
+    once per pair to min(order, 300), for the denominator check on every
+    pair and the fast-vs-defining-sum check on the coprime ones; periodicity,
+    oddness and the two O(k) floor sums run to min(order, 200).
+
+    The fast algorithm gives s(h, k) = p/q and s(k, h) = r/t once per coprime
+    pair with h >= 1, and every check reads those two values with integer
+    comparisons only: reciprocity as 12hk(pt + rq) == (h^2 + k^2 - 3hk + 1)qt,
+    the closed form as 12kp == (k^2 - 3k + 2)q at h = 1, oddness part by part,
+    and the defining sum and periodicity against s(h, k) itself.  Counts,
+    first failures and the order of the checks are those of one sweep per
+    check in (k, h) order.
     """
     limit = config.order or 500
+    naive_limit, sweep_limit = min(limit, 300), min(limit, 200)
     rec = _Recorder("reciprocity", 0.0, config.seed)
-    rec.record_sweep(
-        f"s(1, h) closed form for h <= {limit}",
-        lambda h: 12 * h * dedekind_sum_fast(1, h) == h * h - 3 * h + 2,
-        ((h,) for h in range(1, limit + 1)),
-    )
-    fast, sweep_limit, naive_limit = dedekind_sum_fast, min(limit, 200), min(limit, 300)
-    rec.record_sweep(
-        f"reciprocity on coprime pairs <= {limit}",
-        lambda h, k: 12 * h * k * (fast(h, k) + fast(k, h)) == h * h + k * k - 3 * h * k + 1,
-        _coprime_pairs(limit),
-    )
-    agrees, divides = _defining_sum_sweeps(naive_limit)
-    rec.record_exact(f"fast == defining sum on coprime pairs <= {naive_limit}", *agrees)
-    for label, holds in (
-        ("periodicity", lambda h, k: fast(h + k, k) == fast(h, k)),
-        ("oddness", lambda h, k: fast(-h, k) == -fast(h, k)),
-        ("floor-sum identity", lambda h, k: eq(*floor_sum_check(h, k))),
-        ("floor-square-sum identity", lambda h, k: eq(*floor_square_sum_check(h, k))),
-    ):
-        rec.record_sweep(
-            f"{label} on coprime pairs <= {sweep_limit}", holds, _coprime_pairs(sweep_limit)
-        )
-    rec.record_exact(
-        f"denominator of s(h, k) divides 6k for k <= {naive_limit} (all h)", *divides
-    )
-    return rec.report()
-
-
-def _defining_sum_sweeps(limit: int) -> tuple[tuple[bool, int, str], tuple[bool, int, str]]:
-    """One pass of the defining sum over k <= limit and 0 <= h < k, for two checks.
-
-    Returns (equal, count, first_failure) for "fast == defining sum" on the
-    coprime pairs with h >= 1, then for "denominator divides 6k" on every
-    pair, each in `record_exact`'s argument order.
-    """
     fast, naive = dedekind_sum_fast, dedekind_sum_naive
-    coprime = pairs = 0
-    wrong_sum = wrong_denominator = ""
+    floor_sum, floor_square_sum = floor_sum_check, floor_square_sum_check
+    first: dict[str, str] = {}  # check label -> its first failing input
+    if fast(1, 1).numerator:  # the closed form at h = 1, which has no coprime pair
+        first["closed form"] = "1"
+    coprime = [0]  # coprime[k]: pairs 1 <= h < j <= k with gcd(h, j) = 1
     for k in range(1, limit + 1):
+        with_naive, with_sweeps = k <= naive_limit, k <= sweep_limit
+        count = 0
         for h in range(k):
-            pairs += 1
-            s = naive(h, k)
-            if (6 * k) % s.denominator and not wrong_denominator:
-                wrong_denominator = str((h, k))
-            if h and gcd(h, k) == 1:
-                coprime += 1
-                if fast(h, k) != s and not wrong_sum:
-                    wrong_sum = str((h, k))
-    return (not wrong_sum, coprime, wrong_sum), (not wrong_denominator, pairs, wrong_denominator)
+            if with_naive:
+                s = naive(h, k)
+                if (6 * k) % s.denominator:
+                    first.setdefault("denominator", str((h, k)))
+            if not h or gcd(h, k) != 1:
+                continue
+            count += 1
+            s_hk, s_kh = fast(h, k), fast(k, h)
+            p, q, r, t = s_hk.numerator, s_hk.denominator, s_kh.numerator, s_kh.denominator
+            if 12 * h * k * (p * t + r * q) != (h * h + k * k - 3 * h * k + 1) * q * t:
+                first.setdefault("reciprocity", str((h, k)))
+            if h == 1 and 12 * k * p != (k * k - 3 * k + 2) * q:
+                first.setdefault("closed form", str(k))
+            if with_naive and s_hk != s:
+                first.setdefault("defining sum", str((h, k)))
+            if with_sweeps:
+                if fast(h + k, k) != s_hk:
+                    first.setdefault("periodicity", str((h, k)))
+                odd = fast(-h, k)
+                if odd.numerator != -p or odd.denominator != q:
+                    first.setdefault("oddness", str((h, k)))
+                if not eq(*floor_sum(h, k)):
+                    first.setdefault("floor-sum identity", str((h, k)))
+                if not eq(*floor_square_sum(h, k)):
+                    first.setdefault("floor-square-sum identity", str((h, k)))
+        coprime.append(coprime[-1] + count)
+
+    sweeps = ("periodicity", "oddness", "floor-sum identity", "floor-square-sum identity")
+    for label, description, count in (
+        ("closed form", f"s(1, h) closed form for h <= {limit}", limit),
+        ("reciprocity", f"reciprocity on coprime pairs <= {limit}", coprime[limit]),
+        (
+            "defining sum",
+            f"fast == defining sum on coprime pairs <= {naive_limit}",
+            coprime[naive_limit],
+        ),
+        *((label, f"{label} on coprime pairs <= {sweep_limit}", coprime[sweep_limit])
+          for label in sweeps),
+        (
+            "denominator",
+            f"denominator of s(h, k) divides 6k for k <= {naive_limit} (all h)",
+            naive_limit * (naive_limit + 1) // 2,
+        ),
+    ):
+        rec.record_exact(description, label not in first, count, first.get(label, ""))
+    return rec.report()
 
 
 def _omega_is_integral(mat: ModularMatrix) -> bool:

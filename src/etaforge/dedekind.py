@@ -100,14 +100,18 @@ def floor_square_sum_check(h: int, k: int) -> tuple[Fraction, Fraction]:
     lhs = sum_{r=1}^{k-1} floor(hr/k)^2
     rhs = 2h s(k, h) + (2hk - 3h - k + 3)(h - 1)/6
 
-    for positive coprime h, k.  Both sides are returned as exact fractions.
+    for positive coprime h, k.  Both sides are returned as exact fractions;
+    with s(k, h) = p/q the right side is built as the one exact fraction
+    (12hp + (2hk - 3h - k + 3)(h - 1)q) / (6q).
     """
     _check_modulus(k)
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
     _check_coprime(h, k)
     lhs = Fraction(sum(((h * r) // k) ** 2 for r in range(1, k)))
-    rhs = 2 * h * dedekind_sum_fast(k, h) + Fraction((2 * h * k - 3 * h - k + 3) * (h - 1), 6)
+    s = dedekind_sum_fast(k, h)
+    p, q = s.numerator, s.denominator
+    rhs = Fraction(12 * h * p + (2 * h * k - 3 * h - k + 3) * (h - 1) * q, 6 * q)
     return lhs, rhs
 
 

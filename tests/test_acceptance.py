@@ -9,6 +9,7 @@ criterion 12, plus `omega` at seed 2024 and `functional-eq` at seed 515.
 A criterion's time budget covers the whole campaign that checks it.
 """
 
+import json
 import math
 import random
 import time
@@ -38,6 +39,7 @@ ETA_I_REFERENCE = 0.7682254223260566590025942  # 40-digit pentagonal oracle
 
 # `etaforge verify all --format json --seed 0 --out tests/golden/verify_all_seed0.json`
 GOLDEN_SEED0 = Path(__file__).parent / "golden" / "verify_all_seed0.json"
+RECIPROCITY_GOLDEN = Path(__file__).parent / "golden" / "reciprocity_checks.json"
 
 
 def announce(number: int, text: str) -> None:
@@ -105,6 +107,13 @@ def test_06_dedekind_lemma_identities(verify_all):
         "denominator of s(h, k) divides 6k for k <= 300 (all h)",
     ):
         passed_check(report, name)
+    # every check's count, worst input and failures as recorded from one
+    # sweep per check (tests/test_campaigns.py compares the smaller orders)
+    recorded = json.loads(RECIPROCITY_GOLDEN.read_text())["honest"]["None"]
+    assert [
+        [c.name, c.exact, c.count, c.worst_input, [list(f) for f in c.failures]]
+        for c in report.checks.values()
+    ] == recorded
     announce(
         6,
         "reciprocity to 500; periodicity, oddness, floor-sum, floor-square-sum to 200; "

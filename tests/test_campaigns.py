@@ -4,13 +4,20 @@ that no tolerance can pass."""
 import json
 import math
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from etaforge import campaigns
 from etaforge.campaigns import _Recorder, random_unimodular_matrix
 from etaforge.cli import main
-from etaforge.dedekind import dedekind_sum_naive, omega
+from etaforge.dedekind import (
+    dedekind_sum_fast,
+    dedekind_sum_naive,
+    floor_square_sum_check,
+    omega,
+)
 from etaforge.qseries import jtp_sum_side, pentagonal_series
 
 
@@ -70,7 +77,10 @@ def test_tolerance_cannot_pass_broken_exact_identity(
 # Draws recorded from the word-by-word ModularMatrix construction: the first
 # matrices of a stream and the next rng.random() after them, which pins how
 # many random numbers the draws consume.  Seed 5 with min_c = 2 redraws a
-# c = 1 candidate; the last stream ends in a translation (c = 0, sign fixed).
+# c = 1 candidate; the fourth stream ends in a translation (c = 0, sign
+# fixed).  The last three, recorded from draws made with rng.randint, pin the
+# one-value exponent range, the one-value factor count, and a factor count of
+# 32, a power of two, where the bit width of the draw grows.
 PINNED_DRAWS = [
     (0, {}, [(36807, 10091, 7171, 1966), (-7, 1, 6, -1), (-163, -34, 24, 5),
              (-23939, 4926, 4573, -941), (-19, 6, 3, -1)], 0.19935579046706298),
@@ -81,6 +91,12 @@ PINNED_DRAWS = [
     (3, {"max_t_factors": 3, "exp_bound": 2, "max_entry": 5, "min_c": 0},
      [(2, -1, 1, 0), (1, -1, 1, 0), (5, 2, 2, 1), (-2, -3, 1, 1), (-1, 0, 2, -1), (1, 1, 0, 1)],
      0.6390681405441619),
+    (0, {"exp_bound": 0}, [(0, -1, 1, 0)] * 5, 0.11489641277540219),
+    (1, {"max_t_factors": 1}, [(9, -1, 1, 0), (-1, -1, 1, 0), (6, -1, 1, 0), (6, -1, 1, 0),
+                               (-3, -1, 1, 0)], 0.0938595867742349),
+    (2, {"max_t_factors": 32}, [(-460, -103, 67, 15), (-70, -9, 39, 5), (2, -1, 1, 0),
+                                (-1673, -206, 1405, 173), (377, 311, 40, 33)],
+     0.5261899437805846),
 ]
 
 
@@ -89,3 +105,78 @@ def test_random_unimodular_matrix_draws_are_pinned(seed, kwargs, entries, next_r
     rng = random.Random(seed)
     assert [random_unimodular_matrix(rng, **kwargs).entries() for _ in entries] == entries
     assert rng.random() == next_random
+
+
+@pytest.mark.parametrize("kwargs", [{"max_t_factors": 0}, {"max_t_factors": -3},
+                                    {"exp_bound": -1}, {"exp_bound": -9}])
+def test_random_unimodular_matrix_rejects_empty_ranges(kwargs):
+    rng = random.Random(0)
+    with pytest.raises(ValueError):
+        random_unimodular_matrix(rng, **kwargs)
+    assert rng.random() == random.Random(0).random()  # raised before any draw
+
+
+def _bumped_at(fn, broken_args, bump):
+    """`fn` with its value passed through `bump` at the argument tuples in `broken_args`."""
+
+    def broken(*args):
+        value = fn(*args)
+        return bump(value) if args in broken_args else value
+
+    return broken
+
+
+def _off(value):
+    return value + Fraction(1, 35)
+
+
+# Each variant breaks one name the reciprocity campaign looks up at three
+# inputs, spread over its limits at order 201 (200 for periodicity, oddness
+# and the floor sums, the order itself for the rest).  The fast sum is broken
+# once at arguments (h, k) with h < k, as the pair's own value, and once at
+# (k, h) with k > h, as its reciprocity partner; (13, 9) is also the shifted
+# argument of the periodicity check at (4, 9).
+RECIPROCITY_VARIANTS = {
+    "honest": None,
+    "defining sum off at (5, 12), (0, 97), (100, 201)": (
+        "dedekind_sum_naive",
+        _bumped_at(dedekind_sum_naive, {(5, 12), (0, 97), (100, 201)}, _off),
+    ),
+    "fast sum off at (1, 9), (45, 199), (100, 201)": (
+        "dedekind_sum_fast",
+        _bumped_at(dedekind_sum_fast, {(1, 9), (45, 199), (100, 201)}, _off),
+    ),
+    "fast sum off at (13, 9), (199, 45), (201, 100)": (
+        "dedekind_sum_fast",
+        _bumped_at(dedekind_sum_fast, {(13, 9), (199, 45), (201, 100)}, _off),
+    ),
+    "floor-square sum off at (2, 3), (50, 101), (150, 199)": (
+        "floor_square_sum_check",
+        _bumped_at(
+            floor_square_sum_check, {(2, 3), (50, 101), (150, 199)}, lambda s: (s[0], s[1] + 1)
+        ),
+    ),
+}
+# Orders 1 and 2 are the smallest sweeps, 201 passes the 200 limit; the
+# default order is compared in the acceptance suite, which runs it anyway.
+RECIPROCITY_ORDERS = (1, 2, 40, 201)
+RECIPROCITY_GOLDEN = Path(__file__).resolve().parent / "golden" / "reciprocity_checks.json"
+
+
+def reciprocity_checks(report):
+    """(name, exact, count, worst input, failures) of each check, in the order recorded."""
+    return [
+        [c.name, c.exact, c.count, c.worst_input, [list(f) for f in c.failures]]
+        for c in report.checks.values()
+    ]
+
+
+@pytest.mark.parametrize("variant", RECIPROCITY_VARIANTS)
+def test_reciprocity_checks_match_the_recorded_campaign(monkeypatch, variant):
+    # recorded from one sweep per check; keys are --order values
+    recorded = json.loads(RECIPROCITY_GOLDEN.read_text())[variant]
+    if RECIPROCITY_VARIANTS[variant]:
+        monkeypatch.setattr(campaigns, *RECIPROCITY_VARIANTS[variant])
+    for order in RECIPROCITY_ORDERS:
+        (report,) = campaigns.run_campaign("reciprocity", campaigns.CliConfig(order=order))
+        assert reciprocity_checks(report) == recorded[str(order)], order

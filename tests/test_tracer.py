@@ -48,6 +48,10 @@ def test_install_wraps_and_uninstall_restores_every_site():
     # one defining sum per pair k <= 10, 0 <= h < k; one triple-product
     # expansion serves every check of the jtp campaign
     assert metrics["dedekind.dedekind_sum_naive.calls"] == 55
+    # s(1, 1), then for each of the 31 coprime pairs s(h, k), s(k, h) and the
+    # periodicity, oddness and floor-square-sum arguments (one sweep per
+    # check made 258)
+    assert metrics["dedekind.dedekind_sum_fast.calls"] == 1 + 31 * 5
     assert metrics["qseries.jtp_product_side.calls"] == 1
     left_patched = [
         _site(owner, attr)
