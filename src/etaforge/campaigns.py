@@ -421,8 +421,16 @@ def run_omega(config: CliConfig) -> VerificationReport:
     return rec.report()
 
 
+# Fixed transformation-law probes far out along the real axis, where the
+# factor |sqrt(-i(c tau + d))| ~ |tau|^(1/2) makes both sides much larger than eta(tau).
+LARGE_RE_CASES = tuple(
+    (mat, complex(re, 0.5)) for mat in (S, ModularMatrix(2, 1, 1, 1)) for re in (1e4, 1e8, 1e12)
+)
+
+
 def run_functional_eq(config: CliConfig) -> VerificationReport:
-    """Transformation-law residuals for random matrices and random points."""
+    """Transformation-law residuals on fixed probes (two special values and
+    the large-Re points) and for random matrices and random points."""
     trials = config.trials or 1000
     tol = config.tolerance or 1e-10
     rec = _Recorder("functional-eq", tol, config.seed)
@@ -434,6 +442,8 @@ def run_functional_eq(config: CliConfig) -> VerificationReport:
         "special: eta(i/2) = sqrt(2) eta(2i)",
         abs(eta_half_i - 2.0**0.5 * eta_2i) / abs(eta_half_i),
     )
+    for mat, tau in LARGE_RE_CASES:
+        rec.record(f"M = {mat}, tau = {tau}", functional_eq_residual(mat, tau), "large Re")
     for _ in range(trials):
         mat = random_unimodular_matrix(rng)
         tau = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 2.0))

@@ -15,6 +15,12 @@ taken with an explicit safety factor 2, drops below the requested tolerance.
 The majorants are exact term-magnitude formulas, so the reported bound is a
 genuine bound and not a heuristic.
 
+Identity residuals: functional_eq_residual is the defect of the
+transformation law relative to |factor * eta(tau)|, the size of both sides;
+theta_identity_residual is the absolute defect of the theta transformation
+identity; gaussian_poisson_residual is that identity at tau = iu with real
+z and w.
+
 Invalid input: every public entry point raises ValueError, before any
 summation, for a tau off the open upper half-plane, a tolerance that is not
 a finite positive number, or a non-finite theta/Poisson parameter (z, w, u,
@@ -28,7 +34,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .dedekind import omega
 from .modgroup import (
@@ -42,7 +47,6 @@ from .qseries import chi12
 
 __all__ = [
     "EvalResult",
-    "TransformContext",
     "ConvergenceBudgetError",
     "eta_product_eval",
     "eta_pentagonal_eval",
@@ -76,26 +80,6 @@ class EvalResult:
     value: complex
     tail_bound: float
     terms_used: int
-
-
-@dataclass(frozen=True)
-class TransformContext:
-    """The multiplier and square-root factor of the eta transformation law.
-
-    `multiplier_phase` is the exact rational omega/12 reduced mod 2, so the
-    phase exp(pi*i*multiplier_phase) never accumulates float error from a
-    large omega.  `sqrt_factor` is the principal square root of
-    -i(c*tau + d); with c > 0 and Im(tau) > 0 that argument lies in the open
-    right half-plane, so the principal branch is the continuous one.
-    """
-
-    matrix: ModularMatrix
-    multiplier_phase: Fraction
-    sqrt_factor: complex
-
-    @property
-    def factor(self) -> complex:
-        return cmath.exp(1j * math.pi * float(self.multiplier_phase)) * self.sqrt_factor
 
 
 def _as_tau(tau: UpperHalfPoint | complex) -> complex:
@@ -248,23 +232,22 @@ def _char_series(z: complex, tol: float) -> tuple[complex, float, int]:
                 raise _over_budget(f"character evaluation at im(tau) = {t}")
 
 
-def transform_factor(mat: ModularMatrix, tau: UpperHalfPoint | complex) -> TransformContext:
+def transform_factor(mat: ModularMatrix, tau: UpperHalfPoint | complex) -> complex:
     """The factor e^(pi i omega/12) sqrt(-i(c tau + d)) for a matrix with c > 0.
 
-    Translations (c = 0) have no square-root factor and follow the shift law
-    directly, so they are rejected here.
+    The phase takes the exact integer omega mod 24, so it never accumulates
+    float error from a large omega.  With c > 0 and Im(tau) > 0, -i(c tau + d)
+    lies in the open right half-plane, so the principal square root is the
+    continuous branch.  Translations (c = 0) have no square-root factor and
+    follow the shift law directly, so they are rejected here.
     """
     if mat.c <= 0:
         raise ValueError(f"transformation factor requires c > 0, got c = {mat.c}")
-    z = _as_tau(tau)
-    phase = Fraction(omega(mat.a, mat.b, mat.c, mat.d) % 24, 12)
-    sqrt_factor = cmath.sqrt(-1j * (mat.c * z + mat.d))
-    return TransformContext(mat, phase, sqrt_factor)
+    return _law_factor(*mat.entries(), _as_tau(tau))
 
 
 def _law_factor(a: int, b: int, c: int, d: int, z: complex) -> complex:
-    """TransformContext.factor for (a, b; c, d) with c > 0 at z, from the
-    integer entries without building the context."""
+    """transform_factor for (a, b; c, d) at z, from plain ints and unchecked."""
     phase = cmath.exp(1j * math.pi * ((omega(a, b, c, d) % 24) / 12))
     return phase * cmath.sqrt(-1j * (c * z + d))
 
@@ -341,6 +324,8 @@ def eta_eval(
 ) -> tuple[str, EvalResult]:
     """eta(tau) by one of EVAL_METHODS, with the route taken; `auto` takes
     `transformed` below Im tau = SMALL_IM and `pentagonal` elsewhere."""
+    if method not in EVAL_METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {', '.join(EVAL_METHODS)}")
     if method == "auto":
         method = "pentagonal" if _direct(_as_tau(tau).imag) else "transformed"
     return method, _routes()[method](tau, tol)
@@ -354,23 +339,21 @@ def _direct(im: float) -> bool:
 def functional_eq_residual(
     mat: ModularMatrix, tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL
 ) -> float:
-    """Relative defect |eta(M tau) - factor * eta(tau)| / |eta(tau)| for c > 0.
+    """Relative defect |eta(M tau) - f eta(tau)| / |f eta(tau)| for c > 0, with
+    f = transform_factor(M, tau).
 
-    The image value is computed with the integer translation round(a/c) split
+    Both sides are about |f eta(tau)|, so each side's series, cut at relative
+    tolerance tol/8, adds at most tol/8 to the defect whatever |f| is.  The
+    image value is computed with the integer translation round(a/c) split
     off exactly, so eta is only ever evaluated at well-scaled points even when
     the matrix entries reach 10^6.  Each side takes the `auto` route; when
     either is below SMALL_IM, tau is reduced once and both sides that need it
     transport the same eta(tau_red).
     """
-    if mat.c <= 0:
-        raise ValueError(f"functional equation residual requires c > 0, got c = {mat.c}")
-    z = _as_tau(tau)
+    factor = transform_factor(mat, tau)
+    z = complex(tau)
     _check_tol(tol)
-    factor = _law_factor(*mat.entries(), z)
-    # the residual is normalized by |eta(tau)| while |eta(M tau)| is larger by
-    # |factor|, so truncation error on the image side gets amplified by it;
-    # tighten the series tolerance accordingly
-    inner_tol = tol / (8.0 * max(1.0, abs(factor)))
+    inner_tol = tol / 8.0
     shift = round(mat.a / mat.c)
     balanced = ModularMatrix(mat.a - shift * mat.c, mat.b - shift * mat.d, mat.c, mat.d)
     img = apply_mobius(balanced, UpperHalfPoint(z.real, z.imag))
@@ -386,7 +369,8 @@ def functional_eq_residual(
     else:
         eta_img = _transported(balanced, *reduced)
     image_value = _translation_phase(shift) * eta_img.value
-    return abs(image_value - factor * eta_base.value) / abs(eta_base.value)
+    expected = factor * eta_base.value
+    return abs(image_value - expected) / abs(expected)
 
 
 def _bilateral_theta_sum(
@@ -506,15 +490,11 @@ def gaussian_poisson_residual(u: float, a: float, b: float, tol: float = DEFAULT
         sum_n e^(-2 pi i (n+a) b) e^(-pi u (n+a)^2)
           = u^(-1/2) sum_n e^(2 pi i n a) e^(-pi (n+b)^2 / u)
 
-    for u > 0 and real a, b, both sides truncated to tail <= tol.
+    for u > 0 and real a, b.  This is the theta transformation identity at
+    tau = iu, z = a, w = b, so the residual is theta_identity_residual there.
     """
     if not (u > 0 and math.isfinite(u)):
         raise ValueError(f"u must be finite and positive, got {u}")
-    _check_tol(tol)
     _check_finite("a", a)
     _check_finite("b", b)
-    lhs, _, _ = _bilateral_theta_sum(complex(0.0, u), complex(a), complex(b), tol)
-    scale = 1.0 / math.sqrt(u)
-    inner, _, _ = _bilateral_theta_sum(complex(0.0, 1.0 / u), complex(b), complex(-a), tol / scale)
-    rhs = scale * cmath.exp(-2j * math.pi * a * b) * inner
-    return abs(lhs - rhs)
+    return theta_identity_residual(complex(0.0, u), a, b, tol)

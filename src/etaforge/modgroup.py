@@ -68,9 +68,6 @@ class ModularMatrix:
     def entries(self) -> tuple[int, int, int, int]:
         return self.a, self.b, self.c, self.d
 
-    def is_identity(self) -> bool:
-        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
-
     def __matmul__(self, other: "ModularMatrix") -> "ModularMatrix":
         return ModularMatrix(
             self.a * other.a + self.b * other.c,

@@ -180,3 +180,11 @@ def test_reciprocity_checks_match_the_recorded_campaign(monkeypatch, variant):
     for order in RECIPROCITY_ORDERS:
         (report,) = campaigns.run_campaign("reciprocity", campaigns.CliConfig(order=order))
         assert reciprocity_checks(report) == recorded[str(order)], order
+
+
+def test_functional_eq_campaign_probes_large_real_parts():
+    (report,) = campaigns.run_campaign("functional-eq", campaigns.CliConfig(trials=1))
+    large_re = report.checks["large Re"]
+    assert large_re.count == 6
+    assert large_re.max_residual <= 1e-14
+    assert report.trials == 1 + 2 + 6

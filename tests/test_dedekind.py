@@ -157,6 +157,11 @@ def test_omega_known_values():
     assert omega(1, 0, 3, 1) == 0
 
 
+def test_omega_of_lower_translation():
+    # the exact multiplier exponent behind transform_factor((1, 0; 1, 1), tau)
+    assert omega(1, 0, 1, 1) == 2
+
+
 def test_omega_rejects_bad_input():
     with pytest.raises(ValueError):
         omega(1, 1, 1, 1)  # determinant 0

@@ -9,7 +9,6 @@ import cmath
 import math
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -29,7 +28,7 @@ from etaforge import (
     theta_identity_residual,
     transform_factor,
 )
-from etaforge.campaigns import random_unimodular_matrix
+from etaforge.campaigns import POISSON_FIXED_CASES, random_unimodular_matrix
 
 ETA_I = 0.7682254223260566590025942
 ETA_2I = 0.5923827813324158852903634
@@ -115,6 +114,14 @@ def test_rejects_lower_half_plane_and_bad_tol():
             evaluator(1 - 1j)
     with pytest.raises(ValueError):
         eta_pentagonal_eval(1j, -1e-9)
+
+
+@pytest.mark.parametrize("tau", [1j, 1 - 1j])
+def test_eta_eval_rejects_unknown_method(tau):
+    # the method is checked before tau or any series
+    with pytest.raises(ValueError, match="unknown method 'foo'") as info:
+        evaluate.eta_eval(tau, method="foo")
+    assert all(method in str(info.value) for method in evaluate.EVAL_METHODS)
 
 
 def non_finite_calls():
@@ -226,18 +233,14 @@ def test_char_eval_gauss_sum_identity():
 
 
 def test_transform_factor_at_s():
-    ctx = transform_factor(S, 1j)
-    assert ctx.multiplier_phase == Fraction(0)
-    assert abs(ctx.factor - 1.0) < 1e-15
-
-    ctx2 = transform_factor(S, 2j)
-    assert abs(ctx2.factor - math.sqrt(2)) < 1e-15
+    assert abs(transform_factor(S, 1j) - 1.0) < 1e-15
+    assert abs(transform_factor(S, 2j) - math.sqrt(2)) < 1e-15
 
 
 def test_transform_factor_explicit():
-    ctx = transform_factor(ModularMatrix(1, 0, 1, 1), 1j)
-    assert ctx.multiplier_phase == Fraction(1, 6)  # omega = 2, phase 2/12
-    assert abs(ctx.sqrt_factor - cmath.sqrt(1 - 1j)) < 1e-15
+    # omega = 2, so the phase is e^(2 pi i/12)
+    expected = cmath.exp(1j * math.pi / 6) * cmath.sqrt(1 - 1j)
+    assert abs(transform_factor(ModularMatrix(1, 0, 1, 1), 1j) - expected) < 1e-15
 
 
 def test_transform_factor_rejects_translations():
@@ -325,6 +328,14 @@ def test_functional_eq_residual_random():
         assert residual < 1e-10, (mat, tau, residual)
 
 
+@pytest.mark.parametrize("mat", [S, ModularMatrix(2, 1, 1, 1)])
+@pytest.mark.parametrize("re", [1e4, 1e8, 1e12, 1e16])
+def test_functional_eq_residual_at_large_real_part(mat, re):
+    # both sides are about |factor eta(tau)|, with |factor| ~ |tau|^(1/2), so
+    # the relative residual must not grow with Re tau
+    assert functional_eq_residual(mat, complex(re, 0.5)) <= 1e-14
+
+
 def test_functional_eq_rejects_translations():
     with pytest.raises(ValueError):
         functional_eq_residual(ModularMatrix(1, 3, 0, 1), 1j)
@@ -371,6 +382,16 @@ def test_gaussian_poisson_fixed_cases():
     assert gaussian_poisson_residual(1, 0, 0) < 1e-12
     assert gaussian_poisson_residual(4, 0, 0) < 1e-12
     assert gaussian_poisson_residual(1, 1.0 / 3.0, 1.0 / 5.0) < 1e-12
+
+
+def test_gaussian_poisson_is_theta_at_imaginary_tau():
+    rng = random.Random(15)
+    draws = [
+        (4.0 ** rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(20)
+    ]
+    for u, a, b in (*POISSON_FIXED_CASES, *draws):
+        expected = theta_identity_residual(complex(0.0, u), a, b)
+        assert gaussian_poisson_residual(u, a, b) == expected, (u, a, b)
 
 
 def test_gaussian_poisson_rejects_nonpositive_u():
