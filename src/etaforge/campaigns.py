@@ -225,18 +225,18 @@ class _Recorder:
         )
 
 
-def random_unimodular_matrix(
-    rng: random.Random,
-    max_t_factors: int = 30,
-    exp_bound: int = 9,
-    max_entry: int = 10**6,
-    min_c: int = 1,
-) -> ModularMatrix:
+# The shape of the words random_unimodular_matrix draws.
+MAX_T_FACTORS = 30
+EXP_BOUND = 9
+MAX_ENTRY = 10**6
+
+
+def random_unimodular_matrix(rng: random.Random, min_c: int = 1) -> ModularMatrix:
     """A random modular-group element built as a word of T-powers and S.
 
-    Draws 1..max_t_factors T-exponents from [-exp_bound, exp_bound] and
+    Draws 1..MAX_T_FACTORS T-exponents from [-EXP_BOUND, EXP_BOUND] and
     interleaves S, which is unimodular by construction; candidates whose
-    entries exceed max_entry or whose lower-left entry is below min_c (in the
+    entries exceed MAX_ENTRY or whose lower-left entry is below min_c (in the
     canonical sign form) are redrawn.  The word is multiplied out in plain
     integers, each factor T^m S taking (a, b; c, d) to (am + b, -a; cm + d, -c),
     and only the accepted candidate becomes a ModularMatrix.  Each candidate
@@ -244,26 +244,22 @@ def random_unimodular_matrix(
 
     The factor count comes from `rng.randint`, once per candidate.  The
     exponents are written out on `rng.getrandbits` as the rejection sampling
-    `randint` does: draw (2 exp_bound + 1).bit_length() bits and redraw while
-    the value is not below 2 exp_bound + 1.  The stream is therefore that of
-    `randint(-exp_bound, exp_bound)`, draw for draw.
+    `randint` does: draw (2 EXP_BOUND + 1).bit_length() bits and redraw while
+    the value is not below 2 EXP_BOUND + 1.  The stream is therefore that of
+    `randint(-EXP_BOUND, EXP_BOUND)`, draw for draw.
     """
-    if max_t_factors < 1:
-        raise ValueError(f"max_t_factors must be >= 1, got {max_t_factors}")
-    if exp_bound < 0:
-        raise ValueError(f"exp_bound must be >= 0, got {exp_bound}")
-    width = 2 * exp_bound + 1
+    width = 2 * EXP_BOUND + 1
     bits = width.bit_length()
     getrandbits = rng.getrandbits
     for _ in range(10_000):
         a, b, c, d = 1, 0, 0, 1
-        for _ in range(rng.randint(1, max_t_factors)):
+        for _ in range(rng.randint(1, MAX_T_FACTORS)):
             m = getrandbits(bits)
             while m >= width:
                 m = getrandbits(bits)
-            m -= exp_bound
+            m -= EXP_BOUND
             a, b, c, d = a * m + b, -a, c * m + d, -c
-        if max(abs(a), abs(b), abs(c), abs(d)) > max_entry:
+        if max(abs(a), abs(b), abs(c), abs(d)) > MAX_ENTRY:
             continue
         if abs(c) < min_c:
             continue

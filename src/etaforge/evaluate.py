@@ -21,12 +21,16 @@ theta_identity_residual is the absolute defect of the theta transformation
 identity; gaussian_poisson_residual is that identity at tau = iu with real
 z and w.
 
-Invalid input: every public entry point raises ValueError, before any
-summation, for a tau off the open upper half-plane, a tolerance that is not
-a finite positive number, or a non-finite theta/Poisson parameter (z, w, u,
-a, b; u must also be positive).  A series that would need more than
-MAX_SERIES_TERMS terms raises ConvergenceBudgetError instead, before summing
-where a closed-form lower bound on its term count already passes the budget.
+Invalid input: tau is a plain complex number.  Every public entry point
+raises ValueError, before any summation, for a tau that fails
+`modgroup._as_tau` (finite, Im > 0), a tolerance that is not a finite positive
+number, or a non-finite theta/Poisson parameter (z, w, u, a, b; u must also
+be positive).  A series that would need more than MAX_SERIES_TERMS terms
+raises ConvergenceBudgetError instead, before summing where a closed-form
+lower bound on its term count already passes the budget.  An intermediate
+value beyond the float range raises NumericDegeneracyError: a reduced or
+image point, f eta(tau) in functional_eq_residual when it underflows to 0,
+and -1/tau, the H2 factor or a theta term in theta_identity_residual.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from .dedekind import omega
 from .modgroup import (
     IDENTITY,
     ModularMatrix,
-    UpperHalfPoint,
+    NumericDegeneracyError,
+    _as_tau,
     apply_mobius,
     reduce_to_fundamental_domain,
 )
@@ -82,13 +87,6 @@ class EvalResult:
     terms_used: int
 
 
-def _as_tau(tau: UpperHalfPoint | complex) -> complex:
-    z = complex(tau)
-    if not (z.imag > 0 and cmath.isfinite(z)):
-        raise ValueError(f"tau must be a finite point of the upper half-plane, got {z}")
-    return z
-
-
 def _check_tol(tol: float) -> None:
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
@@ -104,7 +102,7 @@ def _over_budget(what: str) -> ConvergenceBudgetError:
     return ConvergenceBudgetError(f"{what} needs more than {MAX_SERIES_TERMS} terms")
 
 
-def _translated(series, tau: UpperHalfPoint | complex, tol: float) -> EvalResult:
+def _translated(series, tau: complex, tol: float) -> EvalResult:
     """Front end of the direct routes: checks tau and tol, runs `series(z, tol) ->
     (value, relative tail bound, terms)` at z = tau - round(Re tau) = tau - m,
     where term phases stay small, and applies eta(tau) = e^(pi i m/12) eta(z)."""
@@ -115,7 +113,7 @@ def _translated(series, tau: UpperHalfPoint | complex, tol: float) -> EvalResult
     return EvalResult(_translation_phase(m) * value, rel, terms)
 
 
-def eta_product_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL) -> EvalResult:
+def eta_product_eval(tau: complex, tol: float = DEFAULT_TOL) -> EvalResult:
     """eta(tau) from its defining product e^(pi i tau/12) prod (1 - q^n).
 
     The factor count N is chosen so that 2|q|^(N+1)/(1 - |q|) <= tol with
@@ -149,7 +147,7 @@ def _product_series(z: complex, tol: float) -> tuple[complex, float, int]:
     return value, tail, n_terms
 
 
-def eta_pentagonal_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL) -> EvalResult:
+def eta_pentagonal_eval(tau: complex, tol: float = DEFAULT_TOL) -> EvalResult:
     """eta(tau) as the sum over all integers n of (-1)^n e^(3 pi i tau (n + 1/6)^2).
 
     Terms are added in symmetric rings |n| <= N; the omitted tails on the two
@@ -192,7 +190,7 @@ def _pentagonal_series(z: complex, tol: float) -> tuple[complex, float, int]:
             raise _over_budget(f"pentagonal evaluation at im(tau) = {t}")
 
 
-def eta_char_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL) -> EvalResult:
+def eta_char_eval(tau: complex, tol: float = DEFAULT_TOL) -> EvalResult:
     """eta(tau) as the character-weighted theta sum over n >= 1 of
     chi12(n) e^(pi i tau n^2 / 12).
 
@@ -232,7 +230,7 @@ def _char_series(z: complex, tol: float) -> tuple[complex, float, int]:
                 raise _over_budget(f"character evaluation at im(tau) = {t}")
 
 
-def transform_factor(mat: ModularMatrix, tau: UpperHalfPoint | complex) -> complex:
+def transform_factor(mat: ModularMatrix, tau: complex) -> complex:
     """The factor e^(pi i omega/12) sqrt(-i(c tau + d)) for a matrix with c > 0.
 
     The phase takes the exact integer omega mod 24, so it never accumulates
@@ -257,17 +255,17 @@ def _translation_phase(m: int) -> complex:
     return cmath.exp(1j * math.pi * (m % 24) / 12.0)
 
 
-def _reduced(z: complex, tol: float) -> tuple[ModularMatrix, UpperHalfPoint, EvalResult]:
+def _reduced(z: complex, tol: float) -> tuple[ModularMatrix, complex, EvalResult]:
     """Reduce tau once: (R, tau_red = R tau, eta(tau_red) by the pentagonal sum).
 
     tau_red is the exact image of tau, correctly rounded, with Im at least
     sqrt(3)/2, so the sum needs only a handful of terms."""
-    tau_red, reducer = reduce_to_fundamental_domain(UpperHalfPoint(z.real, z.imag))
+    tau_red, reducer = reduce_to_fundamental_domain(z)
     return reducer, tau_red, eta_pentagonal_eval(tau_red, tol)
 
 
 def _transported(
-    mat: ModularMatrix, reducer: ModularMatrix, tau_red: UpperHalfPoint, inner: EvalResult
+    mat: ModularMatrix, reducer: ModularMatrix, tau_red: complex, inner: EvalResult
 ) -> EvalResult:
     """eta(mat * tau) from inner = eta(tau_red), tau_red = reducer * tau.
 
@@ -288,11 +286,11 @@ def _transported(
             return inner
         value = _translation_phase(b) * inner.value
     else:
-        value = _law_factor(a, b, c, d, complex(tau_red)) * inner.value
+        value = _law_factor(a, b, c, d, tau_red) * inner.value
     return EvalResult(value, inner.tail_bound, inner.terms_used)
 
 
-def eta_transformed_eval(tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL) -> EvalResult:
+def eta_transformed_eval(tau: complex, tol: float = DEFAULT_TOL) -> EvalResult:
     """eta(tau) via reduction to the fundamental domain.
 
     The reduced point is the exact image of tau, correctly rounded; inside
@@ -320,7 +318,7 @@ EVAL_METHODS = ("auto", *_routes())
 
 
 def eta_eval(
-    tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL, method: str = "auto"
+    tau: complex, tol: float = DEFAULT_TOL, method: str = "auto"
 ) -> tuple[str, EvalResult]:
     """eta(tau) by one of EVAL_METHODS, with the route taken; `auto` takes
     `transformed` below Im tau = SMALL_IM and `pentagonal` elsewhere."""
@@ -336,9 +334,7 @@ def _direct(im: float) -> bool:
     return im >= SMALL_IM
 
 
-def functional_eq_residual(
-    mat: ModularMatrix, tau: UpperHalfPoint | complex, tol: float = DEFAULT_TOL
-) -> float:
+def functional_eq_residual(mat: ModularMatrix, tau: complex, tol: float = DEFAULT_TOL) -> float:
     """Relative defect |eta(M tau) - f eta(tau)| / |f eta(tau)| for c > 0, with
     f = transform_factor(M, tau).
 
@@ -356,9 +352,9 @@ def functional_eq_residual(
     inner_tol = tol / 8.0
     shift = round(mat.a / mat.c)
     balanced = ModularMatrix(mat.a - shift * mat.c, mat.b - shift * mat.d, mat.c, mat.d)
-    img = apply_mobius(balanced, UpperHalfPoint(z.real, z.imag))
+    img = apply_mobius(balanced, z)
     # each side by the `auto` rule, sharing one reduction of tau
-    base_direct, img_direct = _direct(z.imag), _direct(img.im)
+    base_direct, img_direct = _direct(z.imag), _direct(img.imag)
     reduced = None if base_direct and img_direct else _reduced(z, inner_tol)
     if base_direct:
         eta_base = eta_pentagonal_eval(z, inner_tol)
@@ -370,6 +366,8 @@ def functional_eq_residual(
         eta_img = _transported(balanced, *reduced)
     image_value = _translation_phase(shift) * eta_img.value
     expected = factor * eta_base.value
+    if not expected:
+        raise NumericDegeneracyError(f"f eta(tau) at tau = {z} underflows to 0")
     return abs(image_value - expected) / abs(expected)
 
 
@@ -390,13 +388,10 @@ def _bilateral_theta_sum(
     magnitude ratio is at most 1/2 and the magnitude itself is at most
     tol_abs/4, so the distance of those points from the vertex bounds the term
     count from below; past MAX_SERIES_TERMS the budget error is raised before
-    any term is summed.
+    any term is summed.  The caller passes a checked tau and a finite positive
+    tol_abs.
     """
     t = tau.imag
-    if not t > 0:
-        raise ValueError(f"tau must lie in the upper half-plane, got {tau}")
-    if not tol_abs > 0:
-        raise ValueError(f"tolerance must be positive, got {tol_abs}")
     pi = math.pi
     zr, zi = z.real, z.imag
     beta = 2.0 * pi * (w.imag - tau.real * zi)
@@ -468,7 +463,9 @@ def theta_identity_residual(
     w exchanged (up to an exact constant phase), so one summation routine
     serves both sides.  Large |Im z| or |Im w| inflate the profiles until the
     term budget runs out, which raises a budget error rather than returning a
-    silently under-resolved residual.
+    silently under-resolved residual.  When -1/tau, the H2 factor
+    e^(-2 pi i w z) (-i tau)^(-1/2) or a term of either sum leaves the float
+    range, the NumericDegeneracyError raised says which.
     """
     tau_c = _as_tau(tau)
     _check_tol(tol)
@@ -476,10 +473,27 @@ def theta_identity_residual(
     w_c = complex(w)
     _check_finite("z", z_c)
     _check_finite("w", w_c)
-    h1, _, _ = _bilateral_theta_sum(tau_c, z_c, w_c, tol)
-    prefactor = cmath.exp(-2j * math.pi * w_c * z_c) / cmath.sqrt(-1j * tau_c)
-    scale = abs(prefactor)
-    inner, _, _ = _bilateral_theta_sum(-1.0 / tau_c, w_c, -z_c, tol / scale)
+
+    def degenerate(what: str) -> NumericDegeneracyError:
+        return NumericDegeneracyError(
+            f"{what} at tau = {tau_c}, z = {z_c}, w = {w_c} leaves the float range"
+        )
+
+    tau_inv = -1.0 / tau_c
+    if not (tau_inv.imag > 0 and cmath.isfinite(tau_inv)):
+        raise degenerate(f"-1/tau = {tau_inv}")
+    try:
+        prefactor = cmath.exp(-2j * math.pi * w_c * z_c) / cmath.sqrt(-1j * tau_c)
+        inner_tol = tol / abs(prefactor)
+    except (OverflowError, ZeroDivisionError):
+        inner_tol = 0.0
+    if not 0.0 < inner_tol < math.inf:
+        raise degenerate("the H2 factor e^(-2 pi i w z) (-i tau)^(-1/2)")
+    try:
+        h1, _, _ = _bilateral_theta_sum(tau_c, z_c, w_c, tol)
+        inner, _, _ = _bilateral_theta_sum(tau_inv, w_c, -z_c, inner_tol)
+    except OverflowError:
+        raise degenerate("a theta term") from None
     h2 = prefactor * inner
     return abs(h1 - h2)
 

@@ -9,10 +9,16 @@ Euclidean descent step on the lower-left entry (`descent_step`), and
 `reduce_to_fundamental_domain` moves any point of the upper half-plane into
 -1/2 <= Re < 1/2, |tau| >= 1, deciding every step in exact integers, and
 returns the reduced point correctly rounded.
+
+A point of the upper half-plane is a plain `complex`, and `_as_tau` is the
+one check that it is finite with Im > 0: every public entry point here and in
+`evaluate` calls it and raises ValueError otherwise.  An image point beyond
+the float range raises NumericDegeneracyError.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -20,7 +26,6 @@ from typing import Union
 __all__ = [
     "ModularMatrix",
     "GeneratorWord",
-    "UpperHalfPoint",
     "NumericDegeneracyError",
     "IDENTITY",
     "S",
@@ -35,7 +40,7 @@ __all__ = [
 
 
 class NumericDegeneracyError(Exception):
-    """Raised when a reduced point lies beyond the float range."""
+    """Raised when a value the computation needs lies beyond the float range."""
 
 
 @dataclass(frozen=True)
@@ -90,22 +95,12 @@ def t_power(m: int) -> ModularMatrix:
     return ModularMatrix(1, m, 0, 1)
 
 
-@dataclass(frozen=True)
-class UpperHalfPoint:
-    """A finite point of the upper half-plane; construction rejects Im <= 0
-    and a non-finite part."""
-
-    re: float
-    im: float
-
-    def __post_init__(self):
-        if not (self.im > 0 and math.isfinite(self.im) and math.isfinite(self.re)):
-            raise ValueError(
-                f"point must be finite with positive imaginary part, got {self.re} + {self.im}i"
-            )
-
-    def __complex__(self) -> complex:
-        return complex(self.re, self.im)
+def _as_tau(tau: complex) -> complex:
+    """tau as a complex number, checked to be a finite point of the upper half-plane."""
+    z = complex(tau)
+    if not (z.imag > 0 and cmath.isfinite(z)):
+        raise ValueError(f"tau must be a finite point of the upper half-plane, got {z}")
+    return z
 
 
 # A word factor is either the literal "S" or a nonzero int m standing for T^m.
@@ -189,24 +184,28 @@ def decompose(mat: ModularMatrix) -> GeneratorWord:
     return GeneratorWord((*head, *reversed(peeled)))
 
 
-def apply_mobius(mat: ModularMatrix, tau: UpperHalfPoint) -> UpperHalfPoint:
+def apply_mobius(mat: ModularMatrix, tau: complex) -> complex:
     """The fractional linear image (a tau + b) / (c tau + d).
 
     The imaginary part is computed as im(tau) / |c tau + d|^2, which the
     determinant makes exactly equal to the quotient's; the direct form avoids
     the cancellation complex division suffers when the image sits very close
-    to the real axis, and stays strictly positive.
+    to the real axis.  Raises NumericDegeneracyError when |c tau + d|^2 or a
+    part of the image leaves the float range, so Im would come out 0 or inf.
     """
-    z = complex(tau)
+    z = _as_tau(tau)
     den = mat.c * z + mat.d
     w = (mat.a * z + mat.b) / den
-    im = tau.im / (den.real * den.real + den.imag * den.imag)
-    return UpperHalfPoint(w.real, im)
+    norm = den.real * den.real + den.imag * den.imag
+    im = z.imag / norm if norm else math.inf
+    if not (0.0 < im < math.inf and math.isfinite(w.real)):
+        raise NumericDegeneracyError(
+            f"the image of {z} under {mat} lies beyond the float range"
+        )
+    return complex(w.real, im)
 
 
-def reduce_to_fundamental_domain(
-    tau: UpperHalfPoint,
-) -> tuple[UpperHalfPoint, ModularMatrix]:
+def reduce_to_fundamental_domain(tau: complex) -> tuple[complex, ModularMatrix]:
     """Move tau into -1/2 <= Re < 1/2, |tau| >= 1; returns (image, matrix M)
     with M tau = image.
 
@@ -225,8 +224,9 @@ def reduce_to_fundamental_domain(
     the float range; the image's Im is at most max(Im tau, 1/Im tau), so
     this needs Im tau below 5.6e-309.
     """
-    xn, xd = float(tau.re).as_integer_ratio()
-    yn, yd = float(tau.im).as_integer_ratio()
+    z = _as_tau(tau)
+    xn, xd = z.real.as_integer_ratio()
+    yn, yd = z.imag.as_integer_ratio()
     # both denominators are powers of two
     D = max(xd, yd)
     x, y = xn * (D // xd), yn * (D // yd)
@@ -243,9 +243,9 @@ def reduce_to_fundamental_domain(
         a, b, c, d = -c, -d, a, b
         num, den, r2 = -num, r2, den
     try:
-        image = UpperHalfPoint(num / den, y * D / den)
+        image = complex(num / den, y * D / den)
     except OverflowError:
         raise NumericDegeneracyError(
-            f"the reduced point of {complex(tau)} has imaginary part beyond the float range"
+            f"the reduced point of {z} has imaginary part beyond the float range"
         ) from None
     return image, ModularMatrix(a, b, c, d)

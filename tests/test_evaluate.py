@@ -16,8 +16,8 @@ from etaforge import evaluate
 from etaforge import (
     ConvergenceBudgetError,
     ModularMatrix,
+    NumericDegeneracyError,
     S,
-    UpperHalfPoint,
     chi12,
     eta_char_eval,
     eta_pentagonal_eval,
@@ -104,7 +104,7 @@ def test_cross_representation_agreement():
 
 
 def test_accepts_upper_half_point_inputs():
-    point = UpperHalfPoint(0.0, 1.0)
+    point = complex(0.0, 1.0)
     assert rel(eta_pentagonal_eval(point).value, ETA_I) < 1e-12
 
 
@@ -336,6 +336,15 @@ def test_functional_eq_residual_at_large_real_part(mat, re):
     assert functional_eq_residual(mat, complex(re, 0.5)) <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "mat, tau", [(S, 0.3 + 1e-300j), (ModularMatrix(1, 0, 10**9, 1), 0.5 + 1e-300j)]
+)
+def test_functional_eq_residual_underflow_raises(mat, tau):
+    # f eta(tau) underflows to 0 here, so there is no scale to divide by
+    with pytest.raises(NumericDegeneracyError, match="underflows"):
+        functional_eq_residual(mat, tau)
+
+
 def test_functional_eq_rejects_translations():
     with pytest.raises(ValueError):
         functional_eq_residual(ModularMatrix(1, 3, 0, 1), 1j)
@@ -376,6 +385,21 @@ def test_theta_sum_just_inside_budget_still_sums(monkeypatch):
 def test_theta_identity_rejects_lower_half_plane():
     with pytest.raises(ValueError):
         theta_identity_residual(-1j, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "tau, z, w, what",
+    [
+        (1j, 20, -10j, r"e\^\(-2 pi i w z\)"),  # e^(-400 pi) underflows
+        (1j, 1e6, 1e-3j, r"e\^\(-2 pi i w z\)"),  # e^(2000 pi) overflows
+        (1e200 + 1j, 0, 0, "-1/tau"),  # Im(-1/tau) = 1e-400 underflows
+        (1j, 0, 100j, "a theta term"),  # the H1 terms peak near e^(10^4 pi)
+    ],
+    ids=["factor-underflow", "factor-overflow", "inverse-underflow", "term-overflow"],
+)
+def test_theta_identity_names_what_leaves_the_float_range(tau, z, w, what):
+    with pytest.raises(NumericDegeneracyError, match=what):
+        theta_identity_residual(tau, z, w)
 
 
 def test_gaussian_poisson_fixed_cases():

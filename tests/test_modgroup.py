@@ -1,5 +1,6 @@
 """Modular-group elements: canonicalization, the Moebius action, generator
-decomposition round trips, and fundamental-domain reduction.
+decomposition round trips, fundamental-domain reduction, and the one check
+that every entry point makes on a point of the upper half-plane.
 """
 
 import math
@@ -15,12 +16,19 @@ from etaforge import (
     T,
     GeneratorWord,
     ModularMatrix,
-    UpperHalfPoint,
     apply_mobius,
     decompose,
+    eta_char_eval,
+    eta_eval,
+    eta_pentagonal_eval,
+    eta_product_eval,
+    eta_transformed_eval,
     evaluate_word,
+    functional_eq_residual,
     reduce_to_fundamental_domain,
     t_power,
+    theta_identity_residual,
+    transform_factor,
 )
 from etaforge.modgroup import descent_step
 
@@ -69,18 +77,18 @@ def test_inverse():
 
 
 def test_apply_mobius_fixed_point_and_translation():
-    i = UpperHalfPoint(0.0, 1.0)
+    i = complex(0.0, 1.0)
     image = apply_mobius(S, i)
-    assert abs(complex(image) - 1j) < 1e-15
+    assert abs(image - 1j) < 1e-15
 
-    tau = UpperHalfPoint(0.37, 2.1)
+    tau = complex(0.37, 2.1)
     shifted = apply_mobius(t_power(3), tau)
-    assert abs(complex(shifted) - (complex(tau) + 3)) < 1e-12
+    assert abs(shifted - (tau + 3)) < 1e-12
 
 
 def test_apply_mobius_explicit():
-    image = apply_mobius(ModularMatrix(2, 1, 1, 1), UpperHalfPoint(0.0, 1.0))
-    assert abs(complex(image) - (1.5 + 0.5j)) < 1e-15
+    image = apply_mobius(ModularMatrix(2, 1, 1, 1), complex(0.0, 1.0))
+    assert abs(image - (1.5 + 0.5j)) < 1e-15
 
 
 def test_mobius_is_homomorphism():
@@ -88,30 +96,42 @@ def test_mobius_is_homomorphism():
     for _ in range(200):
         m1 = random_word_matrix(rng, exp_bound=6, max_factors=8)
         m2 = random_word_matrix(rng, exp_bound=6, max_factors=8)
-        tau = UpperHalfPoint(rng.uniform(-2, 2), rng.uniform(0.1, 3))
-        lhs = complex(apply_mobius(m1 @ m2, tau))
-        rhs = complex(apply_mobius(m1, apply_mobius(m2, tau)))
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), (m1, m2, complex(tau))
+        tau = complex(rng.uniform(-2, 2), rng.uniform(0.1, 3))
+        lhs = apply_mobius(m1 @ m2, tau)
+        rhs = apply_mobius(m1, apply_mobius(m2, tau))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), (m1, m2, tau)
 
 
 def test_mobius_imaginary_part_formula():
     rng = random.Random(4)
     for _ in range(200):
         m = random_word_matrix(rng, exp_bound=6, max_factors=8)
-        tau = UpperHalfPoint(rng.uniform(-2, 2), rng.uniform(0.1, 3))
-        z = complex(tau)
-        expected = tau.im / abs(m.c * z + m.d) ** 2
-        got = apply_mobius(m, tau).im
+        tau = complex(rng.uniform(-2, 2), rng.uniform(0.1, 3))
+        expected = tau.imag / abs(m.c * tau + m.d) ** 2
+        got = apply_mobius(m, tau).imag
         assert abs(got - expected) <= 1e-12 * expected
 
 
+# every public entry point that takes a point checks it with the one checker
+ENTRY_POINTS = (
+    reduce_to_fundamental_domain,
+    lambda tau: apply_mobius(S, tau),
+    eta_product_eval,
+    eta_pentagonal_eval,
+    eta_char_eval,
+    eta_transformed_eval,
+    eta_eval,
+    lambda tau: transform_factor(S, tau),
+    lambda tau: functional_eq_residual(S, tau),
+    lambda tau: theta_identity_residual(tau, 0, 0),
+)
+
+
 def test_upper_half_point_rejects_lower_half():
-    with pytest.raises(ValueError):
-        UpperHalfPoint(0.0, 0.0)
-    with pytest.raises(ValueError):
-        UpperHalfPoint(1.0, -2.0)
-    with pytest.raises(ValueError):
-        UpperHalfPoint(0.0, float("nan"))
+    for tau in (complex(0.0, 0.0), complex(1.0, -2.0), complex(0.0, float("nan"))):
+        for entry in ENTRY_POINTS:
+            with pytest.raises(ValueError, match="finite point of the upper half-plane"):
+                entry(tau)
 
 
 INF = float("inf")
@@ -121,19 +141,9 @@ INF = float("inf")
     "re, im", [(0, INF), (INF, 1), (-INF, 1.0), (float("nan"), 1.0), (INF, INF)]
 )
 def test_upper_half_point_rejects_non_finite(re, im):
-    with pytest.raises(ValueError, match="finite"):
-        UpperHalfPoint(re, im)
-
-
-def test_non_finite_point_never_reaches_reduction_or_mobius():
-    # UpperHalfPoint(0, inf) used to reduce to itself, UpperHalfPoint(inf, 1)
-    # raised OverflowError there, and S sent it to a point with im = nan
-    with pytest.raises(ValueError, match="finite"):
-        reduce_to_fundamental_domain(UpperHalfPoint(0, INF))
-    with pytest.raises(ValueError, match="finite"):
-        reduce_to_fundamental_domain(UpperHalfPoint(INF, 1))
-    with pytest.raises(ValueError, match="finite"):
-        apply_mobius(S, UpperHalfPoint(INF, 1))
+    for entry in ENTRY_POINTS:
+        with pytest.raises(ValueError, match="finite point of the upper half-plane"):
+            entry(complex(re, im))
 
 
 # --- generator words ----------------------------------------------------------
@@ -219,37 +229,37 @@ def test_decompose_depth_matches_descent():
 
 
 def test_reduce_translation_only():
-    reduced, mat = reduce_to_fundamental_domain(UpperHalfPoint(5.0, 1.0))
+    reduced, mat = reduce_to_fundamental_domain(complex(5.0, 1.0))
     assert mat == t_power(-5)
-    assert abs(complex(reduced) - 1j) < 1e-15
+    assert abs(reduced - 1j) < 1e-15
 
 
 def test_reduce_single_inversion():
-    reduced, mat = reduce_to_fundamental_domain(UpperHalfPoint(0.0, 0.25))
+    reduced, mat = reduce_to_fundamental_domain(complex(0.0, 0.25))
     assert mat == S
-    assert abs(complex(reduced) - 4j) < 1e-15
+    assert abs(reduced - 4j) < 1e-15
 
 
 def test_reduce_near_real_axis():
-    reduced, _ = reduce_to_fundamental_domain(UpperHalfPoint(0.5, 0.0001))
-    assert reduced.im >= 0.866
+    reduced, _ = reduce_to_fundamental_domain(complex(0.5, 0.0001))
+    assert reduced.imag >= 0.866
 
 
 def test_reduce_properties_random():
     rng = random.Random(10)
     for _ in range(500):
-        tau = UpperHalfPoint(rng.uniform(-8, 8), 10 ** rng.uniform(-3, 1))
+        tau = complex(rng.uniform(-8, 8), 10 ** rng.uniform(-3, 1))
         reduced, mat = reduce_to_fundamental_domain(tau)
-        assert abs(reduced.re) <= 0.5 + 1e-12
-        assert abs(complex(reduced)) >= 1.0 - 1e-12
+        assert abs(reduced.real) <= 0.5 + 1e-12
+        assert abs(reduced) >= 1.0 - 1e-12
         # the returned matrix actually maps tau to the reduced point
-        image = complex(apply_mobius(mat, tau))
-        assert abs(image - complex(reduced)) <= 1e-9 * max(1.0, abs(image)), complex(tau)
+        image = apply_mobius(mat, tau)
+        assert abs(image - reduced) <= 1e-9 * max(1.0, abs(image)), tau
 
 
 def exact_image(mat, tau):
     """M tau from the exact dyadic values of tau's parts, as two Fractions."""
-    x, y = Fraction(tau.re), Fraction(tau.im)
+    x, y = Fraction(tau.real), Fraction(tau.imag)
     a, b, c, d = mat.entries()
     den = (c * x + d) ** 2 + (c * y) ** 2
     return ((a * x + b) * (c * x + d) + a * c * y * y) / den, y / den
@@ -259,22 +269,22 @@ def exact_image(mat, tau):
 def test_reduce_returns_the_exact_image_correctly_rounded(re_scale):
     rng = random.Random(int(re_scale))
     for _ in range(300):
-        tau = UpperHalfPoint(rng.uniform(-re_scale, re_scale), 10 ** rng.uniform(-9, 1))
+        tau = complex(rng.uniform(-re_scale, re_scale), 10 ** rng.uniform(-9, 1))
         reduced, mat = reduce_to_fundamental_domain(tau)
         re, im = exact_image(mat, tau)
-        assert (reduced.re, reduced.im) == (float(re), float(im)), complex(tau)
-        assert -Fraction(1, 2) <= re < Fraction(1, 2), complex(tau)
-        assert re * re + im * im >= 1, complex(tau)
+        assert (reduced.real, reduced.imag) == (float(re), float(im)), tau
+        assert -Fraction(1, 2) <= re < Fraction(1, 2), tau
+        assert re * re + im * im >= 1, tau
 
 
 def test_reduce_boundary_points():
     # the exact loop sends Re = 1/2 to -1/2 and leaves |tau| = 1 uninverted
-    assert reduce_to_fundamental_domain(UpperHalfPoint(0.5, 1.0)) == (
-        UpperHalfPoint(-0.5, 1.0),
+    assert reduce_to_fundamental_domain(complex(0.5, 1.0)) == (
+        complex(-0.5, 1.0),
         T.inverse(),
     )
-    assert reduce_to_fundamental_domain(UpperHalfPoint(0.0, 1.0)) == (
-        UpperHalfPoint(0.0, 1.0),
+    assert reduce_to_fundamental_domain(complex(0.0, 1.0)) == (
+        complex(0.0, 1.0),
         IDENTITY,
     )
 
@@ -282,14 +292,27 @@ def test_reduce_boundary_points():
 def test_reduce_far_below_float_resolution():
     # a float reduction loses c tau + d here; the exact one finds the true
     # reducer, whose image is near the top of the float range
-    tau = UpperHalfPoint(0.3, 1e-300)
+    tau = complex(0.3, 1e-300)
     reduced, mat = reduce_to_fundamental_domain(tau)
     re, im = exact_image(mat, tau)
-    assert (reduced.re, reduced.im) == (float(re), float(im))
-    assert math.isclose(reduced.im, 3.08e267, rel_tol=1e-3)
-    assert -0.5 <= reduced.re < 0.5
+    assert (reduced.real, reduced.imag) == (float(re), float(im))
+    assert math.isclose(reduced.imag, 3.08e267, rel_tol=1e-3)
+    assert -0.5 <= reduced.real < 0.5
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        ModularMatrix(1, 0, 10**20, 1),  # Im = 1e-300 / 2.5e39 underflows to 0
+        ModularMatrix(1, -1, 2, -1),  # |c tau + d|^2 = 4e-600 underflows to 0
+    ],
+)
+def test_apply_mobius_image_beyond_float_range_raises(mat):
+    # the caller's point is valid, so this is not a ValueError
+    with pytest.raises(NumericDegeneracyError, match="float range"):
+        apply_mobius(mat, complex(0.5, 1e-300))
 
 
 def test_reduce_image_beyond_float_range_raises():
     with pytest.raises(NumericDegeneracyError, match="float range"):
-        reduce_to_fundamental_domain(UpperHalfPoint(0.0, 5e-324))
+        reduce_to_fundamental_domain(complex(0.0, 5e-324))
