@@ -77,7 +77,11 @@ def test_tolerance_cannot_pass_broken_exact_identity(
 # Draws recorded from the word-by-word ModularMatrix construction: the first
 # matrices of a stream and the next rng.random() after them, which pins how
 # many random numbers the draws consume.  Seed 5 with min_c = 2 redraws a
-# c = 1 candidate.
+# c = 1 candidate; the fourth stream ends in a translation (c = 0, sign
+# fixed).  The last three, recorded from draws made with rng.randint, pin the
+# one-value exponent range, the one-value factor count, and a factor count of
+# 32, a power of two, where the bit width of the draw grows.  A key other than
+# min_c sets the module constant of the same name in upper case.
 PINNED_DRAWS = [
     (0, {}, [(36807, 10091, 7171, 1966), (-7, 1, 6, -1), (-163, -34, 24, 5),
              (-23939, 4926, 4573, -941), (-19, 6, 3, -1)], 0.19935579046706298),
@@ -85,13 +89,28 @@ PINNED_DRAWS = [
                        (-23939, 4926, 4573, -941), (-19, 6, 3, -1)], 0.19935579046706298),
     (5, {"min_c": 2}, [(13567, 1341, 2074, 205), (305, 1259, 86, 355), (4282, -739, 817, -141),
                        (5757, 1105, 3350, 643), (54669, 5938, 9713, 1055)], 0.31915254850071706),
+    (3, {"max_t_factors": 3, "exp_bound": 2, "max_entry": 5, "min_c": 0},
+     [(2, -1, 1, 0), (1, -1, 1, 0), (5, 2, 2, 1), (-2, -3, 1, 1), (-1, 0, 2, -1), (1, 1, 0, 1)],
+     0.6390681405441619),
+    (0, {"exp_bound": 0}, [(0, -1, 1, 0)] * 5, 0.11489641277540219),
+    (1, {"max_t_factors": 1}, [(9, -1, 1, 0), (-1, -1, 1, 0), (6, -1, 1, 0), (6, -1, 1, 0),
+                               (-3, -1, 1, 0)], 0.0938595867742349),
+    (2, {"max_t_factors": 32}, [(-460, -103, 67, 15), (-70, -9, 39, 5), (2, -1, 1, 0),
+                                (-1673, -206, 1405, 173), (377, 311, 40, 33)],
+     0.5261899437805846),
 ]
 
 
 @pytest.mark.parametrize("seed, kwargs, entries, next_random", PINNED_DRAWS)
-def test_random_unimodular_matrix_draws_are_pinned(seed, kwargs, entries, next_random):
+def test_random_unimodular_matrix_draws_are_pinned(
+    seed, kwargs, entries, next_random, monkeypatch
+):
+    for name, value in kwargs.items():
+        if name != "min_c":
+            monkeypatch.setattr(campaigns, name.upper(), value)
+    min_c = kwargs.get("min_c", 1)
     rng = random.Random(seed)
-    assert [random_unimodular_matrix(rng, **kwargs).entries() for _ in entries] == entries
+    assert [random_unimodular_matrix(rng, min_c).entries() for _ in entries] == entries
     assert rng.random() == next_random
 
 

@@ -146,6 +146,17 @@ def test_upper_half_point_rejects_non_finite(re, im):
             entry(complex(re, im))
 
 
+def test_non_finite_point_never_reaches_reduction_or_mobius():
+    # 0 + inf i used to reduce to itself, inf + 1i raised OverflowError there,
+    # and S sent it to a point with im = nan
+    with pytest.raises(ValueError, match="finite"):
+        reduce_to_fundamental_domain(complex(0, INF))
+    with pytest.raises(ValueError, match="finite"):
+        reduce_to_fundamental_domain(complex(INF, 1))
+    with pytest.raises(ValueError, match="finite"):
+        apply_mobius(S, complex(INF, 1))
+
+
 # --- generator words ----------------------------------------------------------
 
 
