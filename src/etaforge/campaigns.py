@@ -25,7 +25,6 @@ from .dedekind import (
     omega,
 )
 from .evaluate import (
-    _check_tol,
     eta_pentagonal_eval,
     functional_eq_residual,
     gaussian_poisson_residual,
@@ -66,14 +65,11 @@ MAX_RECORDED_FAILURES = 20
 class CliConfig:
     """Campaign knobs; None means the campaign's own default."""
 
-    tolerance: float | None = None
     order: int | None = None
     trials: int | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.tolerance is not None:
-            _check_tol(self.tolerance)
         if self.order is not None and self.order < 1:
             raise ValueError(f"order must be positive, got {self.order}")
         if self.trials is not None and self.trials < 1:
@@ -107,20 +103,63 @@ def _severity(residual: float) -> float:
 class VerificationReport:
     """Outcome of one campaign: its named checks, in the order they ran, and
     their summary (an exact check counts as one trial).  `failures` holds
-    (input description, residual) pairs, worst first; empty when all pass."""
+    (input description, residual) pairs, worst first; empty when all pass.
+    `run_campaign` sets `wall_time`."""
 
     campaign: str
-    trials: int
     tolerance: float
-    max_residual: float
     seed: int
-    wall_time: float
-    failures: list[tuple[str, float]] = field(default_factory=list)
     checks: dict[str, CheckResult] = field(default_factory=dict)
+    wall_time: float = 0.0
+
+    @property
+    def trials(self) -> int:
+        return sum(1 if check.exact else check.count for check in self.checks.values())
+
+    @property
+    def max_residual(self) -> float:
+        return max([0.0, *(check.max_residual for check in self.checks.values())], key=_severity)
+
+    @property
+    def failures(self) -> list[tuple[str, float]]:
+        failures = [item for check in self.checks.values() for item in check.failures]
+        failures.sort(key=lambda item: (-_severity(item[1]), item[0]))
+        return failures[:MAX_RECORDED_FAILURES]
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return all(check.passed for check in self.checks.values())
+
+    def record(self, description: str, residual: float, check: str | None = None) -> None:
+        """One input of the numeric check `check` (by default a check of its own)."""
+        name = check or description
+        result = self.checks.get(name)
+        if result is None:
+            result = self.checks[name] = CheckResult(name, exact=False)
+        result.count += 1
+        if result.count == 1 or _severity(residual) > _severity(result.max_residual):
+            result.max_residual, result.worst_input = residual, description
+        if not residual <= self.tolerance:
+            result.failures.append((description, residual))
+
+    def record_exact(
+        self, description: str, equal: bool, count: int = 1, first_failure: str = ""
+    ) -> None:
+        """Exact check `description` over `count` inputs: it fails whenever not equal."""
+        result = self.checks[description] = CheckResult(description, exact=True, count=count)
+        if not equal:
+            result.max_residual, result.worst_input = 1.0, first_failure
+            suffix = f" (first failure {first_failure})" if first_failure else ""
+            result.failures.append((description + suffix, 1.0))
+
+    def record_sweep(self, description: str, holds: Callable[..., bool], inputs) -> None:
+        """Exact check that holds(*item) is true for every input item."""
+        count, first_failure = 0, ""
+        for item in inputs:
+            count += 1
+            if not holds(*item) and not first_failure:
+                first_failure = str(item) if len(item) > 1 else str(item[0])
+        self.record_exact(description, not first_failure, count, first_failure)
 
     def to_json_dict(self) -> dict:
         # wall_time stays out: reports must be byte-identical for a fixed
@@ -166,63 +205,6 @@ def reports_json(reports: list[VerificationReport]) -> str:
             ],
         }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-class _Recorder:
-    """Accumulates named check results and turns them into a report."""
-
-    def __init__(self, campaign: str, tolerance: float, seed: int):
-        self.campaign = campaign
-        self.tolerance = tolerance
-        self.seed = seed
-        self.checks: dict[str, CheckResult] = {}
-        self._start = time.perf_counter()
-
-    def record(self, description: str, residual: float, check: str | None = None) -> None:
-        """One input of the numeric check `check` (by default a check of its own)."""
-        name = check or description
-        result = self.checks.get(name)
-        if result is None:
-            result = self.checks[name] = CheckResult(name, exact=False)
-        result.count += 1
-        if result.count == 1 or _severity(residual) > _severity(result.max_residual):
-            result.max_residual, result.worst_input = residual, description
-        if not residual <= self.tolerance:
-            result.failures.append((description, residual))
-
-    def record_exact(
-        self, description: str, equal: bool, count: int = 1, first_failure: str = ""
-    ) -> None:
-        """Exact check `description` over `count` inputs: it fails whenever not equal."""
-        result = self.checks[description] = CheckResult(description, exact=True, count=count)
-        if not equal:
-            result.max_residual, result.worst_input = 1.0, first_failure
-            suffix = f" (first failure {first_failure})" if first_failure else ""
-            result.failures.append((description + suffix, 1.0))
-
-    def record_sweep(self, description: str, holds: Callable[..., bool], inputs) -> None:
-        """Exact check that holds(*item) is true for every input item."""
-        count, first_failure = 0, ""
-        for item in inputs:
-            count += 1
-            if not holds(*item) and not first_failure:
-                first_failure = str(item) if len(item) > 1 else str(item[0])
-        self.record_exact(description, not first_failure, count, first_failure)
-
-    def report(self) -> VerificationReport:
-        checks = self.checks.values()
-        failures = [item for check in checks for item in check.failures]
-        failures.sort(key=lambda item: (-_severity(item[1]), item[0]))
-        return VerificationReport(
-            campaign=self.campaign,
-            trials=sum(1 if check.exact else check.count for check in checks),
-            tolerance=self.tolerance,
-            max_residual=max([0.0, *(check.max_residual for check in checks)], key=_severity),
-            seed=self.seed,
-            wall_time=time.perf_counter() - self._start,
-            failures=failures[:MAX_RECORDED_FAILURES],
-            checks=self.checks,
-        )
 
 
 # The shape of the words random_unimodular_matrix draws.
@@ -271,10 +253,10 @@ def run_pentagonal(config: CliConfig) -> VerificationReport:
     """Euler-product identities: pentagonal series and the character theta form."""
     order = config.order or 10_000
     char_order = config.order or 2400
-    rec = _Recorder("pentagonal", 0.0, config.seed)
+    report = VerificationReport("pentagonal", 0.0, config.seed)
     euler = euler_product_series(order)
-    rec.record_exact(f"euler == pentagonal at order {order}", euler == pentagonal_series(order))
-    rec.record_exact(
+    report.record_exact(f"euler == pentagonal at order {order}", euler == pentagonal_series(order))
+    report.record_exact(
         f"euler coefficients in {{-1,0,1}} at order {order}",
         all(c in (-1, 0, 1) for c in euler.coeffs.values()),
     )
@@ -284,25 +266,25 @@ def run_pentagonal(config: CliConfig) -> VerificationReport:
         for e, c in euler_product_series(max((char_order - 1) // 24, 0)).coeffs.items()
         if 24 * e + 1 <= char_order
     }
-    rec.record_exact(
+    report.record_exact(
         f"char series == u * euler(u^24) at order {char_order}", char.coeffs == expanded
     )
-    return rec.report()
+    return report
 
 
 def run_jtp(config: CliConfig) -> VerificationReport:
     """Triple product vs theta sum, the z -> wz shift relation, and z-symmetry,
     all read from one expansion of the product."""
     order = config.order or 200
-    rec = _Recorder("jtp", 0.0, config.seed)
+    report = VerificationReport("jtp", 0.0, config.seed)
     product, shift_residual = _jtp_expansion(order)
-    rec.record_exact(f"product == sum at w-order {order}", product == jtp_sum_side(order))
-    rec.record_exact(f"shift residual zero at w-order {order}", shift_residual.is_zero())
-    rec.record_exact(
+    report.record_exact(f"product == sum at w-order {order}", product == jtp_sum_side(order))
+    report.record_exact(f"shift residual zero at w-order {order}", shift_residual.is_zero())
+    report.record_exact(
         f"z-inversion symmetry at w-order {order}",
         all(product.coeff(m, -j) == c for (m, j), c in product.coeffs.items()),
     )
-    return rec.report()
+    return report
 
 
 def run_reciprocity(config: CliConfig) -> VerificationReport:
@@ -325,7 +307,7 @@ def run_reciprocity(config: CliConfig) -> VerificationReport:
     """
     limit = config.order or 500
     naive_limit, sweep_limit = min(limit, 300), min(limit, 200)
-    rec = _Recorder("reciprocity", 0.0, config.seed)
+    report = VerificationReport("reciprocity", 0.0, config.seed)
     fast, naive = dedekind_sum_fast, dedekind_sum_naive
     floor_sum, floor_square_sum = floor_sum_check, floor_square_sum_check
     first: dict[str, str] = {}  # check label -> its first failing input
@@ -380,8 +362,8 @@ def run_reciprocity(config: CliConfig) -> VerificationReport:
             naive_limit * (naive_limit + 1) // 2,
         ),
     ):
-        rec.record_exact(description, label not in first, count, first.get(label, ""))
-    return rec.report()
+        report.record_exact(description, label not in first, count, first.get(label, ""))
+    return report
 
 
 def _omega_is_integral(mat: ModularMatrix) -> bool:
@@ -401,20 +383,20 @@ def _omega_descends(mat: ModularMatrix) -> bool:
 def run_omega(config: CliConfig) -> VerificationReport:
     """Integrality of the multiplier exponent, plus its descent recursion."""
     trials = config.trials or 10_000
-    rec = _Recorder("omega", 0.0, config.seed)
+    report = VerificationReport("omega", 0.0, config.seed)
     rng = random.Random(config.seed)
-    rec.record_sweep(
+    report.record_sweep(
         f"omega integral on {trials} random matrices",
         _omega_is_integral,
         ((random_unimodular_matrix(rng),) for _ in range(trials)),
     )
     recursion_trials = min(trials, 1000)
-    rec.record_sweep(
+    report.record_sweep(
         f"omega descent recursion on {recursion_trials} matrices with c >= 2",
         _omega_descends,
         ((random_unimodular_matrix(rng, min_c=2),) for _ in range(recursion_trials)),
     )
-    return rec.report()
+    return report
 
 
 # Fixed transformation-law probes far out along the real axis, where the
@@ -428,23 +410,22 @@ def run_functional_eq(config: CliConfig) -> VerificationReport:
     """Transformation-law residuals on fixed probes (two special values and
     the large-Re points) and for random matrices and random points."""
     trials = config.trials or 1000
-    tol = config.tolerance or 1e-10
-    rec = _Recorder("functional-eq", tol, config.seed)
+    report = VerificationReport("functional-eq", 1e-10, config.seed)
     rng = random.Random(config.seed)
-    rec.record("special: S at tau = i", functional_eq_residual(S, complex(0.0, 1.0)))
+    report.record("special: S at tau = i", functional_eq_residual(S, complex(0.0, 1.0)))
     eta_half_i = eta_pentagonal_eval(complex(0.0, 0.5)).value
     eta_2i = eta_pentagonal_eval(complex(0.0, 2.0)).value
-    rec.record(
+    report.record(
         "special: eta(i/2) = sqrt(2) eta(2i)",
         abs(eta_half_i - 2.0**0.5 * eta_2i) / abs(eta_half_i),
     )
     for mat, tau in LARGE_RE_CASES:
-        rec.record(f"M = {mat}, tau = {tau}", functional_eq_residual(mat, tau), "large Re")
+        report.record(f"M = {mat}, tau = {tau}", functional_eq_residual(mat, tau), "large Re")
     for _ in range(trials):
         mat = random_unimodular_matrix(rng)
         tau = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 2.0))
-        rec.record(f"M = {mat}, tau = {tau}", functional_eq_residual(mat, tau), "random")
-    return rec.report()
+        report.record(f"M = {mat}, tau = {tau}", functional_eq_residual(mat, tau), "random")
+    return report
 
 
 # Fixed theta-identity probes: self-dual point, a real rescaling, and the
@@ -466,11 +447,11 @@ def run_theta(config: CliConfig) -> VerificationReport:
     the two sides comparable at 1e-12.
     """
     trials = config.trials or 100
-    tol = config.tolerance or 1e-12
-    rec = _Recorder("theta", tol, config.seed)
+    tol = 1e-12  # the gate, and the truncation tolerance of each sum
+    report = VerificationReport("theta", tol, config.seed)
     rng = random.Random(config.seed)
     for tau, z, w in THETA_FIXED_CASES:
-        rec.record(
+        report.record(
             f"fixed tau = {tau}, z = {z}, w = {w}",
             theta_identity_residual(tau, z, w, tol),
             "fixed probes",
@@ -479,20 +460,20 @@ def run_theta(config: CliConfig) -> VerificationReport:
         tau = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.3, 3.0))
         z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.3, 0.3))
         w = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.3, 0.3))
-        rec.record(
+        report.record(
             f"tau = {tau}, z = {z}, w = {w}", theta_identity_residual(tau, z, w, tol), "random"
         )
-    return rec.report()
+    return report
 
 
 def run_poisson(config: CliConfig) -> VerificationReport:
     """Gaussian summation-identity residuals on fixed probes and random (u, a, b)."""
     trials = config.trials or 100
-    tol = config.tolerance or 1e-12
-    rec = _Recorder("poisson", tol, config.seed)
+    tol = 1e-12  # the gate, and the truncation tolerance of each sum
+    report = VerificationReport("poisson", tol, config.seed)
     rng = random.Random(config.seed)
     for u, a, b in POISSON_FIXED_CASES:
-        rec.record(
+        report.record(
             f"fixed u = {u}, a = {a}, b = {b}",
             gaussian_poisson_residual(u, a, b, tol),
             "fixed probes",
@@ -501,10 +482,10 @@ def run_poisson(config: CliConfig) -> VerificationReport:
         u = 4.0 ** rng.uniform(-1.0, 1.0)
         a = rng.uniform(-1.0, 1.0)
         b = rng.uniform(-1.0, 1.0)
-        rec.record(
+        report.record(
             f"u = {u}, a = {a}, b = {b}", gaussian_poisson_residual(u, a, b, tol), "random"
         )
-    return rec.report()
+    return report
 
 
 CAMPAIGNS: dict[str, Callable[[CliConfig], VerificationReport]] = {
@@ -519,9 +500,13 @@ CAMPAIGNS: dict[str, Callable[[CliConfig], VerificationReport]] = {
 
 
 def run_campaign(name: str, config: CliConfig) -> list[VerificationReport]:
-    """Run one named campaign, or every campaign for name == 'all'."""
-    if name == "all":
-        return [runner(config) for runner in CAMPAIGNS.values()]
-    if name not in CAMPAIGNS:
+    """Run one named campaign, or every campaign for name == 'all', and time each."""
+    if name != "all" and name not in CAMPAIGNS:
         raise ValueError(f"unknown campaign {name!r}; choose from {', '.join(CAMPAIGNS)} or all")
-    return [CAMPAIGNS[name](config)]
+    reports = []
+    for runner in CAMPAIGNS.values() if name == "all" else [CAMPAIGNS[name]]:
+        start = time.perf_counter()
+        report = runner(config)
+        report.wall_time = time.perf_counter() - start
+        reports.append(report)
+    return reports

@@ -7,7 +7,8 @@ cross-checks, and the integer multiplier omega(a, b, c, d) that drives the
 eta transformation phase.
 
 All arithmetic is exact: values are fractions.Fraction (lowest terms, positive
-denominator), never floats.
+denominator), never floats.  The three O(k) sums raise ValueError, before
+the loop, for k above MAX_DIRECT_MODULUS; dedekind_sum_fast has no limit.
 """
 
 from __future__ import annotations
@@ -24,9 +25,23 @@ __all__ = [
 ]
 
 
+# The largest k an O(k) sum accepts: the defining sum takes about 2 s there.
+MAX_DIRECT_MODULUS = 10_000_000
+
+
 def _check_modulus(k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
+
+
+def _check_direct_modulus(k: int) -> None:
+    """_check_modulus, plus the limit of the O(k) sums."""
+    _check_modulus(k)
+    if k > MAX_DIRECT_MODULUS:
+        raise ValueError(
+            f"k = {k} is above MAX_DIRECT_MODULUS = {MAX_DIRECT_MODULUS} for an O(k) sum; "
+            "use dedekind_sum_fast (--mode fast)"
+        )
 
 
 def _check_coprime(h: int, k: int) -> None:
@@ -43,7 +58,7 @@ def dedekind_sum_naive(h: int, k: int) -> Fraction:
     the sum is 2 sum r (hr mod k) - k sum r, so the loop accumulates the
     integers r (hr mod k) and the constant k sum r = k^2 (k-1)/2 is taken out.
     """
-    _check_modulus(k)
+    _check_direct_modulus(k)
     total = 2 * sum(r * (h * r % k) for r in range(1, k)) - k * k * (k - 1) // 2
     return Fraction(total, 2 * k * k)
 
@@ -85,7 +100,7 @@ def floor_sum_check(h: int, k: int) -> tuple[int, int]:
     Requires gcd(h, k) = 1 and h >= 1; the two return values agree exactly
     whenever the hypotheses hold.
     """
-    _check_modulus(k)
+    _check_direct_modulus(k)
     _check_coprime(h, k)
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
@@ -104,7 +119,7 @@ def floor_square_sum_check(h: int, k: int) -> tuple[Fraction, Fraction]:
     with s(k, h) = p/q the right side is built as the one exact fraction
     (12hp + (2hk - 3h - k + 3)(h - 1)q) / (6q).
     """
-    _check_modulus(k)
+    _check_direct_modulus(k)
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
     _check_coprime(h, k)

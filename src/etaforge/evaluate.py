@@ -245,9 +245,15 @@ def transform_factor(mat: ModularMatrix, tau: complex) -> complex:
 
 
 def _law_factor(a: int, b: int, c: int, d: int, z: complex) -> complex:
-    """transform_factor for (a, b; c, d) at z, from plain ints and unchecked."""
+    """transform_factor for (a, b; c, d) at z, from plain ints and unchecked
+    but for an entry beyond the float range, which raises NumericDegeneracyError."""
+    try:
+        den = c * z + d
+    except OverflowError:
+        mat = ModularMatrix(a, b, c, d)
+        raise NumericDegeneracyError(f"an entry of {mat} lies beyond the float range") from None
     phase = cmath.exp(1j * math.pi * ((omega(a, b, c, d) % 24) / 12))
-    return phase * cmath.sqrt(-1j * (c * z + d))
+    return phase * cmath.sqrt(-1j * den)
 
 
 def _translation_phase(m: int) -> complex:

@@ -13,13 +13,16 @@ returns the reduced point correctly rounded.
 A point of the upper half-plane is a plain `complex`, and `_as_tau` is the
 one check that it is finite with Im > 0: every public entry point here and in
 `evaluate` calls it and raises ValueError otherwise.  An image point beyond
-the float range raises NumericDegeneracyError.
+the float range raises NumericDegeneracyError, and so does a matrix entry
+that `apply_mobius` cannot convert to a float.  A `ModularMatrix` itself has
+no size limit: `decompose` and the exact arithmetic work at any size.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -190,14 +193,23 @@ def apply_mobius(mat: ModularMatrix, tau: complex) -> complex:
     The imaginary part is computed as im(tau) / |c tau + d|^2, which the
     determinant makes exactly equal to the quotient's; the direct form avoids
     the cancellation complex division suffers when the image sits very close
-    to the real axis.  Raises NumericDegeneracyError when |c tau + d|^2 or a
-    part of the image leaves the float range, so Im would come out 0 or inf.
+    to the real axis.  Where |c tau + d|^2 alone leaves the normal float
+    range, Im is im(tau) / |c tau + d| / |c tau + d|, so an image that is a
+    float is still returned.  Raises NumericDegeneracyError when an entry of
+    the matrix is beyond the float range, or when a part of the image leaves
+    it, so Im would come out 0 or inf.
     """
     z = _as_tau(tau)
-    den = mat.c * z + mat.d
-    w = (mat.a * z + mat.b) / den
+    try:
+        den = mat.c * z + mat.d
+        w = (mat.a * z + mat.b) / den
+    except OverflowError:
+        raise NumericDegeneracyError(f"an entry of {mat} lies beyond the float range") from None
     norm = den.real * den.real + den.imag * den.imag
-    im = z.imag / norm if norm else math.inf
+    if sys.float_info.min <= norm < math.inf:
+        im = z.imag / norm
+    else:
+        im = z.imag / abs(den) / abs(den)
     if not (0.0 < im < math.inf and math.isfinite(w.real)):
         raise NumericDegeneracyError(
             f"the image of {z} under {mat} lies beyond the float range"

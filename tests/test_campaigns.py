@@ -1,5 +1,5 @@
-"""Campaign recorder semantics: named checks, NaN residuals, and exact checks
-that no tolerance can pass."""
+"""Campaign report semantics: named checks, NaN residuals, and exact checks
+that fail on any inequality."""
 
 import json
 import math
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from etaforge import campaigns
-from etaforge.campaigns import _Recorder, random_unimodular_matrix
+from etaforge.campaigns import VerificationReport, random_unimodular_matrix
 from etaforge.cli import main
 from etaforge.dedekind import (
     dedekind_sum_fast,
@@ -22,20 +22,18 @@ from etaforge.qseries import jtp_sum_side, pentagonal_series
 
 
 def test_nan_residual_fails():
-    rec = _Recorder("x", 1e-10, 0)
-    rec.record("nan", math.nan)
-    report = rec.report()
+    report = VerificationReport("x", 1e-10, 0)
+    report.record("nan", math.nan)
     assert not report.passed
     assert [desc for desc, _ in report.failures] == ["nan"]
     assert math.isnan(report.max_residual)
 
 
 def test_named_checks_keep_count_and_worst_input():
-    rec = _Recorder("x", 1e-10, 0)
+    report = VerificationReport("x", 1e-10, 0)
     for desc, residual in (("a", 1e-12), ("b", 1e-11), ("c", 0.0)):
-        rec.record(desc, residual, check="sweep")
-    rec.record_sweep("sum", lambda n: n < 3, ((n,) for n in range(5)))
-    report = rec.report()
+        report.record(desc, residual, check="sweep")
+    report.record_sweep("sum", lambda n: n < 3, ((n,) for n in range(5)))
     sweep, exact = report.checks["sweep"], report.checks["sum"]
     assert (sweep.exact, sweep.count, sweep.worst_input, sweep.passed) == (False, 3, "b", True)
     assert (exact.exact, exact.count, exact.worst_input, exact.passed) == (True, 5, "3", False)
@@ -67,7 +65,7 @@ def test_tolerance_cannot_pass_broken_exact_identity(
     capsys, monkeypatch, campaign, name, broken, flag, value
 ):
     monkeypatch.setattr(campaigns, name, broken)
-    code = main(["verify", campaign, flag, value, "--tol", "2", "--format", "json"])
+    code = main(["verify", campaign, flag, value, "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     assert payload["passed"] is False

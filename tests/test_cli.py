@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from etaforge import campaigns
+from etaforge import evaluate
 from etaforge.cli import main, parse_complex_literal
+from etaforge.dedekind import omega
 
 
 def run(capsys, *argv):
@@ -115,6 +116,15 @@ def test_dedekind_non_coprime_naive_ok(capsys):
     code, out, _ = run(capsys, "dedekind", "2", "4", "--mode", "naive")
     assert code == 0
     assert "s(2, 4) = -1/4" in out
+
+
+def test_dedekind_modulus_above_the_limit_exits_2_unless_fast(capsys):
+    code, out, err = run(capsys, "dedekind", "1", "10000001")
+    assert (code, out) == (2, "")
+    assert "--mode fast" in err
+    code, out, _ = run(capsys, "dedekind", "1", "10000001", "--mode", "fast")
+    assert code == 0
+    assert "s(1, 10000001) = " in out
 
 
 # --- decompose --------------------------------------------------------------------
@@ -231,45 +241,40 @@ def test_verify_report_to_file(capsys, tmp_path):
     assert payload["seed"] == 5
 
 
-def test_verify_seed_from_environment(capsys, monkeypatch):
+def test_verify_seed_ignores_environment(capsys, monkeypatch):
+    # the command line alone fixes the report
     monkeypatch.setenv("ETAFORGE_SEED", "99")
     code, out, _ = run(capsys, "verify", "omega", "--trials", "5", "--format", "json")
     assert code == 0
-    assert json.loads(out)["seed"] == 99
+    assert json.loads(out)["seed"] == 0
 
 
-def test_verify_failure_exits_1(capsys):
-    # an unreachable tolerance forces the failure path without touching the math
-    code, out, _ = run(
-        capsys, "verify", "functional-eq", "--trials", "3", "--seed", "3", "--tol", "1e-30"
-    )
+def test_verify_failure_exits_1(capsys, monkeypatch):
+    # the shift law e^(pi i m/12) taken the wrong way round breaks every image
+    # whose matrix has a nonzero translation part round(a/c)
+    phase = evaluate._translation_phase
+    monkeypatch.setattr(evaluate, "_translation_phase", lambda m: phase(-m))
+    code, out, _ = run(capsys, "verify", "functional-eq", "--trials", "3", "--seed", "3")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_tolerance_flag_cannot_pass_wrong_multiplier(capsys, monkeypatch):
+    # every law factor takes the phase of omega + 1 instead of omega
+    monkeypatch.setattr(evaluate, "omega", lambda a, b, c, d: omega(a, b, c, d) + 1)
+    code, out, _ = run(capsys, "verify", "functional-eq")
+    assert code == 1
+    assert "FAIL  functional-eq" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "functional-eq", "--tol", "1"])
+    assert exc.value.code == 2
+    assert "PASS" not in capsys.readouterr().out
 
 
 def test_verify_bad_trials_exits_2(capsys):
     code, _, err = run(capsys, "verify", "omega", "--trials", "0")
     assert code == 2
     assert "positive" in err
-
-
-def test_verify_infinite_tolerance_exits_2(capsys):
-    code, out, err = run(capsys, "verify", "functional-eq", "--trials", "3", "--tol", "inf")
-    assert code == 2
-    assert "PASS" not in out
-    assert "finite and positive" in err
-
-
-def test_verify_all_rejects_infinite_tolerance_before_any_campaign(capsys, monkeypatch):
-    ran = []
-    for name, runner in campaigns.CAMPAIGNS.items():
-        monkeypatch.setitem(
-            campaigns.CAMPAIGNS, name, lambda config, n=name, r=runner: ran.append(n) or r(config)
-        )
-    code, out, _ = run(capsys, "verify", "all", "--tol", "inf")
-    assert code == 2
-    assert ran == []
-    assert out == ""
 
 
 def test_usage_error_exits_2():

@@ -99,6 +99,16 @@ def test_fast_rejects_non_coprime_and_bad_modulus():
         dedekind_sum_naive(1, -3)
 
 
+@pytest.mark.parametrize(
+    "direct_sum", [dedekind_sum_naive, floor_sum_check, floor_square_sum_check]
+)
+def test_direct_sums_refuse_modulus_above_the_limit(direct_sum):
+    # raised before the O(k) loop, which would take seconds here
+    assert dedekind.MAX_DIRECT_MODULUS == 10**7
+    with pytest.raises(ValueError, match=r"MAX_DIRECT_MODULUS = 10000000 .*--mode fast"):
+        direct_sum(1, 10**7 + 1)
+
+
 def test_periodicity():
     for h, k in coprime_pairs(60):
         assert dedekind_sum_fast(h + k, k) == dedekind_sum_fast(h, k)

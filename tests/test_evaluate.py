@@ -18,6 +18,7 @@ from etaforge import (
     ModularMatrix,
     NumericDegeneracyError,
     S,
+    apply_mobius,
     chi12,
     eta_char_eval,
     eta_pentagonal_eval,
@@ -25,6 +26,7 @@ from etaforge import (
     eta_transformed_eval,
     functional_eq_residual,
     gaussian_poisson_residual,
+    t_power,
     theta_identity_residual,
     transform_factor,
 )
@@ -343,6 +345,24 @@ def test_functional_eq_residual_underflow_raises(mat, tau):
     # f eta(tau) underflows to 0 here, so there is no scale to divide by
     with pytest.raises(NumericDegeneracyError, match="underflows"):
         functional_eq_residual(mat, tau)
+
+
+HUGE = 10**400  # no float holds it
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: apply_mobius(ModularMatrix(1, 0, HUGE, 1), 1j),
+        lambda: apply_mobius(t_power(HUGE), 1j),
+        lambda: transform_factor(ModularMatrix(1, 0, HUGE, 1), 1j),
+        lambda: functional_eq_residual(ModularMatrix(1, 0, HUGE, 1), 1j),
+    ],
+    ids=["apply_mobius", "apply_mobius-translation", "transform_factor", "functional_eq_residual"],
+)
+def test_matrix_entry_beyond_float_range_raises(call):
+    with pytest.raises(NumericDegeneracyError, match="entry of .* beyond the float range"):
+        call()
 
 
 def test_functional_eq_rejects_translations():

@@ -313,15 +313,28 @@ def test_reduce_far_below_float_resolution():
 
 @pytest.mark.parametrize(
     "mat",
-    [
-        ModularMatrix(1, 0, 10**20, 1),  # Im = 1e-300 / 2.5e39 underflows to 0
-        ModularMatrix(1, -1, 2, -1),  # |c tau + d|^2 = 4e-600 underflows to 0
-    ],
+    [ModularMatrix(1, 0, 10**20, 1)],  # Im = 1e-300 / 2.5e39 underflows to 0
 )
 def test_apply_mobius_image_beyond_float_range_raises(mat):
     # the caller's point is valid, so this is not a ValueError
     with pytest.raises(NumericDegeneracyError, match="float range"):
         apply_mobius(mat, complex(0.5, 1e-300))
+
+
+@pytest.mark.parametrize(
+    "mat, tau",
+    [
+        # |c tau + d|^2 = 4e-600 underflows to 0; the image is 0.5 + 2.5e299i
+        (ModularMatrix(1, -1, 2, -1), complex(0.5, 1e-300)),
+        # |c tau + d|^2 = 1.02e309 overflows; the image's Im is 9.8e-300
+        (ModularMatrix(0, -1, 1, 32 * 10**153), complex(0.0, 1e10)),
+    ],
+)
+def test_apply_mobius_image_when_only_the_norm_leaves_the_float_range(mat, tau):
+    image = apply_mobius(mat, tau)
+    re, im = exact_image(mat, tau)
+    assert math.isclose(image.real, float(re), rel_tol=1e-15)
+    assert math.isclose(image.imag, float(im), rel_tol=1e-15)
 
 
 def test_reduce_image_beyond_float_range_raises():
