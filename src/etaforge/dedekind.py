@@ -7,8 +7,11 @@ cross-checks, and the integer multiplier omega(a, b, c, d) that drives the
 eta transformation phase.
 
 All arithmetic is exact: values are fractions.Fraction (lowest terms, positive
-denominator), never floats.  The three O(k) sums raise ValueError, before
-the loop, for k above MAX_DIRECT_MODULUS; dedekind_sum_fast has no limit.
+denominator), never floats.  The reciprocity descent itself runs in integers,
+on 12k s(h, k), and omega reads that integer directly, so the eta
+transformation law builds no Fraction.  The three O(k) sums raise ValueError,
+before the loop, for k above MAX_DIRECT_MODULUS; dedekind_sum_fast has no
+limit.
 """
 
 from __future__ import annotations
@@ -74,15 +77,23 @@ def dedekind_sum_fast(h: int, k: int) -> Fraction:
 
     until the second argument reaches 1, where s vanishes.  Each step is a
     Euclidean division, so the (h, k) pair shrinks like gcd computation.
-
-    The partial sums stay in integers.  After the step at (h, k) the sum so
-    far is s(h0, k0) -+ s(k mod h, h), and 6k s(h, k) is an integer for every
-    s(h, k), so the sum is num / (12 k0 h) for an integer num.  A step thus
-    goes from num / (12 k0 k) to num' / (12 k0 h) with one exact division by
-    k.  The last step has h = 1, and the only Fraction built is num / (12 k0).
+    The steps run in integers (_scaled_dedekind_sum), and the only Fraction
+    built is the result.
     """
     _check_modulus(k)
     _check_coprime(h, k)
+    return Fraction(_scaled_dedekind_sum(h, k), 12 * k)
+
+
+def _scaled_dedekind_sum(h: int, k: int) -> int:
+    """The integer 12k s(h, k), for k >= 1 and gcd(h, k) = 1 (unchecked).
+
+    After the reciprocity step at (h, k) the sum so far is s(h0, k0) -+
+    s(k mod h, h), and 6k s(h, k) is an integer for every s(h, k), so the sum
+    is num / (12 k0 h) for an integer num.  A step thus goes from
+    num / (12 k0 k) to num' / (12 k0 h) with one exact division by k, and the
+    last step, at h = 1, leaves num = 12 k0 s(h0, k0).
+    """
     h %= k
     k0 = k
     num = 0
@@ -91,7 +102,7 @@ def dedekind_sum_fast(h: int, k: int) -> Fraction:
         num = (num * h + sign * (h * h + k * k - 3 * h * k + 1) * k0) // k
         sign = -sign
         h, k = k % h, h
-    return Fraction(num, 12 * k0)
+    return num
 
 
 def floor_sum_check(h: int, k: int) -> tuple[int, int]:
@@ -134,22 +145,21 @@ def omega(a: int, b: int, c: int, d: int) -> int:
     """Multiplier exponent omega(a, b, c, d) = (a + d)/c + 12 s(-d, c).
 
     Defined for a unimodular integer matrix with c >= 1.  The value is always
-    an integer.  With s(-d, c) = p/q it is ((a + d) q + 12 c p) / (c q), formed
-    and divided in exact integer arithmetic; a nonzero remainder is asserted
-    against, so a non-integer result can only mean a bug in the Dedekind-sum
-    code, never bad input.
+    an integer.  With N = 12c s(-d, c), itself an integer, it is
+    (a + d + N) / c, divided in exact integer arithmetic with no Fraction
+    built; the determinant makes gcd(c, d) = 1.  A nonzero remainder is
+    asserted against, so a non-integer result can only mean a bug in the
+    Dedekind-sum code, never bad input.
     """
     if a * d - b * c != 1:
         raise ValueError(f"matrix ({a}, {b}; {c}, {d}) must have determinant 1")
     if c < 1:
         raise ValueError(f"c must be >= 1, got {c}")
-    s = dedekind_sum_fast(-d, c)
-    num = (a + d) * s.denominator + 12 * c * s.numerator
-    den = c * s.denominator
-    value, rem = divmod(num, den)
+    num = a + d + _scaled_dedekind_sum(-d, c)
+    value, rem = divmod(num, c)
     if rem:
         raise AssertionError(
-            f"omega({a}, {b}, {c}, {d}) = {num}/{den} is not an integer; "
+            f"omega({a}, {b}, {c}, {d}) = {num}/{c} is not an integer; "
             "Dedekind-sum arithmetic is broken"
         )
     return value

@@ -164,27 +164,30 @@ def _pentagonal_series(z: complex, tol: float) -> tuple[complex, float, int]:
     min_rings = math.log(2.0) / (2.0 * c * t) - 4.0 / 3.0
     if 2.0 * min_rings + 1.0 > MAX_SERIES_TERMS:
         raise _over_budget(f"pentagonal evaluation at im(tau) = {t}")
-
-    def term(n: int) -> complex:
-        sign = -1.0 if n % 2 else 1.0
-        return sign * cmath.exp(c * 1j * z * (n + 1.0 / 6.0) ** 2)
-
-    value = term(0)
+    # loop invariants: term n is sign * exp(icz (n + 1/6)^2) with sign = (-1)^n,
+    # term 0 included (so an underflowed sum keeps its signed zeros), and a
+    # tail magnitude is exp(minus_ct x)
+    icz = c * 1j * z
+    minus_ct = -c * t
+    value = 1.0 * cmath.exp(icz * (1.0 / 6.0) ** 2)
     n = 0
     terms = 1
     while True:
         # tails for omitting |m| > n
-        ratio_hi = math.exp(-c * t * (2 * n + 2 + 4.0 / 3.0))
-        ratio_lo = math.exp(-c * t * (2 * n + 2 + 2.0 / 3.0))
+        ratio_lo = math.exp(minus_ct * (2 * n + 2 + 2.0 / 3.0))
         if ratio_lo <= 0.5:
-            tail_hi = math.exp(-c * t * (n + 7.0 / 6.0) ** 2) / (1.0 - ratio_hi)
-            tail_lo = math.exp(-c * t * (n + 5.0 / 6.0) ** 2) / (1.0 - ratio_lo)
+            ratio_hi = math.exp(minus_ct * (2 * n + 2 + 4.0 / 3.0))
+            tail_hi = math.exp(minus_ct * (n + 7.0 / 6.0) ** 2) / (1.0 - ratio_hi)
+            tail_lo = math.exp(minus_ct * (n + 5.0 / 6.0) ** 2) / (1.0 - ratio_lo)
             bound = 2.0 * (tail_hi + tail_lo)
             if bound <= tol * abs(value):
                 # at extreme heights value and bound both underflow to 0.0
                 return value, bound / abs(value) if value else 0.0, terms
         n += 1
-        value += term(n) + term(-n)
+        sign = -1.0 if n % 2 else 1.0
+        value += sign * cmath.exp(icz * (n + 1.0 / 6.0) ** 2) + sign * cmath.exp(
+            icz * (-n + 1.0 / 6.0) ** 2
+        )
         terms += 2
         if terms > MAX_SERIES_TERMS:
             raise _over_budget(f"pentagonal evaluation at im(tau) = {t}")
@@ -233,11 +236,13 @@ def _char_series(z: complex, tol: float) -> tuple[complex, float, int]:
 def transform_factor(mat: ModularMatrix, tau: complex) -> complex:
     """The factor e^(pi i omega/12) sqrt(-i(c tau + d)) for a matrix with c > 0.
 
-    The phase takes the exact integer omega mod 24, so it never accumulates
-    float error from a large omega.  With c > 0 and Im(tau) > 0, -i(c tau + d)
-    lies in the open right half-plane, so the principal square root is the
-    continuous branch.  Translations (c = 0) have no square-root factor and
-    follow the shift law directly, so they are rejected here.
+    omega comes from the integer Dedekind descent (dedekind.omega builds no
+    Fraction), and the phase is the table entry _ROOTS24[omega mod 24], so it
+    never accumulates float error from a large omega.  With c > 0 and
+    Im(tau) > 0, -i(c tau + d) lies in the open right half-plane, so the
+    principal square root is the continuous branch.  Translations (c = 0)
+    have no square-root factor and follow the shift law directly, so they are
+    rejected here.
     """
     if mat.c <= 0:
         raise ValueError(f"transformation factor requires c > 0, got c = {mat.c}")
@@ -252,13 +257,16 @@ def _law_factor(a: int, b: int, c: int, d: int, z: complex) -> complex:
     except OverflowError:
         mat = ModularMatrix(a, b, c, d)
         raise NumericDegeneracyError(f"an entry of {mat} lies beyond the float range") from None
-    phase = cmath.exp(1j * math.pi * ((omega(a, b, c, d) % 24) / 12))
-    return phase * cmath.sqrt(-1j * den)
+    return _ROOTS24[omega(a, b, c, d) % 24] * cmath.sqrt(-1j * den)
+
+
+# e^(pi i j/12) for j = 0..23, each within 5.2e-16 of the exact root.
+_ROOTS24 = tuple(cmath.exp(1j * math.pi * (j / 12)) for j in range(24))
 
 
 def _translation_phase(m: int) -> complex:
     """exp(pi i m / 12) from the exact residue of m mod 24."""
-    return cmath.exp(1j * math.pi * (m % 24) / 12.0)
+    return _ROOTS24[m % 24]
 
 
 def _reduced(z: complex, tol: float) -> tuple[ModularMatrix, complex, EvalResult]:
@@ -346,17 +354,19 @@ def functional_eq_residual(mat: ModularMatrix, tau: complex, tol: float = DEFAUL
 
     Both sides are about |f eta(tau)|, so each side's series, cut at relative
     tolerance tol/8, adds at most tol/8 to the defect whatever |f| is.  The
-    image value is computed with the integer translation round(a/c) split
-    off exactly, so eta is only ever evaluated at well-scaled points even when
-    the matrix entries reach 10^6.  Each side takes the `auto` route; when
-    either is below SMALL_IM, tau is reduced once and both sides that need it
-    transport the same eta(tau_red).
+    image value is computed with the integer translation round(a/c) (half to
+    even, in exact integers) split off exactly, so eta is only ever evaluated
+    at well-scaled points even when the matrix entries reach 10^6.  Each side
+    takes the `auto` route; when either is below SMALL_IM, tau is reduced once
+    and both sides that need it transport the same eta(tau_red).
     """
     factor = transform_factor(mat, tau)
     z = complex(tau)
     _check_tol(tol)
     inner_tol = tol / 8.0
-    shift = round(mat.a / mat.c)
+    # shift = round(a/c), half to even, in integers: a/c may leave the float range
+    q, r = divmod(mat.a, mat.c)
+    shift = q + (2 * r > mat.c or 2 * r == mat.c and q % 2 == 1)
     balanced = ModularMatrix(mat.a - shift * mat.c, mat.b - shift * mat.d, mat.c, mat.d)
     img = apply_mobius(balanced, z)
     # each side by the `auto` rule, sharing one reduction of tau

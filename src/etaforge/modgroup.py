@@ -15,7 +15,9 @@ one check that it is finite with Im > 0: every public entry point here and in
 `evaluate` calls it and raises ValueError otherwise.  An image point beyond
 the float range raises NumericDegeneracyError, and so does a matrix entry
 that `apply_mobius` cannot convert to a float.  A `ModularMatrix` itself has
-no size limit: `decompose` and the exact arithmetic work at any size.
+no size limit: `decompose` and the exact arithmetic work at any size, and an
+entry with more digits than Python converts to text is printed by its bit
+length.
 """
 
 from __future__ import annotations
@@ -62,7 +64,9 @@ class ModularMatrix:
     def __post_init__(self):
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError(
-                f"matrix ({self.a}, {self.b}; {self.c}, {self.d}) must have determinant 1"
+                "matrix ({}, {}; {}, {}) must have determinant 1".format(
+                    *map(_entry_text, self.entries())
+                )
             )
         if self.c < 0 or (self.c == 0 and self.d < 0):
             object.__setattr__(self, "a", -self.a)
@@ -85,7 +89,15 @@ class ModularMatrix:
         )
 
     def __str__(self):
-        return f"[{self.a} {self.b}; {self.c} {self.d}]"
+        return "[{} {}; {} {}]".format(*map(_entry_text, self.entries()))
+
+
+def _entry_text(x: int) -> str:
+    """str(x), or its bit length where x has more digits than Python prints."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"{'-' if x < 0 else ''}<{abs(x).bit_length()}-bit integer>"
 
 
 IDENTITY = ModularMatrix(1, 0, 0, 1)

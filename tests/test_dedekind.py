@@ -182,15 +182,41 @@ def test_omega_rejects_bad_input():
 
 
 def test_omega_asserts_on_non_integral_value(monkeypatch):
-    exact = dedekind.dedekind_sum_fast
+    # N = 12c s(-d, c) off by one makes (a + d + N)/c non-integral once c >= 2
+    # (at c = 1 every integer N still gives an integer)
+    exact = dedekind._scaled_dedekind_sum
 
-    def off_by(h, k):
-        return exact(h, k) + Fraction(1, 7 * k)
+    def off_by_one(h, k):
+        return exact(h, k) + 1
 
-    monkeypatch.setattr(dedekind, "dedekind_sum_fast", off_by)
-    for entries in ((0, -1, 1, 0), (2, 1, 1, 1), (13567, 1341, 2074, 205)):
+    monkeypatch.setattr(dedekind, "_scaled_dedekind_sum", off_by_one)
+    for entries in ((1, 0, 3, 1), (2, 1, 3, 2), (13567, 1341, 2074, 205)):
         with pytest.raises(AssertionError):
             omega(*entries)
+
+
+def test_omega_matches_defining_sum():
+    # omega = (a + d)/c + 12 s(-d, c), with s from the O(k) oracle
+    for c in range(1, 61):
+        for d in range(-c, 2 * c + 1):
+            if gcd(c, d) != 1:
+                continue
+            inverse = pow(d, -1, c)
+            for a in (inverse, inverse + c):
+                b = (a * d - 1) // c
+                expected = Fraction(a + d, c) + 12 * dedekind_sum_naive(-d, c)
+                assert omega(a, b, c, d) == expected, (a, b, c, d)
+
+
+def test_omega_matches_fraction_formula_at_huge_modulus():
+    # (F(n+1), F(n); F(n), F(n-1)) has determinant (-1)^n; n = 1436 gives c ~ 1e300
+    fib = [0, 1]
+    while len(fib) < 1438:
+        fib.append(fib[-1] + fib[-2])
+    a, b, c, d = fib[1437], fib[1436], fib[1436], fib[1435]
+    assert a * d - b * c == 1 and 1e299 < c < 1e301
+    expected = Fraction(a + d, c) + 12 * dedekind_sum_fast(-d, c)
+    assert omega(a, b, c, d) == expected
 
 
 def test_omega_integral_on_random_matrices():

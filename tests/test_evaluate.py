@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from etaforge import evaluate
+from etaforge import dedekind, evaluate
 from etaforge import (
     ConvergenceBudgetError,
     ModularMatrix,
@@ -363,6 +363,68 @@ HUGE = 10**400  # no float holds it
 def test_matrix_entry_beyond_float_range_raises(call):
     with pytest.raises(NumericDegeneracyError, match="entry of .* beyond the float range"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: apply_mobius(ModularMatrix(1, 0, 10**5000, 1), 1j),
+        lambda: transform_factor(ModularMatrix(1, 0, 10**5000, 1), 1j),
+        lambda: functional_eq_residual(ModularMatrix(1, 0, 10**5000, 1), 1j),
+    ],
+    ids=["apply_mobius", "transform_factor", "functional_eq_residual"],
+)
+def test_matrix_entry_past_the_digit_limit_raises(call):
+    # 10^5000 has more digits than Python converts to str, so the message
+    # names the entry by its bit length
+    with pytest.raises(NumericDegeneracyError, match="<16610-bit integer>"):
+        call()
+
+
+def test_functional_eq_residual_shift_beyond_float_range():
+    # a/c = 10^400 leaves the float range; the shift is still split off exactly
+    residual = functional_eq_residual(ModularMatrix(10**400, 10**400 - 1, 1, 1), 1j)
+    assert residual <= 1e-10
+
+
+def test_functional_eq_residual_shift_is_round_half_even(monkeypatch):
+    # the balanced matrix has a - round(a/c) c in its corner, ties included
+    balanced = []
+
+    def record(mat, tau):
+        balanced.append(mat)
+        return apply_mobius(mat, tau)
+
+    monkeypatch.setattr(evaluate, "apply_mobius", record)
+    for c in range(1, 9):
+        for a in range(-3 * c, 3 * c + 1):
+            if math.gcd(a, c) != 1:
+                continue
+            d = pow(a, -1, c)
+            functional_eq_residual(ModularMatrix(a, (a * d - 1) // c, c, d), 0.3 + 0.7j)
+            assert balanced.pop().a == a - round(a / c) * c, (a, c)
+
+
+def test_transformation_law_builds_no_fraction(monkeypatch):
+    # omega reads the integer Dedekind descent, so no Fraction is built here
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(dedekind, "Fraction", no_fraction)
+    assert eta_transformed_eval(0.3 + 1e-4j).value
+    assert functional_eq_residual(ModularMatrix(2, 1, 1, 1), 0.3 + 0.7j) <= 1e-10
+
+
+def test_roots_of_unity_table_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for j, root in enumerate(evaluate._ROOTS24):
+            assert abs(mpmath.mpc(root) - mpmath.expjpi(mpmath.mpf(j) / 12)) <= 1e-15, j
+
+
+@pytest.mark.parametrize("m", [-25, -1, 0, 7, 13, 23])
+def test_translation_phase_depends_on_m_mod_24(m):
+    assert evaluate._translation_phase(m) == evaluate._translation_phase(m + 24 * 10**30)
 
 
 def test_functional_eq_rejects_translations():

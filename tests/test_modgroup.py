@@ -73,6 +73,13 @@ def test_inverse():
         assert m.inverse() @ m == IDENTITY
 
 
+def test_matrix_str_names_an_entry_past_the_digit_limit_by_bit_length():
+    assert str(ModularMatrix(2, 1, 1, 1)) == "[2 1; 1 1]"
+    assert str(ModularMatrix(-(10**5000), -1, 1, 0)) == "[-<16610-bit integer> -1; 1 0]"
+    with pytest.raises(ValueError, match=r"\(<16610-bit integer>, 1; 0, 1\)"):
+        ModularMatrix(10**5000, 1, 0, 1)
+
+
 # --- Moebius action ----------------------------------------------------------
 
 
