@@ -5,6 +5,10 @@ exact rational identities, or floating-point residuals) over either a fixed
 sweep or seeded random trials, and returns a VerificationReport.  Reports are
 deterministic for a given seed and configuration; the JSON form deliberately
 omits wall time so identical runs serialize to identical bytes.
+
+A `CliConfig` is an immutable named tuple (order, trials, seed).  A
+`VerificationReport` and its `CheckResult`s are filled in place as a campaign
+records its checks.
 """
 
 from __future__ import annotations
@@ -12,10 +16,10 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Callable
 from math import gcd, inf, isnan
 from operator import eq
-from typing import Callable
 
 from .dedekind import (
     dedekind_sum_fast,
@@ -61,33 +65,39 @@ JSON_SCHEMA_VERSION = 1
 MAX_RECORDED_FAILURES = 20
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Campaign knobs; None means the campaign's own default."""
+class CliConfig(namedtuple("CliConfig", "order trials seed")):
+    """Campaign knobs; None means the campaign's own default.  order and
+    trials are None or a positive int, seed an int; a bool or a float
+    raises ValueError."""
 
-    order: int | None = None
-    trials: int | None = None
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order is not None and self.order < 1:
-            raise ValueError(f"order must be positive, got {self.order}")
-        if self.trials is not None and self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
+    def __new__(cls, order: int | None = None, trials: int | None = None, seed: int = 0):
+        for name, value in (("order", order), ("trials", trials)):
+            if value is not None and (type(value) is not int or value < 1):
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an int, got {seed!r}")
+        return tuple.__new__(cls, (order, trials, seed))
+
+    @classmethod
+    def _make(cls, iterable) -> "CliConfig":
+        # the namedtuple default skips __new__; _replace goes through here too
+        return cls(*iterable)
 
 
-@dataclass
 class CheckResult:
     """One named check over `count` inputs.  An exact check fails (residual
     1.0, worst input = first failing one) on any inequality, whatever the
     tolerance; a numeric check fails on any residual not <= the tolerance."""
 
-    name: str
-    exact: bool
-    count: int = 0
-    max_residual: float = 0.0
-    worst_input: str = ""
-    failures: list[tuple[str, float]] = field(default_factory=list)
+    def __init__(self, name: str, exact: bool, count: int = 0):
+        self.name = name
+        self.exact = exact
+        self.count = count
+        self.max_residual = 0.0
+        self.worst_input = ""
+        self.failures: list[tuple[str, float]] = []
 
     @property
     def passed(self) -> bool:
@@ -99,18 +109,18 @@ def _severity(residual: float) -> float:
     return inf if isnan(residual) else residual
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one campaign: its named checks, in the order they ran, and
     their summary (an exact check counts as one trial).  `failures` holds
     (input description, residual) pairs, worst first; empty when all pass.
     `run_campaign` sets `wall_time`."""
 
-    campaign: str
-    tolerance: float
-    seed: int
-    checks: dict[str, CheckResult] = field(default_factory=dict)
-    wall_time: float = 0.0
+    def __init__(self, campaign: str, tolerance: float, seed: int):
+        self.campaign = campaign
+        self.tolerance = tolerance
+        self.seed = seed
+        self.checks: dict[str, CheckResult] = {}
+        self.wall_time = 0.0
 
     @property
     def trials(self) -> int:
@@ -368,7 +378,7 @@ def run_reciprocity(config: CliConfig) -> VerificationReport:
 
 def _omega_is_integral(mat: ModularMatrix) -> bool:
     try:
-        omega(*mat.entries())
+        omega(*mat)
     except AssertionError:
         return False
     return True
@@ -376,8 +386,8 @@ def _omega_is_integral(mat: ModularMatrix) -> bool:
 
 def _omega_descends(mat: ModularMatrix) -> bool:
     """omega(M) = omega(M') + q - 3 for the descent step M = M' S T^q (c >= 2)."""
-    q, reduced = descent_step(*mat.entries())
-    return omega(*mat.entries()) == omega(*reduced) + q - 3
+    q, reduced = descent_step(*mat)
+    return omega(*mat) == omega(*reduced) + q - 3
 
 
 def run_omega(config: CliConfig) -> VerificationReport:

@@ -19,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .modgroup import _entry_type_error
+
 __all__ = [
     "dedekind_sum_naive",
     "dedekind_sum_fast",
@@ -144,13 +146,16 @@ def floor_square_sum_check(h: int, k: int) -> tuple[Fraction, Fraction]:
 def omega(a: int, b: int, c: int, d: int) -> int:
     """Multiplier exponent omega(a, b, c, d) = (a + d)/c + 12 s(-d, c).
 
-    Defined for a unimodular integer matrix with c >= 1.  The value is always
+    Defined for a unimodular integer matrix with c >= 1; an entry whose type
+    is not int (a bool or a float) raises ValueError.  The value is always
     an integer.  With N = 12c s(-d, c), itself an integer, it is
     (a + d + N) / c, divided in exact integer arithmetic with no Fraction
     built; the determinant makes gcd(c, d) = 1.  A nonzero remainder is
     asserted against, so a non-integer result can only mean a bug in the
     Dedekind-sum code, never bad input.
     """
+    if not type(a) is type(b) is type(c) is type(d) is int:
+        raise _entry_type_error(a, b, c, d)
     if a * d - b * c != 1:
         raise ValueError(f"matrix ({a}, {b}; {c}, {d}) must have determinant 1")
     if c < 1:

@@ -31,13 +31,16 @@ lower bound on its term count already passes the budget.  An intermediate
 value beyond the float range raises NumericDegeneracyError: a reduced or
 image point, f eta(tau) in functional_eq_residual when it underflows to 0,
 and -1/tau, the H2 factor or a theta term in theta_identity_residual.
+
+An `EvalResult` is a named tuple (value, tail_bound, terms_used): it unpacks
+as one and equals the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dedekind import omega
 from .modgroup import (
@@ -78,13 +81,10 @@ class ConvergenceBudgetError(Exception):
     """Raised when a series would need more terms than the evaluator budget."""
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(namedtuple("EvalResult", "value tail_bound terms_used")):
     """A computed value with a rigorous relative truncation bound."""
 
-    value: complex
-    tail_bound: float
-    terms_used: int
+    __slots__ = ()
 
 
 def _check_tol(tol: float) -> None:
@@ -244,9 +244,10 @@ def transform_factor(mat: ModularMatrix, tau: complex) -> complex:
     have no square-root factor and follow the shift law directly, so they are
     rejected here.
     """
-    if mat.c <= 0:
-        raise ValueError(f"transformation factor requires c > 0, got c = {mat.c}")
-    return _law_factor(*mat.entries(), _as_tau(tau))
+    a, b, c, d = mat
+    if c <= 0:
+        raise ValueError(f"transformation factor requires c > 0, got c = {c}")
+    return _law_factor(a, b, c, d, _as_tau(tau))
 
 
 def _law_factor(a: int, b: int, c: int, d: int, z: complex) -> complex:
@@ -283,15 +284,19 @@ def _transported(
 ) -> EvalResult:
     """eta(mat * tau) from inner = eta(tau_red), tau_red = reducer * tau.
 
-    mat * tau = C(tau_red) with C = mat reducer^-1 formed in plain integers,
-    and eta is transported by the transformation law evaluated at the
-    well-conditioned point tau_red.  This deliberately avoids evaluating
+    mat * tau = C(tau_red) with C = mat reducer^-1 formed in plain integers
+    (for mat = IDENTITY, C is reducer^-1 = (d, -b; -c, a), read off with no
+    products), and eta is transported by the transformation law evaluated at
+    the well-conditioned point tau_red.  This deliberately avoids evaluating
     anything at the float image mat * tau, whose imaginary part may be far
     below float resolution.
     """
-    a, b, c, d = mat.entries()
-    ra, rb, rc, rd = reducer.entries()
-    a, b, c, d = a * rd - b * rc, b * ra - a * rb, c * rd - d * rc, d * ra - c * rb
+    ra, rb, rc, rd = reducer
+    if mat is IDENTITY:
+        a, b, c, d = rd, -rb, -rc, ra
+    else:
+        a, b, c, d = mat
+        a, b, c, d = a * rd - b * rc, b * ra - a * rb, c * rd - d * rc, d * ra - c * rb
     if c < 0 or (c == 0 and d < 0):
         a, b, c, d = -a, -b, -c, -d
     if c == 0:
@@ -365,9 +370,10 @@ def functional_eq_residual(mat: ModularMatrix, tau: complex, tol: float = DEFAUL
     _check_tol(tol)
     inner_tol = tol / 8.0
     # shift = round(a/c), half to even, in integers: a/c may leave the float range
-    q, r = divmod(mat.a, mat.c)
-    shift = q + (2 * r > mat.c or 2 * r == mat.c and q % 2 == 1)
-    balanced = ModularMatrix(mat.a - shift * mat.c, mat.b - shift * mat.d, mat.c, mat.d)
+    a, b, c, d = mat
+    q, r = divmod(a, c)
+    shift = q + (2 * r > c or 2 * r == c and q % 2 == 1)
+    balanced = ModularMatrix(a - shift * c, b - shift * d, c, d)
     img = apply_mobius(balanced, z)
     # each side by the `auto` rule, sharing one reduction of tau
     base_direct, img_direct = _direct(z.imag), _direct(img.imag)

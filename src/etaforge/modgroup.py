@@ -18,6 +18,12 @@ that `apply_mobius` cannot convert to a float.  A `ModularMatrix` itself has
 no size limit: `decompose` and the exact arithmetic work at any size, and an
 entry with more digits than Python converts to text is printed by its bit
 length.
+
+A `ModularMatrix` is a named 4-tuple (a, b, c, d): it unpacks as one, equals
+the plain tuple of its entries, and takes only entries of type int (a bool
+or a float raises ValueError).  It drops the tuple `+` and `*`, so a matrix
+never concatenates or repeats.  A `GeneratorWord` is an immutable object
+holding its normalized factor tuple.
 """
 
 from __future__ import annotations
@@ -25,8 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
-from typing import Union
+from collections import namedtuple
 
 __all__ = [
     "ModularMatrix",
@@ -48,48 +53,57 @@ class NumericDegeneracyError(Exception):
     """Raised when a value the computation needs lies beyond the float range."""
 
 
-@dataclass(frozen=True)
-class ModularMatrix:
+class ModularMatrix(namedtuple("ModularMatrix", "a b c d")):
     """Integer matrix (a, b; c, d) with ad - bc = 1, canonical up to sign.
 
     Construction normalizes the sign so that c > 0, or c = 0 and d > 0; the
-    object therefore names the class {M, -M}.
+    object therefore names the class {M, -M}.  Every entry must be of type
+    int; anything else, a bool included, raises ValueError.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        if not type(a) is type(b) is type(c) is type(d) is int:
+            raise _entry_type_error(a, b, c, d)
+        if a * d - b * c != 1:
             raise ValueError(
                 "matrix ({}, {}; {}, {}) must have determinant 1".format(
-                    *map(_entry_text, self.entries())
+                    *map(_entry_text, (a, b, c, d))
                 )
             )
-        if self.c < 0 or (self.c == 0 and self.d < 0):
-            object.__setattr__(self, "a", -self.a)
-            object.__setattr__(self, "b", -self.b)
-            object.__setattr__(self, "c", -self.c)
-            object.__setattr__(self, "d", -self.d)
+        if c < 0 or (c == 0 and d < 0):
+            return tuple.__new__(cls, (-a, -b, -c, -d))
+        return tuple.__new__(cls, (a, b, c, d))
+
+    @classmethod
+    def _make(cls, iterable) -> "ModularMatrix":
+        # the namedtuple default skips __new__; _replace goes through here too
+        return cls(*iterable)
+
+    # a matrix is not a sequence to concatenate or repeat
+    __add__ = __radd__ = __mul__ = __rmul__ = None
 
     def inverse(self) -> "ModularMatrix":
-        return ModularMatrix(self.d, -self.b, -self.c, self.a)
+        a, b, c, d = self
+        return ModularMatrix(d, -b, -c, a)
 
     def entries(self) -> tuple[int, int, int, int]:
-        return self.a, self.b, self.c, self.d
+        return tuple(self)
 
     def __matmul__(self, other: "ModularMatrix") -> "ModularMatrix":
-        return ModularMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self
+        e, f, g, h = other
+        return ModularMatrix(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def __str__(self):
-        return "[{} {}; {} {}]".format(*map(_entry_text, self.entries()))
+        return "[{} {}; {} {}]".format(*map(_entry_text, self))
+
+
+def _entry_type_error(*entries) -> ValueError:
+    """The error for matrix entries that are not all of type int."""
+    bad = next(x for x in entries if type(x) is not int)
+    return ValueError(f"matrix entries must be of type int, got {type(bad).__name__} {bad!r}")
 
 
 def _entry_text(x: int) -> str:
@@ -119,25 +133,25 @@ def _as_tau(tau: complex) -> complex:
 
 
 # A word factor is either the literal "S" or a nonzero int m standing for T^m.
-WordFactor = Union[str, int]
+WordFactor = str | int
 
 
-@dataclass(frozen=True)
 class GeneratorWord:
     """A product of S and T-power factors, normalized.
 
     Zero T-exponents are dropped and adjacent T-powers merged, so the factor
     sequence is canonical.  Evaluating the word reproduces the source matrix
-    up to sign.
+    up to sign.  A T-exponent must be of type int (not a bool).  A word is
+    immutable, and equal words have equal hashes.
     """
 
-    factors: tuple[WordFactor, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
+    def __init__(self, factors: tuple[WordFactor, ...]):
         merged: list[WordFactor] = []
-        for f in self.factors:
+        for f in factors:
             if f != "S":
-                if not isinstance(f, int):
+                if type(f) is not int:
                     raise ValueError(f"word factor must be 'S' or a T-exponent, got {f!r}")
                 if merged and merged[-1] != "S":
                     f += merged.pop()
@@ -145,6 +159,26 @@ class GeneratorWord:
                     continue
             merged.append(f)
         object.__setattr__(self, "factors", tuple(merged))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.factors == other.factors
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.factors,))
+
+    def __repr__(self):
+        return f"GeneratorWord(factors={self.factors!r})"
+
+    def __reduce__(self):
+        return GeneratorWord, (self.factors,)
 
     def __len__(self):
         return len(self.factors)
@@ -190,7 +224,7 @@ def decompose(mat: ModularMatrix) -> GeneratorWord:
     """Write a canonical matrix as a word in S and T-powers: each `descent_step`
     peels S T^q off the right until c = 1, where b = ad - 1 gives T^a S T^d
     (at most c steps); c = 0 is the plain translation T^b."""
-    a, b, c, d = mat.entries()
+    a, b, c, d = mat
     peeled: list[WordFactor] = []
     while c >= 2:
         q, (a, b, c, d) = descent_step(a, b, c, d)
@@ -212,9 +246,10 @@ def apply_mobius(mat: ModularMatrix, tau: complex) -> complex:
     it, so Im would come out 0 or inf.
     """
     z = _as_tau(tau)
+    a, b, c, d = mat
     try:
-        den = mat.c * z + mat.d
-        w = (mat.a * z + mat.b) / den
+        den = c * z + d
+        w = (a * z + b) / den
     except OverflowError:
         raise NumericDegeneracyError(f"an entry of {mat} lies beyond the float range") from None
     norm = den.real * den.real + den.imag * den.imag

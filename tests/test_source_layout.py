@@ -7,10 +7,17 @@ public API is listed in each submodule's `__all__`, in the package imports
 and in the package `__all__`; a name that one list keeps after the code is
 gone, or that the package exports without a submodule exporting it, is
 caught here.
+
+The package is built from plain stdlib types, so importing it (the cold start
+of every CLI call) loads neither `dataclasses` nor `typing`, nor `inspect`,
+which `dataclasses` pulls in.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -59,3 +66,16 @@ def test_submodule_all_names_are_defined_there(name):
 def test_package_all_names_come_from_a_submodule():
     exported = {n for name in SUBMODULES for n in submodule_all(name)}
     assert [n for n in etaforge.__all__ if n != "__version__" and n not in exported] == []
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # -S: the site hook may import typing itself through .pth files
+    code = (
+        "import etaforge.cli, sys; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"
