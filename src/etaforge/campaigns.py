@@ -385,9 +385,10 @@ def _omega_is_integral(mat: ModularMatrix) -> bool:
 
 
 def _omega_descends(mat: ModularMatrix) -> bool:
-    """omega(M) = omega(M') + q - 3 for the descent step M = M' S T^q (c >= 2)."""
+    """omega(M) = omega(M') + q - 3 d'/c for the descent step M = M' S T^q
+    (c >= 2), where the lower-right entry d' of M' is +-c."""
     q, reduced = descent_step(*mat)
-    return omega(*mat) == omega(*reduced) + q - 3
+    return omega(*mat) == omega(*reduced) + q - 3 * reduced.d // mat.c
 
 
 def run_omega(config: CliConfig) -> VerificationReport:

@@ -5,7 +5,8 @@ sums), `decompose` (generator words), and `verify` (identity campaigns with
 human or JSON reports).
 
 Exit codes: 0 all good, 1 verification failure, 2 usage or domain error.
-Complex arguments use the shell-safe literal RE+IMi, e.g. 0.5+0.001i.
+Complex arguments use the shell-safe literal RE+IMi, e.g. 0.5+0.001i; a
+value with a leading minus may follow --tau as its own argument.
 A `verify` report is fixed by its command line: the seed comes from --seed
 alone, and each campaign's tolerance is its own, with no flag to change it.
 """
@@ -57,7 +58,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"eta({args.tau}) = {result.value.real:.16g} + {result.value.imag:.16g}i")
+        im = f"{result.value.imag:+.16g}"
+        print(f"eta({args.tau}) = {result.value.real:.16g} {im[0]} {im[1:]}i")
         print(
             f"method={method} terms_used={result.terms_used} "
             f"tail_bound={result.tail_bound:.3e}"
@@ -169,9 +171,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_tau_values(argv: list[str]) -> list[str]:
+    """Join `--tau VALUE` into `--tau=VALUE` where VALUE is a complex literal,
+    so argparse takes one with a leading minus (-0.3+0.7i) as the value."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] == "--tau" and _COMPLEX_RE.match(arg):
+            joined[-1] = f"--tau={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_tau_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValueError, ConvergenceBudgetError, NumericDegeneracyError) as exc:

@@ -4,7 +4,8 @@ constructive generator words.
 Matrices are kept in a canonical sign form (c > 0, or c = 0 and d > 0) so each
 object represents a class modulo +-I.  `decompose` rewrites any element as a
 word in the generators S: z -> -1/z and T: z -> z + 1 by repeating one
-Euclidean descent step on the lower-left entry (`descent_step`), and
+nearest-integer descent step on the lower-left entry (`descent_step`), which
+at least halves c, so the word has at most c.bit_length() S factors;
 `evaluate_word` multiplies a word back out in plain integers.
 `reduce_to_fundamental_domain` moves any point of the upper half-plane into
 -1/2 <= Re < 1/2, |tau| >= 1, deciding every step in exact integers, and
@@ -87,9 +88,6 @@ class ModularMatrix(namedtuple("ModularMatrix", "a b c d")):
     def inverse(self) -> "ModularMatrix":
         a, b, c, d = self
         return ModularMatrix(d, -b, -c, a)
-
-    def entries(self) -> tuple[int, int, int, int]:
-        return tuple(self)
 
     def __matmul__(self, other: "ModularMatrix") -> "ModularMatrix":
         a, b, c, d = self
@@ -209,28 +207,24 @@ def evaluate_word(word: GeneratorWord) -> ModularMatrix:
     return ModularMatrix(a, b, c, d)
 
 
-def descent_step(a: int, b: int, c: int, d: int) -> tuple[int, tuple[int, int, int, int]]:
-    """One Euclidean descent step on c >= 2: the unique r in [1, c-1] with
-    -d = r mod c and q = (d + r)/c give (a, b; c, d) = (aq - b, a; r, c) S T^q,
-    whose first factor has the smaller lower-left entry r."""
-    r = (-d) % c
-    if r == 0:
-        raise AssertionError(f"r = 0 in descent for ({a}, {b}; {c}, {d}); c, d not coprime?")
-    q = (d + r) // c
-    return q, (a * q - b, a, r, c)
+def descent_step(a: int, b: int, c: int, d: int) -> tuple[int, ModularMatrix]:
+    """One nearest-integer descent step on c >= 1 (Knuth, TAOCP vol. 2,
+    sec. 4.5.3): q = floor(d/c + 1/2) gives (a, b; c, d) = M' S T^q with
+    M' = +-(aq - b, a; qc - d, c), whose lower-left entry |qc - d| <= c/2."""
+    q = (2 * d + c) // (2 * c)
+    return q, ModularMatrix(a * q - b, a, q * c - d, c)
 
 
 def decompose(mat: ModularMatrix) -> GeneratorWord:
     """Write a canonical matrix as a word in S and T-powers: each `descent_step`
-    peels S T^q off the right until c = 1, where b = ad - 1 gives T^a S T^d
-    (at most c steps); c = 0 is the plain translation T^b."""
+    peels S T^q off the right and at least halves c, and at c = 0 what is left
+    is the translation T^b."""
     a, b, c, d = mat
     peeled: list[WordFactor] = []
-    while c >= 2:
+    while c:
         q, (a, b, c, d) = descent_step(a, b, c, d)
         peeled += (q, "S")
-    head = [b] if c == 0 else [a, "S", d]
-    return GeneratorWord((*head, *reversed(peeled)))
+    return GeneratorWord((b, *reversed(peeled)))
 
 
 def apply_mobius(mat: ModularMatrix, tau: complex) -> complex:

@@ -117,12 +117,6 @@ class BiSeries:
             raise ValueError(f"coefficient at w^{m} is unknown (order {self.order})")
         return self.coeffs.get((m, j), 0)
 
-    def z2_slice(self, m: int) -> dict[int, int]:
-        """The coefficient of w^m, as a map j -> int (the z^2 Laurent polynomial)."""
-        if m > self.order:
-            raise ValueError(f"coefficient at w^{m} is unknown (order {self.order})")
-        return {j: c for (mm, j), c in self.coeffs.items() if mm == m}
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

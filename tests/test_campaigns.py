@@ -108,7 +108,7 @@ def test_random_unimodular_matrix_draws_are_pinned(
             monkeypatch.setattr(campaigns, name.upper(), value)
     min_c = kwargs.get("min_c", 1)
     rng = random.Random(seed)
-    assert [random_unimodular_matrix(rng, min_c).entries() for _ in entries] == entries
+    assert [tuple(random_unimodular_matrix(rng, min_c)) for _ in entries] == entries
     assert rng.random() == next_random
 
 

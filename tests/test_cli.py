@@ -63,6 +63,25 @@ def test_eval_auto_crossover(capsys, tau, method):
     assert f"method={method} " in out
 
 
+def test_eval_tau_with_negative_real_part_as_its_own_argument(capsys):
+    for fmt in ("human", "json"):
+        code, out, err = run(capsys, "eval", "--tau", "-0.3+0.7i", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert run(capsys, "eval", "--tau=-0.3+0.7i", "--format", fmt) == (code, out, err)
+    assert json.loads(out)["tau"] == "-0.3+0.7i"
+
+
+@pytest.mark.parametrize("tau, sign", [(-0.3 + 0.7j, "-"), (0.3 + 0.7j, "+")])
+def test_eval_human_output_signs_the_imaginary_part(capsys, tau, sign):
+    value = evaluate.eta_eval(tau)[1].value
+    assert (value.imag < 0) == (sign == "-")
+    literal = f"{tau.real}+{tau.imag}i"
+    _, out, _ = run(capsys, "eval", "--tau", literal)
+    assert out.splitlines()[0] == (
+        f"eta({literal}) = {value.real:.16g} {sign} {abs(value.imag):.16g}i"
+    )
+
+
 def test_eval_json_format(capsys):
     code, out, _ = run(capsys, "eval", "--tau", "0+1i", "--format", "json")
     assert code == 0
@@ -150,10 +169,13 @@ def test_decompose_with_check(capsys):
 
 
 def test_decompose_deep_descent_with_check(capsys):
-    # the descent from c = 1000 takes 999 steps
-    code, out, _ = run(capsys, "decompose", "1", "0", "1000", "1", "--check")
+    # the descent from c = 10^12 takes two steps
+    code, out, _ = run(capsys, "decompose", "1", "0", "1000000000000", "1", "--check")
     assert code == 0
-    assert "check: OK, word recomposes to [1 0; 1000 1]" in out
+    assert out.splitlines() == [
+        "S T^-1000000000000 S",
+        "check: OK, word recomposes to [1 0; 1000000000000 1]",
+    ]
 
 
 def test_decompose_non_unimodular_exits_2(capsys):

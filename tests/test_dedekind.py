@@ -245,5 +245,7 @@ def test_omega_descent_recursion():
         a = pow(d, -1, c)
         b = (a * d - 1) // c
         q, reduced = descent_step(a, b, c, d)
-        assert omega(a, b, c, d) == omega(*reduced) + q - 3
+        # the lower-right entry of the reduced matrix is c up to sign
+        assert reduced.d in (c, -c)
+        assert omega(a, b, c, d) == omega(*reduced) + q - 3 * reduced.d // c
         done += 1

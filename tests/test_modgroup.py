@@ -46,9 +46,9 @@ def random_word_matrix(rng, exp_bound=20, max_factors=30):
 
 
 def test_canonical_sign():
-    assert ModularMatrix(0, -1, 1, 0).entries() == (0, -1, 1, 0)
-    assert ModularMatrix(0, 1, -1, 0).entries() == (0, -1, 1, 0)
-    assert ModularMatrix(1, 5, 0, 1).entries() == (1, 5, 0, 1)
+    assert tuple(ModularMatrix(0, -1, 1, 0)) == (0, -1, 1, 0)
+    assert tuple(ModularMatrix(0, 1, -1, 0)) == (0, -1, 1, 0)
+    assert tuple(ModularMatrix(1, 5, 0, 1)) == (1, 5, 0, 1)
     assert ModularMatrix(-1, 0, 0, -1) == IDENTITY
 
 
@@ -198,11 +198,34 @@ def test_decompose_round_trip():
 
 
 def test_decompose_deep_descent_round_trip():
-    # one descent step per unit of c: far deeper than the interpreter's
-    # recursion limit
+    # the nearest integer to 1/c is 0, and one step then reaches c = 1
     m = ModularMatrix(1, 0, 10**4, 1)
     word = decompose(m)
-    assert sum(1 for f in word.factors if f == "S") == 10**4
+    assert word.factors == ("S", -(10**4), "S")
+    assert evaluate_word(word) == m
+
+
+def fibonacci_matrix(n: int) -> ModularMatrix:
+    # (F(n+1), F(n); F(n), F(n-1)) has determinant (-1)^n; each descent step
+    # on it lowers n by 2
+    f = [0, 1]
+    while len(f) < n + 2:
+        f.append(f[-1] + f[-2])
+    return ModularMatrix(f[n + 1], f[n], f[n], f[n - 1])
+
+
+@pytest.mark.parametrize(
+    "m, s_count",
+    [
+        (ModularMatrix(1, 0, 10**6, 1), 2),
+        (ModularMatrix(1, 0, 10**12, 1), 2),
+        (fibonacci_matrix(1438), 719),  # c ~ 1.5e300, 998 bits
+    ],
+    ids=["c=1e6", "c=1e12", "fibonacci"],
+)
+def test_decompose_s_count_is_at_most_the_bit_length_of_c(m, s_count):
+    word = decompose(m)
+    assert word.factors.count("S") == s_count <= m.c.bit_length()
     assert evaluate_word(word) == m
 
 
@@ -211,36 +234,33 @@ def test_descent_step_factorization():
     checked = 0
     for _ in range(1000):
         m = random_word_matrix(rng)
-        if m.c < 2:
+        if m.c == 0:
             continue
-        q, reduced = descent_step(*m.entries())
-        assert 1 <= reduced[2] < m.c
-        assert ModularMatrix(*reduced) @ S @ t_power(q) == m, m
+        q, reduced = descent_step(*m)
+        assert 0 <= 2 * reduced.c <= m.c
+        assert reduced @ S @ t_power(q) == m, m
         checked += 1
     assert checked > 900
 
 
-def negative_residue_steps(d: int, c: int) -> int:
-    # chain length of the reduction (c, d) -> (r, c) with r = (-d) mod c,
-    # the Euclidean-style descent decompose performs
+def nearest_integer_steps(d: int, c: int) -> int:
+    # chain length of the lower-row reduction (c, d) -> +-(qc - d, c), with q
+    # the integer nearest d/c (halves rounded up), the descent decompose performs
     steps = 0
-    while c >= 2:
-        d, c = c, (-d) % c
+    while c:
+        r = math.floor(Fraction(d, c) + Fraction(1, 2)) * c - d
+        c, d = (r, c) if r >= 0 else (-r, -c)
         steps += 1
     return steps
 
 
 def test_decompose_depth_matches_descent():
-    # one S factor per descent level: the c >= 2 levels plus the single base
-    # case at c = 1 (c = 0 words are pure translations with no S at all)
+    # one S factor per descent level; c = 0 words are pure translations
     rng = random.Random(9)
     for _ in range(500):
         m = random_word_matrix(rng)
         s_count = sum(1 for f in decompose(m).factors if f == "S")
-        if m.c == 0:
-            assert s_count == 0
-        else:
-            assert s_count == negative_residue_steps(m.d, m.c) + 1, m
+        assert s_count == nearest_integer_steps(m.d, m.c) <= m.c.bit_length(), m
 
 
 # --- fundamental domain -------------------------------------------------------
@@ -278,7 +298,7 @@ def test_reduce_properties_random():
 def exact_image(mat, tau):
     """M tau from the exact dyadic values of tau's parts, as two Fractions."""
     x, y = Fraction(tau.real), Fraction(tau.imag)
-    a, b, c, d = mat.entries()
+    a, b, c, d = mat
     den = (c * x + d) ** 2 + (c * y) ** 2
     return ((a * x + b) * (c * x + d) + a * c * y * y) / den, y / den
 

@@ -181,8 +181,8 @@ def test_jtp_product_constant_term():
 
 def test_jtp_product_low_slices():
     prod = jtp_product_side(4)
-    assert prod.z2_slice(1) == {1: 1, -1: 1}     # z^2 + z^-2
-    assert prod.z2_slice(4) == {2: 1, -2: 1}     # z^4 + z^-4
+    assert [prod.coeff(1, j) for j in range(-1, 2)] == [1, 0, 1]    # z^2 + z^-2
+    assert [prod.coeff(4, j) for j in range(-4, 5)] == [0, 0, 1, 0, 0, 0, 1, 0, 0]  # z^4 + z^-4
 
 
 def test_jtp_product_matches_brute_force():
