@@ -271,11 +271,8 @@ def run_pentagonal(config: CliConfig) -> VerificationReport:
         all(c in (-1, 0, 1) for c in euler.coeffs.values()),
     )
     char = eta_char_qseries(char_order)
-    expanded = {
-        24 * e + 1: c
-        for e, c in euler_product_series(max((char_order - 1) // 24, 0)).coeffs.items()
-        if 24 * e + 1 <= char_order
-    }
+    # every e with 24e + 1 <= char_order is at most order, so `euler` holds it
+    expanded = {24 * e + 1: c for e, c in euler.coeffs.items() if 24 * e + 1 <= char_order}
     report.record_exact(
         f"char series == u * euler(u^24) at order {char_order}", char.coeffs == expanded
     )

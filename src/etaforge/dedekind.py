@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .modgroup import _entry_type_error
+from .modgroup import _check_unimodular, _entry_text
 
 __all__ = [
     "dedekind_sum_naive",
@@ -154,12 +154,9 @@ def omega(a: int, b: int, c: int, d: int) -> int:
     asserted against, so a non-integer result can only mean a bug in the
     Dedekind-sum code, never bad input.
     """
-    if not type(a) is type(b) is type(c) is type(d) is int:
-        raise _entry_type_error(a, b, c, d)
-    if a * d - b * c != 1:
-        raise ValueError(f"matrix ({a}, {b}; {c}, {d}) must have determinant 1")
+    _check_unimodular(a, b, c, d)
     if c < 1:
-        raise ValueError(f"c must be >= 1, got {c}")
+        raise ValueError(f"c must be >= 1, got {_entry_text(c)}")
     num = a + d + _scaled_dedekind_sum(-d, c)
     value, rem = divmod(num, c)
     if rem:

@@ -395,18 +395,18 @@ def functional_eq_residual(mat: ModularMatrix, tau: complex, tol: float = DEFAUL
 
 def _bilateral_theta_sum(
     tau: complex, z: complex, w: complex, tol_abs: float
-) -> tuple[complex, float, int]:
+) -> tuple[complex, int]:
     """Sum over all integers n of exp(-2 pi i (n+z) w + pi i tau (n+z)^2).
 
-    Returns (value, absolute tail bound, terms).  With x = n + Re(z) the term
-    magnitude is exactly exp(-pi t x^2 + beta x + c0) for
+    Returns (value, terms).  With x = n + Re(z) the term magnitude is exactly
+    exp(-pi t x^2 + beta x + c0) for
 
         t = Im(tau), beta = 2 pi (Im(w) - Re(tau) Im(z)),
         c0 = 2 pi Im(z) Re(w) + pi t Im(z)^2,
 
     a Gaussian profile in x; summation starts at the profile vertex and stops
-    once both one-sided geometric majorants fall below tol_abs/4 (the bound is
-    then reported with safety factor 2).  A side can stop only where the
+    once both one-sided geometric majorants fall below tol_abs/4, so the
+    omitted tail is at most tol_abs/2.  A side can stop only where the
     magnitude ratio is at most 1/2 and the magnitude itself is at most
     tol_abs/4, so the distance of those points from the vertex bounds the term
     count from below; past MAX_SERIES_TERMS the budget error is raised before
@@ -431,9 +431,6 @@ def _bilateral_theta_sum(
         nz = n + z
         return cmath.exp(-2j * pi * nz * w + 1j * pi * tau * nz * nz)
 
-    def log_mag(x: float) -> float:
-        return -pi * t * x * x + beta * x + c0
-
     def side_done(x_next: float, going_up: bool) -> bool:
         # geometric ratio of magnitudes in the direction of travel
         log_ratio = (-pi * t * (2.0 * x_next + 1.0) + beta) if going_up else (
@@ -441,8 +438,8 @@ def _bilateral_theta_sum(
         )
         if log_ratio > -math.log(2.0):
             return False
-        log_tail = log_mag(x_next) - math.log1p(-math.exp(log_ratio))
-        return log_tail <= log_target
+        log_mag = -pi * t * x_next * x_next + beta * x_next + c0
+        return log_mag - math.log1p(-math.exp(log_ratio)) <= log_target
 
     n0 = round(beta / (2.0 * pi * t) - zr)
     value = term(n0)
@@ -463,13 +460,7 @@ def _bilateral_theta_sum(
             terms += 1
         if terms > MAX_SERIES_TERMS:
             raise _over_budget(f"theta sum at tau = {tau}, z = {z}, w = {w}")
-    tail = 2.0 * (
-        math.exp(log_mag(n_hi + 1 + zr))
-        / -math.expm1(-pi * t * (2.0 * (n_hi + 1 + zr) + 1.0) + beta)
-        + math.exp(log_mag(n_lo - 1 + zr))
-        / -math.expm1(pi * t * (2.0 * (n_lo - 1 + zr) - 1.0) - beta)
-    )
-    return value, tail, terms
+    return value, terms
 
 
 def theta_identity_residual(
@@ -512,8 +503,8 @@ def theta_identity_residual(
     if not 0.0 < inner_tol < math.inf:
         raise degenerate("the H2 factor e^(-2 pi i w z) (-i tau)^(-1/2)")
     try:
-        h1, _, _ = _bilateral_theta_sum(tau_c, z_c, w_c, tol)
-        inner, _, _ = _bilateral_theta_sum(tau_inv, w_c, -z_c, inner_tol)
+        h1, _ = _bilateral_theta_sum(tau_c, z_c, w_c, tol)
+        inner, _ = _bilateral_theta_sum(tau_inv, w_c, -z_c, inner_tol)
     except OverflowError:
         raise degenerate("a theta term") from None
     h2 = prefactor * inner

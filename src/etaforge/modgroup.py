@@ -23,8 +23,14 @@ length.
 A `ModularMatrix` is a named 4-tuple (a, b, c, d): it unpacks as one, equals
 the plain tuple of its entries, and takes only entries of type int (a bool
 or a float raises ValueError).  It drops the tuple `+` and `*`, so a matrix
-never concatenates or repeats.  A `GeneratorWord` is an immutable object
-holding its normalized factor tuple.
+never concatenates or repeats.  A `GeneratorWord` is a named 1-tuple
+(factors,) holding its normalized factor tuple: a T-exponent must be of type
+int, and a word drops `+` and `*` too.  So `len(word)` is 1, and
+`len(word.factors)` counts the factors.  Both types check their fields
+however they are built, the tuple constructors `_make` and `_replace`
+included.  `str` of a word prints each T-exponent as `str` of a matrix
+prints an entry, by its bit length past the digit limit; `repr` of either is
+the named-tuple repr.
 """
 
 from __future__ import annotations
@@ -65,14 +71,7 @@ class ModularMatrix(namedtuple("ModularMatrix", "a b c d")):
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, c: int, d: int):
-        if not type(a) is type(b) is type(c) is type(d) is int:
-            raise _entry_type_error(a, b, c, d)
-        if a * d - b * c != 1:
-            raise ValueError(
-                "matrix ({}, {}; {}, {}) must have determinant 1".format(
-                    *map(_entry_text, (a, b, c, d))
-                )
-            )
+        _check_unimodular(a, b, c, d)
         if c < 0 or (c == 0 and d < 0):
             return tuple.__new__(cls, (-a, -b, -c, -d))
         return tuple.__new__(cls, (a, b, c, d))
@@ -98,10 +97,17 @@ class ModularMatrix(namedtuple("ModularMatrix", "a b c d")):
         return "[{} {}; {} {}]".format(*map(_entry_text, self))
 
 
-def _entry_type_error(*entries) -> ValueError:
-    """The error for matrix entries that are not all of type int."""
-    bad = next(x for x in entries if type(x) is not int)
-    return ValueError(f"matrix entries must be of type int, got {type(bad).__name__} {bad!r}")
+def _check_unimodular(a: int, b: int, c: int, d: int) -> None:
+    """Raise ValueError unless every entry is of type int and ad - bc = 1."""
+    if not type(a) is type(b) is type(c) is type(d) is int:
+        bad = next(x for x in (a, b, c, d) if type(x) is not int)
+        raise ValueError(f"matrix entries must be of type int, got {type(bad).__name__} {bad!r}")
+    if a * d - b * c != 1:
+        raise ValueError(
+            "matrix ({}, {}; {}, {}) must have determinant 1".format(
+                *map(_entry_text, (a, b, c, d))
+            )
+        )
 
 
 def _entry_text(x: int) -> str:
@@ -134,18 +140,17 @@ def _as_tau(tau: complex) -> complex:
 WordFactor = str | int
 
 
-class GeneratorWord:
+class GeneratorWord(namedtuple("GeneratorWord", "factors")):
     """A product of S and T-power factors, normalized.
 
     Zero T-exponents are dropped and adjacent T-powers merged, so the factor
     sequence is canonical.  Evaluating the word reproduces the source matrix
-    up to sign.  A T-exponent must be of type int (not a bool).  A word is
-    immutable, and equal words have equal hashes.
+    up to sign.  A T-exponent must be of type int (not a bool).
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ()
 
-    def __init__(self, factors: tuple[WordFactor, ...]):
+    def __new__(cls, factors: tuple[WordFactor, ...]):
         merged: list[WordFactor] = []
         for f in factors:
             if f != "S":
@@ -156,30 +161,15 @@ class GeneratorWord:
                 if not f:
                     continue
             merged.append(f)
-        object.__setattr__(self, "factors", tuple(merged))
+        return tuple.__new__(cls, (tuple(merged),))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    @classmethod
+    def _make(cls, iterable) -> "GeneratorWord":
+        # the namedtuple default skips __new__; _replace goes through here too
+        return cls(*iterable)
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.factors == other.factors
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.factors,))
-
-    def __repr__(self):
-        return f"GeneratorWord(factors={self.factors!r})"
-
-    def __reduce__(self):
-        return GeneratorWord, (self.factors,)
-
-    def __len__(self):
-        return len(self.factors)
+    # a word is not a sequence to concatenate or repeat
+    __add__ = __radd__ = __mul__ = __rmul__ = None
 
     def __str__(self):
         if not self.factors:
@@ -191,7 +181,7 @@ class GeneratorWord:
             elif f == 1:
                 parts.append("T")
             else:
-                parts.append(f"T^{f}")
+                parts.append(f"T^{_entry_text(f)}")
         return " ".join(parts)
 
 
@@ -210,7 +200,10 @@ def evaluate_word(word: GeneratorWord) -> ModularMatrix:
 def descent_step(a: int, b: int, c: int, d: int) -> tuple[int, ModularMatrix]:
     """One nearest-integer descent step on c >= 1 (Knuth, TAOCP vol. 2,
     sec. 4.5.3): q = floor(d/c + 1/2) gives (a, b; c, d) = M' S T^q with
-    M' = +-(aq - b, a; qc - d, c), whose lower-left entry |qc - d| <= c/2."""
+    M' = +-(aq - b, a; qc - d, c), whose lower-left entry |qc - d| <= c/2.
+    Raises ValueError for c < 1, as `omega` does."""
+    if c < 1:
+        raise ValueError(f"c must be >= 1, got {_entry_text(c)}")
     q = (2 * d + c) // (2 * c)
     return q, ModularMatrix(a * q - b, a, q * c - d, c)
 

@@ -6,10 +6,16 @@ equality up to the stated order.  These series carry the combinatorial side of
 the toolkit: the Euler product, the pentagonal-number series, both sides of
 the Jacobi triple product, and the theta-series form of eta driven by the
 Dirichlet character mod 12.
+
+`QSeries` and `BiSeries` are named 2-tuples (coeffs, order) that check their
+exponents however they are built, `_make` and `_replace` included.  A series
+equals the plain tuple of its fields and unpacks as one; it neither
+concatenates nor repeats, and it cannot be hashed, since it holds a dict.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import isqrt
 from operator import add, sub
 
@@ -35,7 +41,7 @@ def chi12(n: int) -> int:
     return _CHI12_TABLE[n % 12]
 
 
-class QSeries:
+class QSeries(namedtuple("QSeries", "coeffs order")):
     """Power series in one variable, truncated at `order`, with int coefficients.
 
     Coefficients are stored sparsely (zero entries are dropped).  Exponents
@@ -43,9 +49,9 @@ class QSeries:
     series arithmetic: the producers below build a series, callers read it.
     """
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ()
 
-    def __init__(self, coeffs: dict[int, int], order: int):
+    def __new__(cls, coeffs: dict[int, int], order: int):
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
         cleaned = {}
@@ -54,12 +60,15 @@ class QSeries:
                 raise ValueError(f"exponent {e} outside [0, {order}]")
             if c:
                 cleaned[e] = c
-        self.coeffs = cleaned
-        self.order = order
+        return tuple.__new__(cls, (cleaned, order))
 
     @classmethod
-    def one(cls, order: int) -> "QSeries":
-        return cls({0: 1}, order)
+    def _make(cls, iterable) -> "QSeries":
+        # the namedtuple default skips __new__; _replace goes through here too
+        return cls(*iterable)
+
+    # a series is not a sequence to concatenate or repeat
+    __add__ = __radd__ = __mul__ = __rmul__ = None
 
     def coeff(self, e: int) -> int:
         """Coefficient at exponent e; raises if e is beyond the known range."""
@@ -70,11 +79,6 @@ class QSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
     def __repr__(self):
         terms = sorted(self.coeffs.items())
         head = " ".join(f"{c:+d}*q^{e}" for e, c in terms[:6])
@@ -83,7 +87,7 @@ class QSeries:
         return f"QSeries({head or '0'}; order={self.order})"
 
 
-class BiSeries:
+class BiSeries(namedtuple("BiSeries", "coeffs order")):
     """Series in w truncated at `order`, Laurent in z^2, with int coefficients.
 
     A key (m, j) holds the coefficient of w^m * z^(2j); j may be negative.
@@ -92,9 +96,9 @@ class BiSeries:
     the one operation, truncates to the lower order of its two operands.
     """
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ()
 
-    def __init__(self, coeffs: dict[tuple[int, int], int], order: int):
+    def __new__(cls, coeffs: dict[tuple[int, int], int], order: int):
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
         cleaned = {}
@@ -105,12 +109,15 @@ class BiSeries:
                 raise ValueError(f"z^2-exponent {j} exceeds w-degree {m}")
             if c:
                 cleaned[(m, j)] = c
-        self.coeffs = cleaned
-        self.order = order
+        return tuple.__new__(cls, (cleaned, order))
 
     @classmethod
-    def one(cls, order: int) -> "BiSeries":
-        return cls({(0, 0): 1}, order)
+    def _make(cls, iterable) -> "BiSeries":
+        # the namedtuple default skips __new__; _replace goes through here too
+        return cls(*iterable)
+
+    # a series is not a sequence to concatenate or repeat
+    __add__ = __radd__ = __mul__ = __rmul__ = None
 
     def coeff(self, m: int, j: int) -> int:
         if m > self.order:
@@ -119,11 +126,6 @@ class BiSeries:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
         if not isinstance(other, BiSeries):

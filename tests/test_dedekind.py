@@ -181,6 +181,14 @@ def test_omega_rejects_bad_input():
         omega(0, 1, -1, 0)  # c < 0
 
 
+def test_omega_names_an_entry_past_the_digit_limit_by_bit_length():
+    with pytest.raises(ValueError, match=r"determinant 1") as caught:
+        omega(1, 1, 10**5000, 1)
+    assert "(1, 1; <16610-bit integer>, 1)" in str(caught.value)
+    with pytest.raises(ValueError, match=r"^c must be >= 1, got -<16610-bit integer>$"):
+        omega(1, 0, -(10**5000), 1)
+
+
 def test_omega_asserts_on_non_integral_value(monkeypatch):
     # N = 12c s(-d, c) off by one makes (a + d + N)/c non-integral once c >= 2
     # (at c = 1 every integer N still gives an integer)

@@ -455,10 +455,10 @@ def test_theta_identity_budget_error():
 
 def test_theta_sum_just_inside_budget_still_sums(monkeypatch):
     args = (0.0005j, 0.25 + 0.1j, -0.3j, 1e-12)
-    _, _, terms = evaluate._bilateral_theta_sum(*args)
+    _, terms = evaluate._bilateral_theta_sum(*args)
     assert terms > 1000
     monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", terms)
-    assert evaluate._bilateral_theta_sum(*args)[2] == terms
+    assert evaluate._bilateral_theta_sum(*args)[1] == terms
     monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", terms - 1)
     with pytest.raises(ConvergenceBudgetError):
         evaluate._bilateral_theta_sum(*args)

@@ -174,6 +174,12 @@ def test_word_normalization():
     assert str(GeneratorWord((2, "S", 1))) == "T^2 S T"
 
 
+def test_word_str_names_an_exponent_past_the_digit_limit_by_bit_length():
+    word = decompose(ModularMatrix(1, 0, 10**5000, 1))
+    assert word.factors[1] == -(10**5000)
+    assert str(word) == "S T^-<16610-bit integer> S"
+
+
 def test_decompose_generators():
     assert decompose(S).factors == ("S",)
     assert str(decompose(t_power(5))) == "T^5"
@@ -241,6 +247,12 @@ def test_descent_step_factorization():
         assert reduced @ S @ t_power(q) == m, m
         checked += 1
     assert checked > 900
+
+
+@pytest.mark.parametrize("c", [0, -1, -(10**5000)], ids=["0", "-1", "-1e5000"])
+def test_descent_step_rejects_c_below_one(c):
+    with pytest.raises(ValueError, match="c must be >= 1"):
+        descent_step(1, 0, c, 1)
 
 
 def nearest_integer_steps(d: int, c: int) -> int:

@@ -1,11 +1,13 @@
-"""The value types ModularMatrix, GeneratorWord, EvalResult and CliConfig.
+"""The value types ModularMatrix, GeneratorWord, QSeries, BiSeries,
+EvalResult and CliConfig.
 
-Each is immutable, prints as `Name(field=value, ...)`, gives equal values
-equal hashes, survives pickling and copying, and checks its fields however it
-is built.  ModularMatrix, EvalResult and CliConfig are named tuples: they
-unpack, each equals the plain tuple of its fields, and the namedtuple
-constructors `_make` and `_replace` run the same checks as the class.  A
-matrix takes only entries of type int and neither concatenates nor repeats.
+Each is a named tuple: it is immutable, prints as `Name(field=value, ...)`
+(a series by its leading terms), survives pickling and copying, unpacks and
+equals the plain tuple of its fields.  Every type but EvalResult checks its
+fields however it is built, `_make` and `_replace` included.  Equal
+values have equal hashes, except that a series holds a dict and cannot be
+hashed.  A matrix takes only entries of type int, a word only int
+T-exponents; a matrix, a word and a series neither concatenate nor repeat.
 """
 
 import copy
@@ -14,7 +16,16 @@ from fractions import Fraction
 
 import pytest
 
-from etaforge import IDENTITY, EvalResult, GeneratorWord, ModularMatrix, omega, t_power
+from etaforge import (
+    IDENTITY,
+    BiSeries,
+    EvalResult,
+    GeneratorWord,
+    ModularMatrix,
+    QSeries,
+    omega,
+    t_power,
+)
 from etaforge.campaigns import CliConfig
 
 # (build a value, one of its fields, its repr)
@@ -31,7 +42,18 @@ VALUES = {
         "EvalResult(value=(1+2j), tail_bound=0.5, terms_used=3)",
     ),
     "CliConfig": (lambda: CliConfig(order=5), "seed", "CliConfig(order=5, trials=None, seed=0)"),
+    "QSeries": (
+        lambda: QSeries({0: 1, 2: -3, 3: 0}, 4),
+        "coeffs",
+        "QSeries(+1*q^0 -3*q^2; order=4)",
+    ),
+    "BiSeries": (
+        lambda: BiSeries({(0, 0): 1, (1, -1): 2}, 3),
+        "order",
+        "BiSeries(+1*w^0*z^0 +2*w^1*z^-2; order=3)",
+    ),
 }
+SERIES = ("QSeries", "BiSeries")
 
 
 @pytest.mark.parametrize("kind", VALUES)
@@ -50,10 +72,18 @@ def test_repr_text(kind):
     assert repr(build()) == text
 
 
-@pytest.mark.parametrize("kind", VALUES)
+@pytest.mark.parametrize("kind", [kind for kind in VALUES if kind not in SERIES])
 def test_equal_values_have_equal_hashes(kind):
     build, _, _ = VALUES[kind]
     assert build() == build() and hash(build()) == hash(build())
+
+
+@pytest.mark.parametrize("kind", SERIES)
+def test_series_compare_by_value_and_cannot_be_hashed(kind):
+    build, _, _ = VALUES[kind]
+    assert build() == build()
+    with pytest.raises(TypeError):
+        hash(build())
 
 
 def test_equal_hashes_across_canonical_signs():
@@ -91,22 +121,56 @@ def test_make_and_replace_run_the_config_checks():
         CliConfig._make((None, None, 1.5))
 
 
+def test_make_and_replace_run_the_word_checks():
+    assert GeneratorWord._make([(1, 1, "S", 0)]) == GeneratorWord((2, "S"))
+    assert GeneratorWord(("S",))._replace(factors=(3, 0, -3)).factors == ()
+    with pytest.raises(ValueError, match="word factor"):
+        GeneratorWord._make([(2, 1.0)])
+    with pytest.raises(ValueError, match="word factor"):
+        GeneratorWord(("S",))._replace(factors=(True,))
+
+
+def test_make_and_replace_run_the_series_checks():
+    assert QSeries._make(({1: 0, 2: 5}, 3)).coeffs == {2: 5}
+    assert QSeries({3: 1}, 4)._replace(order=3) == QSeries({3: 1}, 3)
+    with pytest.raises(ValueError, match="exponent 7 outside"):
+        QSeries._make(({7: 1}, 4))
+    with pytest.raises(ValueError, match="exponent 3 outside"):
+        QSeries({3: 1}, 4)._replace(order=2)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        QSeries({}, 4)._replace(order=-1)
+    assert BiSeries._make(({(1, 1): 0, (2, -1): 4}, 2)).coeffs == {(2, -1): 4}
+    with pytest.raises(ValueError, match="w-exponent 2 outside"):
+        BiSeries({(2, 1): 1}, 3)._replace(order=1)
+    with pytest.raises(ValueError, match="z\\^2-exponent 2 exceeds"):
+        BiSeries._make(({(1, 2): 1}, 3))
+
+
 def test_named_tuples_unpack_and_equal_their_fields():
     a, b, c, d = ModularMatrix(0, 1, -1, 0)
     assert (a, b, c, d) == (0, -1, 1, 0) == ModularMatrix(0, 1, -1, 0)
+    (factors,) = GeneratorWord((1, 1, "S"))
+    assert (factors,) == ((2, "S"),) == GeneratorWord((1, 1, "S"))
     value, bound, terms = EvalResult(1j, 0.0, 7)
     assert (value, bound, terms) == (1j, 0.0, 7) == EvalResult(1j, 0.0, 7)
     assert CliConfig(3, 4, 5) == (3, 4, 5)
+    coeffs, order = QSeries({0: 1, 1: 0}, 3)
+    assert (coeffs, order) == ({0: 1}, 3) == QSeries({0: 1, 1: 0}, 3)
+    assert BiSeries({(1, 1): 2}, 1) == ({(1, 1): 2}, 1)
+    # a word's length is its field count; its factors are counted apart
+    assert len(GeneratorWord((2, "S", 1))) == 1
 
 
-def test_matrix_does_not_concatenate_or_repeat():
-    m = ModularMatrix(2, 1, 1, 1)
+@pytest.mark.parametrize("kind", ["ModularMatrix", "GeneratorWord", *SERIES])
+def test_does_not_concatenate_or_repeat(kind):
+    build, _, _ = VALUES[kind]
+    v = build()
     for op in (
-        lambda: m + m,
-        lambda: m + (1,),
-        lambda: (1,) + m,
-        lambda: 2 * m,
-        lambda: m * 2,
+        lambda: v + v,
+        lambda: v + (1,),
+        lambda: (1,) + v,
+        lambda: 2 * v,
+        lambda: v * 2,
     ):
         with pytest.raises(TypeError):
             op()
