@@ -2,7 +2,10 @@
 
 Each campaign replays one family of identities (exact series equalities,
 exact rational identities, or floating-point residuals) over either a fixed
-sweep or seeded random trials, and returns a VerificationReport.  Reports are
+sweep or seeded random trials.  A runner `run_x(report, config)` only records
+named checks.  `run_campaign` alone builds a report, with the campaign's gate
+from TOLERANCES, times the runner, and records an exception it raises as one
+failed exact check after the checks already recorded.  Reports are
 deterministic for a given seed and configuration; the JSON form deliberately
 omits wall time so identical runs serialize to identical bytes.
 
@@ -21,6 +24,7 @@ from collections.abc import Callable
 from math import gcd, inf, isnan
 from operator import eq
 
+from ._valuetype import ValueTuple
 from .dedekind import (
     dedekind_sum_fast,
     dedekind_sum_naive,
@@ -64,8 +68,11 @@ JSON_SCHEMA_VERSION = 1
 # cover the full campaign).
 MAX_RECORDED_FAILURES = 20
 
+# The gate of each numeric campaign; an exact campaign's is 0.0.
+TOLERANCES = {"functional-eq": 1e-10, "theta": 1e-12, "poisson": 1e-12}
 
-class CliConfig(namedtuple("CliConfig", "order trials seed")):
+
+class CliConfig(ValueTuple, namedtuple("CliConfig", "order trials seed")):
     """Campaign knobs; None means the campaign's own default.  order and
     trials are None or a positive int, seed an int; a bool or a float
     raises ValueError."""
@@ -79,11 +86,6 @@ class CliConfig(namedtuple("CliConfig", "order trials seed")):
         if type(seed) is not int:
             raise ValueError(f"seed must be an int, got {seed!r}")
         return tuple.__new__(cls, (order, trials, seed))
-
-    @classmethod
-    def _make(cls, iterable) -> "CliConfig":
-        # the namedtuple default skips __new__; _replace goes through here too
-        return cls(*iterable)
 
 
 class CheckResult:
@@ -113,7 +115,7 @@ class VerificationReport:
     """Outcome of one campaign: its named checks, in the order they ran, and
     their summary (an exact check counts as one trial).  `failures` holds
     (input description, residual) pairs, worst first; empty when all pass.
-    `run_campaign` sets `wall_time`."""
+    `run_campaign` builds each report and sets its `wall_time`."""
 
     def __init__(self, campaign: str, tolerance: float, seed: int):
         self.campaign = campaign
@@ -259,11 +261,10 @@ def random_unimodular_matrix(rng: random.Random, min_c: int = 1) -> ModularMatri
     raise RuntimeError("failed to draw a random matrix within the entry bound")
 
 
-def run_pentagonal(config: CliConfig) -> VerificationReport:
+def run_pentagonal(report: VerificationReport, config: CliConfig) -> None:
     """Euler-product identities: pentagonal series and the character theta form."""
     order = config.order or 10_000
     char_order = config.order or 2400
-    report = VerificationReport("pentagonal", 0.0, config.seed)
     euler = euler_product_series(order)
     report.record_exact(f"euler == pentagonal at order {order}", euler == pentagonal_series(order))
     report.record_exact(
@@ -276,14 +277,12 @@ def run_pentagonal(config: CliConfig) -> VerificationReport:
     report.record_exact(
         f"char series == u * euler(u^24) at order {char_order}", char.coeffs == expanded
     )
-    return report
 
 
-def run_jtp(config: CliConfig) -> VerificationReport:
+def run_jtp(report: VerificationReport, config: CliConfig) -> None:
     """Triple product vs theta sum, the z -> wz shift relation, and z-symmetry,
     all read from one expansion of the product."""
     order = config.order or 200
-    report = VerificationReport("jtp", 0.0, config.seed)
     product, shift_residual = _jtp_expansion(order)
     report.record_exact(f"product == sum at w-order {order}", product == jtp_sum_side(order))
     report.record_exact(f"shift residual zero at w-order {order}", shift_residual.is_zero())
@@ -291,10 +290,9 @@ def run_jtp(config: CliConfig) -> VerificationReport:
         f"z-inversion symmetry at w-order {order}",
         all(product.coeff(m, -j) == c for (m, j), c in product.coeffs.items()),
     )
-    return report
 
 
-def run_reciprocity(config: CliConfig) -> VerificationReport:
+def run_reciprocity(report: VerificationReport, config: CliConfig) -> None:
     """Exact Dedekind-sum identities, decided in one pass over k <= order.
 
     The pass visits every 0 <= h < k for k <= `order` (default 500) and has
@@ -314,7 +312,6 @@ def run_reciprocity(config: CliConfig) -> VerificationReport:
     """
     limit = config.order or 500
     naive_limit, sweep_limit = min(limit, 300), min(limit, 200)
-    report = VerificationReport("reciprocity", 0.0, config.seed)
     fast, naive = dedekind_sum_fast, dedekind_sum_naive
     floor_sum, floor_square_sum = floor_sum_check, floor_square_sum_check
     first: dict[str, str] = {}  # check label -> its first failing input
@@ -370,15 +367,6 @@ def run_reciprocity(config: CliConfig) -> VerificationReport:
         ),
     ):
         report.record_exact(description, label not in first, count, first.get(label, ""))
-    return report
-
-
-def _omega_is_integral(mat: ModularMatrix) -> bool:
-    try:
-        omega(*mat)
-    except AssertionError:
-        return False
-    return True
 
 
 def _omega_descends(mat: ModularMatrix) -> bool:
@@ -388,14 +376,14 @@ def _omega_descends(mat: ModularMatrix) -> bool:
     return omega(*mat) == omega(*reduced) + q - 3 * reduced.d // mat.c
 
 
-def run_omega(config: CliConfig) -> VerificationReport:
-    """Integrality of the multiplier exponent, plus its descent recursion."""
+def run_omega(report: VerificationReport, config: CliConfig) -> None:
+    """Integrality of the multiplier exponent (`omega` raises on a fraction),
+    plus its descent recursion."""
     trials = config.trials or 10_000
-    report = VerificationReport("omega", 0.0, config.seed)
     rng = random.Random(config.seed)
     report.record_sweep(
         f"omega integral on {trials} random matrices",
-        _omega_is_integral,
+        lambda mat: isinstance(omega(*mat), int),
         ((random_unimodular_matrix(rng),) for _ in range(trials)),
     )
     recursion_trials = min(trials, 1000)
@@ -404,7 +392,6 @@ def run_omega(config: CliConfig) -> VerificationReport:
         _omega_descends,
         ((random_unimodular_matrix(rng, min_c=2),) for _ in range(recursion_trials)),
     )
-    return report
 
 
 # Fixed transformation-law probes far out along the real axis, where the
@@ -414,11 +401,10 @@ LARGE_RE_CASES = tuple(
 )
 
 
-def run_functional_eq(config: CliConfig) -> VerificationReport:
+def run_functional_eq(report: VerificationReport, config: CliConfig) -> None:
     """Transformation-law residuals on fixed probes (two special values and
     the large-Re points) and for random matrices and random points."""
     trials = config.trials or 1000
-    report = VerificationReport("functional-eq", 1e-10, config.seed)
     rng = random.Random(config.seed)
     report.record("special: S at tau = i", functional_eq_residual(S, complex(0.0, 1.0)))
     eta_half_i = eta_pentagonal_eval(complex(0.0, 0.5)).value
@@ -433,7 +419,6 @@ def run_functional_eq(config: CliConfig) -> VerificationReport:
         mat = random_unimodular_matrix(rng)
         tau = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 2.0))
         report.record(f"M = {mat}, tau = {tau}", functional_eq_residual(mat, tau), "random")
-    return report
 
 
 # Fixed theta-identity probes: self-dual point, a real rescaling, and the
@@ -447,16 +432,16 @@ THETA_FIXED_CASES = (
 POISSON_FIXED_CASES = ((1.0, 0.0, 0.0), (4.0, 0.0, 0.0), (1.0, 1.0 / 3.0, 1.0 / 5.0))
 
 
-def run_theta(config: CliConfig) -> VerificationReport:
+def run_theta(report: VerificationReport, config: CliConfig) -> None:
     """Theta transformation residuals on fixed probes and random parameters.
 
     Random tau has im in [0.3, 3]; z and w have real parts in [-1, 1] and
     imaginary parts in [-0.3, 0.3], the envelope where double precision keeps
-    the two sides comparable at 1e-12.
+    the two sides comparable at 1e-12.  The gate is also the truncation
+    tolerance of each sum.
     """
     trials = config.trials or 100
-    tol = 1e-12  # the gate, and the truncation tolerance of each sum
-    report = VerificationReport("theta", tol, config.seed)
+    tol = report.tolerance
     rng = random.Random(config.seed)
     for tau, z, w in THETA_FIXED_CASES:
         report.record(
@@ -471,14 +456,13 @@ def run_theta(config: CliConfig) -> VerificationReport:
         report.record(
             f"tau = {tau}, z = {z}, w = {w}", theta_identity_residual(tau, z, w, tol), "random"
         )
-    return report
 
 
-def run_poisson(config: CliConfig) -> VerificationReport:
-    """Gaussian summation-identity residuals on fixed probes and random (u, a, b)."""
+def run_poisson(report: VerificationReport, config: CliConfig) -> None:
+    """Gaussian summation-identity residuals on fixed probes and random (u, a, b);
+    the gate is also the truncation tolerance of each sum."""
     trials = config.trials or 100
-    tol = 1e-12  # the gate, and the truncation tolerance of each sum
-    report = VerificationReport("poisson", tol, config.seed)
+    tol = report.tolerance
     rng = random.Random(config.seed)
     for u, a, b in POISSON_FIXED_CASES:
         report.record(
@@ -493,10 +477,9 @@ def run_poisson(config: CliConfig) -> VerificationReport:
         report.record(
             f"u = {u}, a = {a}, b = {b}", gaussian_poisson_residual(u, a, b, tol), "random"
         )
-    return report
 
 
-CAMPAIGNS: dict[str, Callable[[CliConfig], VerificationReport]] = {
+CAMPAIGNS: dict[str, Callable[[VerificationReport, CliConfig], None]] = {
     "jtp": run_jtp,
     "pentagonal": run_pentagonal,
     "reciprocity": run_reciprocity,
@@ -508,13 +491,23 @@ CAMPAIGNS: dict[str, Callable[[CliConfig], VerificationReport]] = {
 
 
 def run_campaign(name: str, config: CliConfig) -> list[VerificationReport]:
-    """Run one named campaign, or every campaign for name == 'all', and time each."""
+    """Run one named campaign, or every campaign for name == 'all', each into
+    a report of its own, and time each.
+
+    A runner that raises an Exception keeps the checks it recorded and gains
+    one failed exact check naming the exception; the next campaign still
+    runs.  A BaseException such as KeyboardInterrupt propagates.
+    """
     if name != "all" and name not in CAMPAIGNS:
         raise ValueError(f"unknown campaign {name!r}; choose from {', '.join(CAMPAIGNS)} or all")
     reports = []
-    for runner in CAMPAIGNS.values() if name == "all" else [CAMPAIGNS[name]]:
+    for key in CAMPAIGNS if name == "all" else [name]:
+        report = VerificationReport(key, TOLERANCES.get(key, 0.0), config.seed)
         start = time.perf_counter()
-        report = runner(config)
+        try:
+            CAMPAIGNS[key](report, config)
+        except Exception as exc:
+            report.record_exact(f"raised {type(exc).__name__}: {exc}", False)
         report.wall_time = time.perf_counter() - start
         reports.append(report)
     return reports

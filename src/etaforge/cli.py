@@ -4,7 +4,8 @@ Subcommands: `eval` (eta values with tail bounds), `dedekind` (exact Dedekind
 sums), `decompose` (generator words), and `verify` (identity campaigns with
 human or JSON reports).
 
-Exit codes: 0 all good, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 all good, 1 verification failure (a check that raises is one),
+2 usage or domain error.
 Complex arguments use the shell-safe literal RE+IMi, e.g. 0.5+0.001i; a
 value with a leading minus may follow --tau as its own argument.
 A `verify` report is fixed by its command line: the seed comes from --seed

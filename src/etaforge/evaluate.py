@@ -33,7 +33,8 @@ image point, f eta(tau) in functional_eq_residual when it underflows to 0,
 and -1/tau, the H2 factor or a theta term in theta_identity_residual.
 
 An `EvalResult` is a named tuple (value, tail_bound, terms_used): it unpacks
-as one and equals the plain tuple of its fields.
+as one and equals the plain tuple of its fields, and it neither concatenates
+nor repeats.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import cmath
 import math
 from collections import namedtuple
 
+from ._valuetype import ValueTuple
 from .dedekind import omega
 from .modgroup import (
     IDENTITY,
@@ -81,7 +83,7 @@ class ConvergenceBudgetError(Exception):
     """Raised when a series would need more terms than the evaluator budget."""
 
 
-class EvalResult(namedtuple("EvalResult", "value tail_bound terms_used")):
+class EvalResult(ValueTuple, namedtuple("EvalResult", "value tail_bound terms_used")):
     """A computed value with a rigorous relative truncation bound."""
 
     __slots__ = ()

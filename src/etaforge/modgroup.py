@@ -40,6 +40,8 @@ import math
 import sys
 from collections import namedtuple
 
+from ._valuetype import ValueTuple
+
 __all__ = [
     "ModularMatrix",
     "GeneratorWord",
@@ -60,7 +62,7 @@ class NumericDegeneracyError(Exception):
     """Raised when a value the computation needs lies beyond the float range."""
 
 
-class ModularMatrix(namedtuple("ModularMatrix", "a b c d")):
+class ModularMatrix(ValueTuple, namedtuple("ModularMatrix", "a b c d")):
     """Integer matrix (a, b; c, d) with ad - bc = 1, canonical up to sign.
 
     Construction normalizes the sign so that c > 0, or c = 0 and d > 0; the
@@ -75,14 +77,6 @@ class ModularMatrix(namedtuple("ModularMatrix", "a b c d")):
         if c < 0 or (c == 0 and d < 0):
             return tuple.__new__(cls, (-a, -b, -c, -d))
         return tuple.__new__(cls, (a, b, c, d))
-
-    @classmethod
-    def _make(cls, iterable) -> "ModularMatrix":
-        # the namedtuple default skips __new__; _replace goes through here too
-        return cls(*iterable)
-
-    # a matrix is not a sequence to concatenate or repeat
-    __add__ = __radd__ = __mul__ = __rmul__ = None
 
     def inverse(self) -> "ModularMatrix":
         a, b, c, d = self
@@ -140,7 +134,7 @@ def _as_tau(tau: complex) -> complex:
 WordFactor = str | int
 
 
-class GeneratorWord(namedtuple("GeneratorWord", "factors")):
+class GeneratorWord(ValueTuple, namedtuple("GeneratorWord", "factors")):
     """A product of S and T-power factors, normalized.
 
     Zero T-exponents are dropped and adjacent T-powers merged, so the factor
@@ -162,14 +156,6 @@ class GeneratorWord(namedtuple("GeneratorWord", "factors")):
                     continue
             merged.append(f)
         return tuple.__new__(cls, (tuple(merged),))
-
-    @classmethod
-    def _make(cls, iterable) -> "GeneratorWord":
-        # the namedtuple default skips __new__; _replace goes through here too
-        return cls(*iterable)
-
-    # a word is not a sequence to concatenate or repeat
-    __add__ = __radd__ = __mul__ = __rmul__ = None
 
     def __str__(self):
         if not self.factors:

@@ -19,6 +19,8 @@ from collections import namedtuple
 from math import isqrt
 from operator import add, sub
 
+from ._valuetype import ValueTuple
+
 __all__ = [
     "QSeries",
     "BiSeries",
@@ -41,7 +43,7 @@ def chi12(n: int) -> int:
     return _CHI12_TABLE[n % 12]
 
 
-class QSeries(namedtuple("QSeries", "coeffs order")):
+class QSeries(ValueTuple, namedtuple("QSeries", "coeffs order")):
     """Power series in one variable, truncated at `order`, with int coefficients.
 
     Coefficients are stored sparsely (zero entries are dropped).  Exponents
@@ -62,22 +64,11 @@ class QSeries(namedtuple("QSeries", "coeffs order")):
                 cleaned[e] = c
         return tuple.__new__(cls, (cleaned, order))
 
-    @classmethod
-    def _make(cls, iterable) -> "QSeries":
-        # the namedtuple default skips __new__; _replace goes through here too
-        return cls(*iterable)
-
-    # a series is not a sequence to concatenate or repeat
-    __add__ = __radd__ = __mul__ = __rmul__ = None
-
     def coeff(self, e: int) -> int:
         """Coefficient at exponent e; raises if e is beyond the known range."""
         if e > self.order:
             raise ValueError(f"coefficient at {e} is unknown (order {self.order})")
         return self.coeffs.get(e, 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __repr__(self):
         terms = sorted(self.coeffs.items())
@@ -87,7 +78,7 @@ class QSeries(namedtuple("QSeries", "coeffs order")):
         return f"QSeries({head or '0'}; order={self.order})"
 
 
-class BiSeries(namedtuple("BiSeries", "coeffs order")):
+class BiSeries(ValueTuple, namedtuple("BiSeries", "coeffs order")):
     """Series in w truncated at `order`, Laurent in z^2, with int coefficients.
 
     A key (m, j) holds the coefficient of w^m * z^(2j); j may be negative.
@@ -110,14 +101,6 @@ class BiSeries(namedtuple("BiSeries", "coeffs order")):
             if c:
                 cleaned[(m, j)] = c
         return tuple.__new__(cls, (cleaned, order))
-
-    @classmethod
-    def _make(cls, iterable) -> "BiSeries":
-        # the namedtuple default skips __new__; _replace goes through here too
-        return cls(*iterable)
-
-    # a series is not a sequence to concatenate or repeat
-    __add__ = __radd__ = __mul__ = __rmul__ = None
 
     def coeff(self, m: int, j: int) -> int:
         if m > self.order:

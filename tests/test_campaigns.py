@@ -1,6 +1,7 @@
-"""Campaign report semantics: named checks, NaN residuals, and exact checks
-that fail on any inequality."""
+"""Campaign report semantics: named checks, NaN residuals, exact checks
+that fail on any inequality, and which campaigns catch which broken kernel."""
 
+import ast
 import json
 import math
 import random
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from etaforge import campaigns
+from etaforge import campaigns, dedekind, evaluate, modgroup, qseries
 from etaforge.campaigns import VerificationReport, random_unimodular_matrix
 from etaforge.cli import main
 from etaforge.dedekind import (
@@ -18,7 +19,10 @@ from etaforge.dedekind import (
     floor_square_sum_check,
     omega,
 )
+from etaforge.modgroup import ModularMatrix
 from etaforge.qseries import jtp_sum_side, pentagonal_series
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_nan_residual_fails():
@@ -176,6 +180,78 @@ def test_reciprocity_checks_match_the_recorded_campaign(monkeypatch, variant):
     for order in RECIPROCITY_ORDERS:
         (report,) = campaigns.run_campaign("reciprocity", campaigns.CliConfig(order=order))
         assert reciprocity_checks(report) == recorded[str(order)], order
+
+
+def test_run_campaign_records_a_raised_exception_after_the_checks_before_it(monkeypatch):
+    def runner(report, config):
+        report.record_exact("first", True)
+        raise error
+
+    monkeypatch.setitem(campaigns.CAMPAIGNS, "jtp", runner)
+    error = ValueError("bad input 7")
+    (report,) = campaigns.run_campaign("jtp", campaigns.CliConfig())
+    assert [(c.name, c.passed) for c in report.checks.values()] == [
+        ("first", True),
+        ("raised ValueError: bad input 7", False),
+    ]
+    error = KeyboardInterrupt()
+    with pytest.raises(KeyboardInterrupt):
+        campaigns.run_campaign("jtp", campaigns.CliConfig())
+
+
+def _omega_plus(n):
+    return lambda a, b, c, d: omega(a, b, c, d) + n
+
+
+def _floor_descent_step(a, b, c, d):
+    q = d // c
+    return q, ModularMatrix(a * q - b, a, q * c - d, c)
+
+
+_scaled, _CHI12 = dedekind._scaled_dedekind_sum, qseries._CHI12_TABLE
+
+# Mutation analysis (DeMillo, Lipton and Sayward, "Hints on test data
+# selection", Computer 11(4), 1978): each variant breaks one kernel, patched
+# at every module that looks the name up, as (owner, name, replacement).
+MUTATIONS = {
+    "honest": [],
+    "omega + 1": [(campaigns, "omega", _omega_plus(1)), (evaluate, "omega", _omega_plus(1))],
+    "omega + 24": [(campaigns, "omega", _omega_plus(24)), (evaluate, "omega", _omega_plus(24))],
+    "_ROOTS24 conjugated": [
+        (evaluate, "_ROOTS24", tuple(z.conjugate() for z in evaluate._ROOTS24))
+    ],
+    "chi12(7) = +1": [
+        (qseries, "_CHI12_TABLE", tuple(1 if n == 7 else x for n, x in enumerate(_CHI12)))
+    ],
+    "_scaled_dedekind_sum sign-flipped": [
+        (dedekind, "_scaled_dedekind_sum", lambda h, k: -_scaled(h, k))
+    ],
+    "floor descent step q = d // c": [
+        (modgroup, "descent_step", _floor_descent_step),
+        (campaigns, "descent_step", _floor_descent_step),
+    ],
+    "SMALL_IM = 0.001": [(evaluate, "SMALL_IM", 0.001)],
+}
+MUTATION_GOLDEN = Path(__file__).resolve().parent / "golden" / "mutation_checks.json"
+
+
+@pytest.mark.parametrize("variant", MUTATIONS)
+def test_mutation_is_caught_where_recorded(monkeypatch, variant):
+    # the failing campaigns of `verify all` at a small size; a variant that
+    # no campaign catches names the tests that do
+    golden = json.loads(MUTATION_GOLDEN.read_text())
+    assert list(golden) == list(MUTATIONS)
+    recorded = golden[variant]
+    for owner, name, value in MUTATIONS[variant]:
+        monkeypatch.setattr(owner, name, value)
+    reports = campaigns.run_campaign("all", campaigns.CliConfig(order=60, trials=50))
+    assert [r.campaign for r in reports if not r.passed] == recorded["failing campaigns"]
+    caught_by = recorded.get("caught by", [])
+    assert variant == "honest" or bool(recorded["failing campaigns"]) != bool(caught_by)
+    for node in caught_by:
+        path, _, test = node.partition("::")
+        tree = ast.parse((ROOT / path).read_text())
+        assert test in {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}, node
 
 
 def test_functional_eq_campaign_probes_large_real_parts():

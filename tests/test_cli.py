@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from etaforge import evaluate
+from etaforge import campaigns, dedekind, evaluate
 from etaforge.cli import main, parse_complex_literal
 from etaforge.dedekind import omega
 
@@ -291,6 +291,41 @@ def test_tolerance_flag_cannot_pass_wrong_multiplier(capsys, monkeypatch):
         main(["verify", "functional-eq", "--tol", "1"])
     assert exc.value.code == 2
     assert "PASS" not in capsys.readouterr().out
+
+
+def test_verify_all_reports_every_campaign_when_a_kernel_raises(capsys, monkeypatch, tmp_path):
+    # a sign-flipped Dedekind-sum kernel fails reciprocity outright, and makes
+    # omega raise AssertionError inside the functional-eq and omega campaigns
+    scaled = dedekind._scaled_dedekind_sum
+    monkeypatch.setattr(dedekind, "_scaled_dedekind_sum", lambda h, k: -scaled(h, k))
+    out_file = tmp_path / "report.json"
+    code, out, _ = run(
+        capsys, "verify", "all", "--order", "60", "--trials", "50", "--out", str(out_file)
+    )
+    assert code == 1
+    status = [line.split(":")[0] for line in out.splitlines() if line[:6] in ("PASS  ", "FAIL  ")]
+    failing = {"reciprocity", "functional-eq", "omega"}
+    assert status == [
+        f"{'FAIL' if name in failing else 'PASS'}  {name}" for name in campaigns.CAMPAIGNS
+    ] + ["FAIL  overall"]
+    assert "raised AssertionError: omega(" in out
+    payload = json.loads(out_file.read_text())
+    assert payload["passed"] is False
+    assert len(payload["reports"]) == len(campaigns.CAMPAIGNS)
+
+
+def test_verify_reports_a_raising_check_as_a_failure(capsys, monkeypatch):
+    def broken(order):
+        raise ArithmeticError(f"z^2-exponent above isqrt({order})")
+
+    monkeypatch.setattr(campaigns, "_jtp_expansion", broken)
+    code, out, _ = run(capsys, "verify", "jtp", "--order", "40", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["failures"] == [
+        {"input": "raised ArithmeticError: z^2-exponent above isqrt(40)", "residual": 1.0}
+    ]
 
 
 def test_verify_bad_trials_exits_2(capsys):

@@ -7,7 +7,7 @@ equals the plain tuple of its fields.  Every type but EvalResult checks its
 fields however it is built, `_make` and `_replace` included.  Equal
 values have equal hashes, except that a series holds a dict and cannot be
 hashed.  A matrix takes only entries of type int, a word only int
-T-exponents; a matrix, a word and a series neither concatenate nor repeat.
+T-exponents; no value concatenates or repeats.
 """
 
 import copy
@@ -161,7 +161,7 @@ def test_named_tuples_unpack_and_equal_their_fields():
     assert len(GeneratorWord((2, "S", 1))) == 1
 
 
-@pytest.mark.parametrize("kind", ["ModularMatrix", "GeneratorWord", *SERIES])
+@pytest.mark.parametrize("kind", VALUES)
 def test_does_not_concatenate_or_repeat(kind):
     build, _, _ = VALUES[kind]
     v = build()
