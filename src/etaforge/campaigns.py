@@ -3,9 +3,13 @@
 Each campaign replays one family of identities (exact series equalities,
 exact rational identities, or floating-point residuals) over either a fixed
 sweep or seeded random trials.  A runner `run_x(report, config)` only records
-named checks.  `run_campaign` alone builds a report, with the campaign's gate
-from TOLERANCES, times the runner, and records an exception it raises as one
-failed exact check after the checks already recorded.  Reports are
+named checks, one input at a time: `report.record` feeds a numeric check, and
+`report.exact_check(name).add` an exact one, which counts its inputs and
+keeps the first that fails.  Each check keeps at most MAX_RECORDED_FAILURES
+failing inputs, its worst, which hold the worst of the whole report.
+`run_campaign` alone builds a report, with the campaign's gate from
+TOLERANCES, times the runner, and records an exception it raises as one
+failed exact check after the checks already declared or recorded.  Reports are
 deterministic for a given seed and configuration; the JSON form deliberately
 omits wall time so identical runs serialize to identical bytes.
 
@@ -89,14 +93,16 @@ class CliConfig(ValueTuple, namedtuple("CliConfig", "order trials seed")):
 
 
 class CheckResult:
-    """One named check over `count` inputs.  An exact check fails (residual
-    1.0, worst input = first failing one) on any inequality, whatever the
-    tolerance; a numeric check fails on any residual not <= the tolerance."""
+    """One named check over `count` inputs.  An exact check, declared with
+    `VerificationReport.exact_check` and fed by `add`, fails (residual 1.0,
+    worst input = first failing one) on any input that does not hold,
+    whatever the tolerance; a numeric check fails on any residual not <= the
+    tolerance.  `failures` keeps at most MAX_RECORDED_FAILURES of its worst."""
 
-    def __init__(self, name: str, exact: bool, count: int = 0):
+    def __init__(self, name: str, exact: bool):
         self.name = name
         self.exact = exact
-        self.count = count
+        self.count = 0
         self.max_residual = 0.0
         self.worst_input = ""
         self.failures: list[tuple[str, float]] = []
@@ -105,16 +111,31 @@ class CheckResult:
     def passed(self) -> bool:
         return not self.failures
 
+    def add(self, holds: bool, item: object = "") -> None:
+        """One input `item` of this exact check; only the first that fails is kept."""
+        self.count += 1
+        if not holds and not self.failures:
+            self.max_residual = 1.0
+            self.worst_input = text = str(item)
+            suffix = f" (first failure {text})" if text else ""
+            self.failures.append((self.name + suffix, 1.0))
+
 
 def _severity(residual: float) -> float:
     """Ordering key for residuals: NaN ranks as the worst value."""
     return inf if isnan(residual) else residual
 
 
+def _failure_key(failure: tuple[str, float]) -> tuple[float, str]:
+    """Worst first: by residual (NaN first), then by input description."""
+    return -_severity(failure[1]), failure[0]
+
+
 class VerificationReport:
-    """Outcome of one campaign: its named checks, in the order they ran, and
-    their summary (an exact check counts as one trial).  `failures` holds
-    (input description, residual) pairs, worst first; empty when all pass.
+    """Outcome of one campaign: its named checks, in the order they were
+    declared or first recorded, and their summary (an exact check counts as
+    one trial, whatever its input count).  `failures` holds (input
+    description, residual) pairs, worst first; empty when all pass.
     `run_campaign` builds each report and sets its `wall_time`."""
 
     def __init__(self, campaign: str, tolerance: float, seed: int):
@@ -135,7 +156,7 @@ class VerificationReport:
     @property
     def failures(self) -> list[tuple[str, float]]:
         failures = [item for check in self.checks.values() for item in check.failures]
-        failures.sort(key=lambda item: (-_severity(item[1]), item[0]))
+        failures.sort(key=_failure_key)
         return failures[:MAX_RECORDED_FAILURES]
 
     @property
@@ -152,26 +173,21 @@ class VerificationReport:
         if result.count == 1 or _severity(residual) > _severity(result.max_residual):
             result.max_residual, result.worst_input = residual, description
         if not residual <= self.tolerance:
-            result.failures.append((description, residual))
+            failures = result.failures
+            failures.append((description, residual))
+            # the worst MAX_RECORDED_FAILURES of each check hold the report's worst
+            if len(failures) > MAX_RECORDED_FAILURES:
+                failures.sort(key=_failure_key)
+                del failures[MAX_RECORDED_FAILURES:]
 
-    def record_exact(
-        self, description: str, equal: bool, count: int = 1, first_failure: str = ""
-    ) -> None:
-        """Exact check `description` over `count` inputs: it fails whenever not equal."""
-        result = self.checks[description] = CheckResult(description, exact=True, count=count)
-        if not equal:
-            result.max_residual, result.worst_input = 1.0, first_failure
-            suffix = f" (first failure {first_failure})" if first_failure else ""
-            result.failures.append((description + suffix, 1.0))
+    def exact_check(self, description: str) -> CheckResult:
+        """Declare the exact check `description`, with no inputs yet; feed it by `add`."""
+        result = self.checks[description] = CheckResult(description, exact=True)
+        return result
 
-    def record_sweep(self, description: str, holds: Callable[..., bool], inputs) -> None:
-        """Exact check that holds(*item) is true for every input item."""
-        count, first_failure = 0, ""
-        for item in inputs:
-            count += 1
-            if not holds(*item) and not first_failure:
-                first_failure = str(item) if len(item) > 1 else str(item[0])
-        self.record_exact(description, not first_failure, count, first_failure)
+    def record_exact(self, description: str, equal: bool) -> None:
+        """Exact check `description` on one input: it fails unless equal."""
+        self.exact_check(description).add(equal)
 
     def to_json_dict(self) -> dict:
         # wall_time stays out: reports must be byte-identical for a fixed
@@ -295,78 +311,62 @@ def run_jtp(report: VerificationReport, config: CliConfig) -> None:
 def run_reciprocity(report: VerificationReport, config: CliConfig) -> None:
     """Exact Dedekind-sum identities, decided in one pass over k <= order.
 
-    The pass visits every 0 <= h < k for k <= `order` (default 500) and has
-    three limits, matching the checks' costs: the reciprocity law and the
-    s(1, h) closed form run to `order`; the O(k) defining sum is evaluated
-    once per pair to min(order, 300), for the denominator check on every
-    pair and the fast-vs-defining-sum check on the coprime ones; periodicity,
-    oddness and the two O(k) floor sums run to min(order, 200).
+    The eight checks are declared first, so a check with no inputs (at
+    order 1, reciprocity) is still reported, and each is fed one input at a
+    time where the pass decides it.  The pass visits every 0 <= h < k for
+    k <= `order` (default 500) and has three limits, matching the checks'
+    costs: the reciprocity law and the s(1, h) closed form run to `order`;
+    the O(k) defining sum is evaluated once per pair to min(order, 300), for
+    the denominator check on every pair and the fast-vs-defining-sum check
+    on the coprime ones; periodicity, oddness and the two O(k) floor sums
+    run to min(order, 200).
 
     The fast algorithm gives s(h, k) = p/q and s(k, h) = r/t once per coprime
     pair with h >= 1, and every check reads those two values with integer
     comparisons only: reciprocity as 12hk(pt + rq) == (h^2 + k^2 - 3hk + 1)qt,
     the closed form as 12kp == (k^2 - 3k + 2)q at h = 1, oddness part by part,
-    and the defining sum and periodicity against s(h, k) itself.  Counts,
-    first failures and the order of the checks are those of one sweep per
-    check in (k, h) order.
+    and the defining sum and periodicity against s(h, k) itself.  Counts and
+    first failures are those of one sweep per check in (k, h) order.
     """
     limit = config.order or 500
     naive_limit, sweep_limit = min(limit, 300), min(limit, 200)
     fast, naive = dedekind_sum_fast, dedekind_sum_naive
     floor_sum, floor_square_sum = floor_sum_check, floor_square_sum_check
-    first: dict[str, str] = {}  # check label -> its first failing input
-    if fast(1, 1).numerator:  # the closed form at h = 1, which has no coprime pair
-        first["closed form"] = "1"
-    coprime = [0]  # coprime[k]: pairs 1 <= h < j <= k with gcd(h, j) = 1
+    check = report.exact_check
+    closed_form = check(f"s(1, h) closed form for h <= {limit}").add
+    reciprocity = check(f"reciprocity on coprime pairs <= {limit}").add
+    defining_sum = check(f"fast == defining sum on coprime pairs <= {naive_limit}").add
+    periodicity = check(f"periodicity on coprime pairs <= {sweep_limit}").add
+    oddness = check(f"oddness on coprime pairs <= {sweep_limit}").add
+    floor_identity = check(f"floor-sum identity on coprime pairs <= {sweep_limit}").add
+    floor_square_identity = check(
+        f"floor-square-sum identity on coprime pairs <= {sweep_limit}"
+    ).add
+    denominator = check(f"denominator of s(h, k) divides 6k for k <= {naive_limit} (all h)").add
+    closed_form(not fast(1, 1).numerator, 1)  # h = 1 is in no coprime pair
     for k in range(1, limit + 1):
         with_naive, with_sweeps = k <= naive_limit, k <= sweep_limit
-        count = 0
         for h in range(k):
+            pair = (h, k)
             if with_naive:
                 s = naive(h, k)
-                if (6 * k) % s.denominator:
-                    first.setdefault("denominator", str((h, k)))
+                denominator(not (6 * k) % s.denominator, pair)
             if not h or gcd(h, k) != 1:
                 continue
-            count += 1
             s_hk, s_kh = fast(h, k), fast(k, h)
             p, q, r, t = s_hk.numerator, s_hk.denominator, s_kh.numerator, s_kh.denominator
-            if 12 * h * k * (p * t + r * q) != (h * h + k * k - 3 * h * k + 1) * q * t:
-                first.setdefault("reciprocity", str((h, k)))
-            if h == 1 and 12 * k * p != (k * k - 3 * k + 2) * q:
-                first.setdefault("closed form", str(k))
-            if with_naive and s_hk != s:
-                first.setdefault("defining sum", str((h, k)))
+            law = (h * h + k * k - 3 * h * k + 1) * q * t
+            reciprocity(12 * h * k * (p * t + r * q) == law, pair)
+            if h == 1:
+                closed_form(12 * k * p == (k * k - 3 * k + 2) * q, k)
+            if with_naive:
+                defining_sum(s_hk == s, pair)
             if with_sweeps:
-                if fast(h + k, k) != s_hk:
-                    first.setdefault("periodicity", str((h, k)))
+                periodicity(fast(h + k, k) == s_hk, pair)
                 odd = fast(-h, k)
-                if odd.numerator != -p or odd.denominator != q:
-                    first.setdefault("oddness", str((h, k)))
-                if not eq(*floor_sum(h, k)):
-                    first.setdefault("floor-sum identity", str((h, k)))
-                if not eq(*floor_square_sum(h, k)):
-                    first.setdefault("floor-square-sum identity", str((h, k)))
-        coprime.append(coprime[-1] + count)
-
-    sweeps = ("periodicity", "oddness", "floor-sum identity", "floor-square-sum identity")
-    for label, description, count in (
-        ("closed form", f"s(1, h) closed form for h <= {limit}", limit),
-        ("reciprocity", f"reciprocity on coprime pairs <= {limit}", coprime[limit]),
-        (
-            "defining sum",
-            f"fast == defining sum on coprime pairs <= {naive_limit}",
-            coprime[naive_limit],
-        ),
-        *((label, f"{label} on coprime pairs <= {sweep_limit}", coprime[sweep_limit])
-          for label in sweeps),
-        (
-            "denominator",
-            f"denominator of s(h, k) divides 6k for k <= {naive_limit} (all h)",
-            naive_limit * (naive_limit + 1) // 2,
-        ),
-    ):
-        report.record_exact(description, label not in first, count, first.get(label, ""))
+                oddness(odd.numerator == -p and odd.denominator == q, pair)
+                floor_identity(eq(*floor_sum(h, k)), pair)
+                floor_square_identity(eq(*floor_square_sum(h, k)), pair)
 
 
 def _omega_descends(mat: ModularMatrix) -> bool:
@@ -378,20 +378,21 @@ def _omega_descends(mat: ModularMatrix) -> bool:
 
 def run_omega(report: VerificationReport, config: CliConfig) -> None:
     """Integrality of the multiplier exponent (`omega` raises on a fraction),
-    plus its descent recursion."""
+    plus its descent recursion.  Each check is declared before its draws and
+    fed one matrix at a time, so a raise part-way keeps the inputs counted."""
     trials = config.trials or 10_000
     rng = random.Random(config.seed)
-    report.record_sweep(
-        f"omega integral on {trials} random matrices",
-        lambda mat: isinstance(omega(*mat), int),
-        ((random_unimodular_matrix(rng),) for _ in range(trials)),
-    )
+    integral = report.exact_check(f"omega integral on {trials} random matrices").add
+    for _ in range(trials):
+        mat = random_unimodular_matrix(rng)
+        integral(isinstance(omega(*mat), int), mat)
     recursion_trials = min(trials, 1000)
-    report.record_sweep(
-        f"omega descent recursion on {recursion_trials} matrices with c >= 2",
-        _omega_descends,
-        ((random_unimodular_matrix(rng, min_c=2),) for _ in range(recursion_trials)),
-    )
+    descends = report.exact_check(
+        f"omega descent recursion on {recursion_trials} matrices with c >= 2"
+    ).add
+    for _ in range(recursion_trials):
+        mat = random_unimodular_matrix(rng, min_c=2)
+        descends(_omega_descends(mat), mat)
 
 
 # Fixed transformation-law probes far out along the real axis, where the

@@ -5,7 +5,7 @@ sums), `decompose` (generator words), and `verify` (identity campaigns with
 human or JSON reports).
 
 Exit codes: 0 all good, 1 verification failure (a check that raises is one),
-2 usage or domain error.
+2 usage or domain error, or a `verify --out` file that cannot be opened.
 Complex arguments use the shell-safe literal RE+IMi, e.g. 0.5+0.001i; a
 value with a leading minus may follow --tau as its own argument.
 A `verify` report is fixed by its command line: the seed comes from --seed
@@ -18,6 +18,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import nullcontext
 
 from .campaigns import CAMPAIGNS, JSON_SCHEMA_VERSION, CliConfig, reports_json, run_campaign
 from .dedekind import dedekind_sum_fast, dedekind_sum_naive
@@ -103,13 +104,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = CliConfig(order=args.order, trials=args.trials, seed=args.seed)
-    reports = run_campaign(args.suite, config)
-    all_passed = all(r.passed for r in reports)
-    json_text = reports_json(reports)
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    # opened before any campaign runs, so a bad --out path fails at once
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as fh:
+        reports = run_campaign(args.suite, config)
+        json_text = reports_json(reports)
+        if fh:
             fh.write(json_text + "\n")
+    all_passed = all(r.passed for r in reports)
     if args.format == "json" and not args.out:
         print(json_text)
     else:
@@ -189,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_attach_tau_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (ValueError, ConvergenceBudgetError, NumericDegeneracyError) as exc:
+    except (OSError, ValueError, ConvergenceBudgetError, NumericDegeneracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

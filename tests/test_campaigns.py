@@ -1,5 +1,6 @@
-"""Campaign report semantics: named checks, NaN residuals, exact checks
-that fail on any inequality, and which campaigns catch which broken kernel."""
+"""Campaign report semantics: named checks, NaN residuals, exact checks fed
+one input at a time that fail on any inequality, the cap on the failures
+each check keeps, and which campaigns and checks catch which broken kernel."""
 
 import ast
 import json
@@ -37,12 +38,52 @@ def test_named_checks_keep_count_and_worst_input():
     report = VerificationReport("x", 1e-10, 0)
     for desc, residual in (("a", 1e-12), ("b", 1e-11), ("c", 0.0)):
         report.record(desc, residual, check="sweep")
-    report.record_sweep("sum", lambda n: n < 3, ((n,) for n in range(5)))
+    sum_check = report.exact_check("sum")
+    for n in range(5):
+        sum_check.add(n < 3, n)
     sweep, exact = report.checks["sweep"], report.checks["sum"]
     assert (sweep.exact, sweep.count, sweep.worst_input, sweep.passed) == (False, 3, "b", True)
     assert (exact.exact, exact.count, exact.worst_input, exact.passed) == (True, 5, "3", False)
     assert report.trials == 4  # an exact check is one trial
     assert report.failures == [("sum (first failure 3)", 1.0)]
+
+
+def test_declared_exact_check_without_inputs_passes_as_one_trial():
+    report = VerificationReport("x", 0.0, 0)
+    check = report.exact_check("empty")
+    assert (check.exact, check.count, check.worst_input, check.passed) == (True, 0, "", True)
+    assert list(report.checks) == ["empty"]
+    assert (report.trials, report.passed, report.failures) == (1, True, [])
+
+
+def test_exact_check_keeps_its_first_failure():
+    report = VerificationReport("x", 0.0, 0)
+    check = report.exact_check("pairs")
+    for item, holds in (((1, 2), True), ((2, 3), False), ((3, 4), True), ((4, 5), False)):
+        check.add(holds, item)
+    assert (check.count, check.max_residual, check.worst_input) == (4, 1.0, "(2, 3)")
+    assert report.failures == [("pairs (first failure (2, 3))", 1.0)]
+    report.exact_check("bare").add(False)  # an input with no description
+    assert report.failures[0] == ("bare", 1.0)
+
+
+def test_each_check_keeps_only_its_worst_failures():
+    rng = random.Random(3)
+    report = VerificationReport("x", 0.5, 0)
+    records = []
+    for n in range(1000):
+        # repeated residuals and NaNs, so the order also rests on the descriptions
+        residual = rng.choice([math.nan, 0.7, 1.0, rng.uniform(0.6, 9.0)])
+        records.append((f"input {rng.randrange(400)}", residual))
+        report.record(*records[-1], check=f"check {n % 3}")
+    records.sort(key=lambda item: (-campaigns._severity(item[1]), item[0]))
+    expected = records[: campaigns.MAX_RECORDED_FAILURES]
+    assert repr(report.failures) == repr(expected)  # repr compares NaN entries too
+    assert all(check.count > 300 for check in report.checks.values())
+    assert all(
+        len(check.failures) <= campaigns.MAX_RECORDED_FAILURES
+        for check in report.checks.values()
+    )
 
 
 def _bump(series, key):
@@ -237,8 +278,8 @@ MUTATION_GOLDEN = Path(__file__).resolve().parent / "golden" / "mutation_checks.
 
 @pytest.mark.parametrize("variant", MUTATIONS)
 def test_mutation_is_caught_where_recorded(monkeypatch, variant):
-    # the failing campaigns of `verify all` at a small size; a variant that
-    # no campaign catches names the tests that do
+    # the failing campaigns of `verify all` at a small size, and the failing
+    # checks of each; a variant that no campaign catches names the tests that do
     golden = json.loads(MUTATION_GOLDEN.read_text())
     assert list(golden) == list(MUTATIONS)
     recorded = golden[variant]
@@ -246,6 +287,11 @@ def test_mutation_is_caught_where_recorded(monkeypatch, variant):
         monkeypatch.setattr(owner, name, value)
     reports = campaigns.run_campaign("all", campaigns.CliConfig(order=60, trials=50))
     assert [r.campaign for r in reports if not r.passed] == recorded["failing campaigns"]
+    assert {
+        r.campaign: [c.name for c in r.checks.values() if not c.passed]
+        for r in reports
+        if not r.passed
+    } == recorded["failing checks"]
     caught_by = recorded.get("caught by", [])
     assert variant == "honest" or bool(recorded["failing campaigns"]) != bool(caught_by)
     for node in caught_by:

@@ -263,6 +263,15 @@ def test_verify_report_to_file(capsys, tmp_path):
     assert payload["seed"] == 5
 
 
+def test_verify_bad_out_path_exits_2_before_any_campaign_runs(capsys, monkeypatch, tmp_path):
+    ran = []
+    monkeypatch.setitem(campaigns.CAMPAIGNS, "omega", lambda report, config: ran.append(config))
+    out_file = tmp_path / "no" / "such" / "x.json"
+    code, out, err = run(capsys, "verify", "omega", "--trials", "5", "--out", str(out_file))
+    assert (code, out, ran) == (2, "", [])
+    assert err.startswith("error: ") and str(out_file) in err
+
+
 def test_verify_seed_ignores_environment(capsys, monkeypatch):
     # the command line alone fixes the report
     monkeypatch.setenv("ETAFORGE_SEED", "99")
@@ -312,6 +321,19 @@ def test_verify_all_reports_every_campaign_when_a_kernel_raises(capsys, monkeypa
     payload = json.loads(out_file.read_text())
     assert payload["passed"] is False
     assert len(payload["reports"]) == len(campaigns.CAMPAIGNS)
+    # the omega campaign keeps its declared integrality check, which the
+    # first draw's raise left at no inputs, before the raised one
+    assert payload["reports"][-1]["trials"] == 2
+    (report,) = campaigns.run_campaign("omega", campaigns.CliConfig(trials=50))
+    assert [(c.name, c.count, c.passed) for c in report.checks.values()] == [
+        ("omega integral on 50 random matrices", 0, True),
+        (
+            "raised AssertionError: omega(36807, 10091, 7171, 1966) = 70375/7171 is not an "
+            "integer; Dedekind-sum arithmetic is broken",
+            1,
+            False,
+        ),
+    ]
 
 
 def test_verify_reports_a_raising_check_as_a_failure(capsys, monkeypatch):
