@@ -4,8 +4,8 @@ Each campaign replays one family of identities (exact series equalities,
 exact rational identities, or floating-point residuals) over either a fixed
 sweep or seeded random trials.  A runner `run_x(report, config)` only records
 named checks, one input at a time: `report.record` feeds a numeric check, and
-`report.exact_check(name).add` an exact one, which counts its inputs and
-keeps the first that fails.  Each check keeps at most MAX_RECORDED_FAILURES
+`report.exact_check(name).add`, the one way to record an exact check, feeds
+an exact one: it counts its inputs and keeps the first that fails.  Each check keeps at most MAX_RECORDED_FAILURES
 failing inputs, its worst, which hold the worst of the whole report.
 `run_campaign` alone builds a report, with the campaign's gate from
 TOLERANCES, times the runner, and records an exception it raises as one
@@ -185,10 +185,6 @@ class VerificationReport:
         result = self.checks[description] = CheckResult(description, exact=True)
         return result
 
-    def record_exact(self, description: str, equal: bool) -> None:
-        """Exact check `description` on one input: it fails unless equal."""
-        self.exact_check(description).add(equal)
-
     def to_json_dict(self) -> dict:
         # wall_time stays out: reports must be byte-identical for a fixed
         # seed and configuration.
@@ -282,17 +278,15 @@ def run_pentagonal(report: VerificationReport, config: CliConfig) -> None:
     order = config.order or 10_000
     char_order = config.order or 2400
     euler = euler_product_series(order)
-    report.record_exact(f"euler == pentagonal at order {order}", euler == pentagonal_series(order))
-    report.record_exact(
-        f"euler coefficients in {{-1,0,1}} at order {order}",
-        all(c in (-1, 0, 1) for c in euler.coeffs.values()),
+    check = report.exact_check
+    check(f"euler == pentagonal at order {order}").add(euler == pentagonal_series(order))
+    check(f"euler coefficients in {{-1,0,1}} at order {order}").add(
+        all(c in (-1, 0, 1) for c in euler.coeffs.values())
     )
     char = eta_char_qseries(char_order)
     # every e with 24e + 1 <= char_order is at most order, so `euler` holds it
     expanded = {24 * e + 1: c for e, c in euler.coeffs.items() if 24 * e + 1 <= char_order}
-    report.record_exact(
-        f"char series == u * euler(u^24) at order {char_order}", char.coeffs == expanded
-    )
+    check(f"char series == u * euler(u^24) at order {char_order}").add(char.coeffs == expanded)
 
 
 def run_jtp(report: VerificationReport, config: CliConfig) -> None:
@@ -300,11 +294,11 @@ def run_jtp(report: VerificationReport, config: CliConfig) -> None:
     all read from one expansion of the product."""
     order = config.order or 200
     product, shift_residual = _jtp_expansion(order)
-    report.record_exact(f"product == sum at w-order {order}", product == jtp_sum_side(order))
-    report.record_exact(f"shift residual zero at w-order {order}", shift_residual.is_zero())
-    report.record_exact(
-        f"z-inversion symmetry at w-order {order}",
-        all(product.coeff(m, -j) == c for (m, j), c in product.coeffs.items()),
+    check = report.exact_check
+    check(f"product == sum at w-order {order}").add(product == jtp_sum_side(order))
+    check(f"shift residual zero at w-order {order}").add(not shift_residual.coeffs)
+    check(f"z-inversion symmetry at w-order {order}").add(
+        all(product.coeff(m, -j) == c for (m, j), c in product.coeffs.items())
     )
 
 
@@ -496,8 +490,9 @@ def run_campaign(name: str, config: CliConfig) -> list[VerificationReport]:
     a report of its own, and time each.
 
     A runner that raises an Exception keeps the checks it recorded and gains
-    one failed exact check naming the exception; the next campaign still
-    runs.  A BaseException such as KeyboardInterrupt propagates.
+    one failed exact check naming the exception, fed through `exact_check`
+    like any other; the next campaign still runs.  A BaseException such as
+    KeyboardInterrupt propagates.
     """
     if name != "all" and name not in CAMPAIGNS:
         raise ValueError(f"unknown campaign {name!r}; choose from {', '.join(CAMPAIGNS)} or all")
@@ -508,7 +503,7 @@ def run_campaign(name: str, config: CliConfig) -> list[VerificationReport]:
         try:
             CAMPAIGNS[key](report, config)
         except Exception as exc:
-            report.record_exact(f"raised {type(exc).__name__}: {exc}", False)
+            report.exact_check(f"raised {type(exc).__name__}: {exc}").add(False)
         report.wall_time = time.perf_counter() - start
         reports.append(report)
     return reports

@@ -83,8 +83,8 @@ class BiSeries(ValueTuple, namedtuple("BiSeries", "coeffs order")):
 
     A key (m, j) holds the coefficient of w^m * z^(2j); j may be negative.
     Both sides of the Jacobi triple product live here, so for every monomial
-    |j| <= m (a z^2 step always costs at least one power of w).  Subtraction,
-    the one operation, truncates to the lower order of its two operands.
+    |j| <= m (a z^2 step always costs at least one power of w).  Like
+    `QSeries`, it carries no arithmetic.
     """
 
     __slots__ = ()
@@ -106,19 +106,6 @@ class BiSeries(ValueTuple, namedtuple("BiSeries", "coeffs order")):
         if m > self.order:
             raise ValueError(f"coefficient at w^{m} is unknown (order {self.order})")
         return self.coeffs.get((m, j), 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        out = {k: c for k, c in self.coeffs.items() if k[0] <= order}
-        for k, c in other.coeffs.items():
-            if k[0] <= order:
-                out[k] = out.get(k, 0) - c
-        return BiSeries(out, order)
 
     def __repr__(self):
         terms = sorted(self.coeffs.items())
@@ -223,7 +210,7 @@ def jtp_sum_side(n_order: int) -> BiSeries:
 def jtp_shift_residual(n_order: int) -> BiSeries:
     """(z^2 w) * F(w, wz) - F(w, z) truncated to w-order N, with F the triple product.
 
-    The residual is the zero series exactly when the shift relation holds;
+    The residual has no coefficients exactly when the shift relation holds;
     see `_jtp_expansion`, which computes it.
     """
     return _jtp_expansion(n_order)[1]
@@ -237,19 +224,21 @@ def _jtp_expansion(n_order: int) -> tuple[BiSeries, BiSeries]:
     (m + 2j + 1, j + 1).  A z^2 step at w-cost 2n - 1 uses each odd weight at
     most once, hence |j| <= sqrt(m); source terms with m up to (sqrt(N) + 2)^2
     therefore cover every target w-degree <= N.  The same expansion, cut at
-    order N, is F(w, z) itself.
+    order N, is F(w, z) itself.  The shift is one-to-one on keys, so the
+    shifted terms need no accumulation before F(w, z) is subtracted.
     """
     if n_order < 0:
         raise ValueError(f"order must be >= 0, got {n_order}")
     source = jtp_product_side((isqrt(n_order) + 2) ** 2)
     product = BiSeries({k: c for k, c in source.coeffs.items() if k[0] <= n_order}, n_order)
-    shifted: dict[tuple[int, int], int] = {}
-    for (m, j), c in source.coeffs.items():
-        m2 = m + 2 * j + 1
-        if m2 <= n_order:
-            key = (m2, j + 1)
-            shifted[key] = shifted.get(key, 0) + c
-    return product, BiSeries(shifted, n_order) - product
+    residual = {
+        (m + 2 * j + 1, j + 1): c
+        for (m, j), c in source.coeffs.items()
+        if m + 2 * j + 1 <= n_order
+    }
+    for k, c in product.coeffs.items():
+        residual[k] = residual.get(k, 0) - c
+    return product, BiSeries(residual, n_order)
 
 
 def eta_char_qseries(n_order: int) -> QSeries:

@@ -225,7 +225,7 @@ def test_reciprocity_checks_match_the_recorded_campaign(monkeypatch, variant):
 
 def test_run_campaign_records_a_raised_exception_after_the_checks_before_it(monkeypatch):
     def runner(report, config):
-        report.record_exact("first", True)
+        report.exact_check("first").add(True)
         raise error
 
     monkeypatch.setitem(campaigns.CAMPAIGNS, "jtp", runner)
@@ -250,6 +250,14 @@ def _floor_descent_step(a, b, c, d):
 
 
 _scaled, _CHI12 = dedekind._scaled_dedekind_sum, qseries._CHI12_TABLE
+_jtp_product = qseries.jtp_product_side
+
+
+def _jtp_product_plus_one_at_4_0(n_order):
+    coeffs = dict(_jtp_product(n_order).coeffs)
+    coeffs[(4, 0)] = coeffs.get((4, 0), 0) + 1
+    return qseries.BiSeries(coeffs, n_order)
+
 
 # Mutation analysis (DeMillo, Lipton and Sayward, "Hints on test data
 # selection", Computer 11(4), 1978): each variant breaks one kernel, patched
@@ -272,6 +280,7 @@ MUTATIONS = {
         (campaigns, "descent_step", _floor_descent_step),
     ],
     "SMALL_IM = 0.001": [(evaluate, "SMALL_IM", 0.001)],
+    "jtp_product_side (4, 0) + 1": [(qseries, "jtp_product_side", _jtp_product_plus_one_at_4_0)],
 }
 MUTATION_GOLDEN = Path(__file__).resolve().parent / "golden" / "mutation_checks.json"
 

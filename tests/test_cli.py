@@ -1,12 +1,17 @@
 """Command-line interface: output contracts, exit codes, and report determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from etaforge import campaigns, dedekind, evaluate
 from etaforge.cli import main, parse_complex_literal
 from etaforge.dedekind import omega
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -26,6 +31,32 @@ def test_parse_complex_literal():
         parse_complex_literal("1j")
     with pytest.raises(ValueError):
         parse_complex_literal("not-a-number")
+
+
+# --- README examples ---------------------------------------------------------
+
+
+def test_readme_cli_examples_run(capsys):
+    # every `etaforge` line of the CLI block but `verify` (covered elsewhere)
+    # exits 0 and prints what its comment quotes, the text before any ";"
+    text = README.read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if not line.startswith("etaforge verify")]
+    assert len(lines) == 5
+    for line in lines:
+        command, _, comment = line.partition("#")
+        code, out, _ = run(capsys, *shlex.split(command)[1:])
+        assert code == 0, line
+        assert comment.split(";")[0].strip() in out, line
+    # each literal of the complex-argument paragraph evaluates
+    paragraph = text.split("Complex arguments use", 1)[1].split("\n\n", 1)[0]
+    literals = [lit for lit in re.findall(r"`([^`]*)`", paragraph) if re.search(r"\d", lit)]
+    assert len(literals) == 4
+    for literal in literals:
+        tau = literal.split()[-1]  # "--tau -0.3+0.7i" passes its value on its own
+        code, out, _ = run(capsys, "eval", "--tau", tau)
+        assert code == 0, literal
+        assert out.startswith(f"eta({tau}) = "), literal
 
 
 # --- eval ------------------------------------------------------------------------

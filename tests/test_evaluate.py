@@ -26,6 +26,7 @@ from etaforge import (
     eta_transformed_eval,
     functional_eq_residual,
     gaussian_poisson_residual,
+    reduce_to_fundamental_domain,
     t_power,
     theta_identity_residual,
     transform_factor,
@@ -165,9 +166,33 @@ def test_direct_series_split_off_large_real_part(tau):
         assert rel(evaluator(tau).value, reference) <= 1e-11, evaluator.__name__
 
 
-def test_product_budget_error_near_real_axis():
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: eta_product_eval(0.5 + 1e-9j), id="product"),
+        # 1 - |q| rounds to 0 here
+        pytest.param(lambda: eta_product_eval(0.3 + 1e-300j), id="product-1e-300"),
+        pytest.param(lambda: eta_pentagonal_eval(0.5 + 1e-12j), id="pentagonal"),
+        pytest.param(lambda: eta_char_eval(0.5 + 1e-12j), id="character"),
+        pytest.param(lambda: theta_identity_residual(1e-14j, 0, 0), id="theta"),
+    ],
+)
+def test_every_series_raises_the_one_budget_error(call):
+    budget = f"needs more than {evaluate.MAX_SERIES_TERMS} terms"
+    with pytest.raises(ConvergenceBudgetError) as info:
+        call()
+    assert str(info.value).endswith(budget)
+
+
+def test_product_just_inside_budget_still_sums(monkeypatch):
+    result = eta_product_eval(0.3 + 1e-4j)
+    terms = result.terms_used
+    assert terms > 1000
+    monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", terms)
+    assert eta_product_eval(0.3 + 1e-4j) == result
+    monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", terms - 1)
     with pytest.raises(ConvergenceBudgetError):
-        eta_product_eval(0.5 + 1e-9j)
+        eta_product_eval(0.3 + 1e-4j)
 
 
 @pytest.mark.parametrize("evaluator", [eta_pentagonal_eval, eta_char_eval])
@@ -271,6 +296,26 @@ def test_eta_at_half_i_inversion():
     value = eta_transformed_eval(0.5j, 1e-13).value
     assert rel(value, ETA_HALF_I) < 1e-12
     assert abs(value - math.sqrt(2) * ETA_2I) < 1e-12
+
+
+@pytest.mark.parametrize("tau", [1j, 0.2 + 1.1j, -0.49 + 0.9j, 3 + 2j, -1.7 + 1.1j])
+def test_transport_by_a_translation_is_the_phase_table(tau):
+    # here the reducer is I or T^-b, so transport multiplies the pentagonal
+    # value at tau_red by e^(pi i b/12) and keeps its bound and term count
+    tau_red, reducer = reduce_to_fundamental_domain(tau)
+    b = -reducer.b
+    assert tuple(reducer) == (1, -b, 0, 1)
+    inner = eta_pentagonal_eval(tau_red)
+    expected = (evaluate._ROOTS24[b % 24] * inner.value, inner.tail_bound, inner.terms_used)
+    assert eta_transformed_eval(tau) == expected
+
+
+def test_transported_value_underflows_to_positive_zeros():
+    result = eta_transformed_eval(0.3 + 1e-300j)
+    assert result == (0j, 0.0, 1)
+    value, bound, _ = result
+    assert math.copysign(1.0, value.real) == math.copysign(1.0, value.imag) == 1.0
+    assert math.copysign(1.0, bound) == 1.0
 
 
 def test_eta_transformed_tiny_imaginary_part():

@@ -75,15 +75,6 @@ def brute_jtp(order: int) -> BiSeries:
 # --- Series containers ------------------------------------------------------
 
 
-def test_sub_truncates_to_min_order():
-    a = BiSeries({(0, 0): 1, (1, 1): 2, (9, 3): 5}, 10)
-    b = BiSeries({(0, 0): 1, (1, -1): 1}, 3)
-    difference = a - b
-    assert difference.order == 3
-    assert difference.coeffs == {(1, 1): 2, (1, -1): -1}
-    assert (b - a).order == 3
-
-
 @pytest.mark.parametrize(
     "producer",
     [
@@ -209,7 +200,7 @@ def test_jtp_product_equals_sum():
 
 def test_jtp_shift_residual_zero():
     for order in (0, 1, 10, 60):
-        assert jtp_shift_residual(order).is_zero(), (
+        assert jtp_shift_residual(order).coeffs == {}, (
             f"shift relation residual nonzero at w-order {order}"
         )
 
@@ -220,7 +211,7 @@ def test_jtp_shift_residual_expands_the_product_once(monkeypatch):
     monkeypatch.setattr(
         qseries, "jtp_product_side", lambda order: calls.append(order) or original(order)
     )
-    assert jtp_shift_residual(60).is_zero()
+    assert jtp_shift_residual(60).coeffs == {}
     assert len(calls) == 1
 
 
@@ -229,7 +220,7 @@ def test_jtp_expansion_cut_is_the_product_at_that_order():
     for order in range(41):
         product, residual = qseries._jtp_expansion(order)
         assert product == jtp_product_side(order), order
-        assert residual.is_zero(), order
+        assert residual.coeffs == {}, order
 
 
 def test_jtp_z_inversion_symmetry():

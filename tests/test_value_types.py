@@ -7,7 +7,7 @@ equals the plain tuple of its fields.  Every type but EvalResult checks its
 fields however it is built, `_make` and `_replace` included.  Equal
 values have equal hashes, except that a series holds a dict and cannot be
 hashed.  A matrix takes only entries of type int, a word only int
-T-exponents; no value concatenates or repeats.
+T-exponents; no value concatenates, repeats or subtracts.
 """
 
 import copy
@@ -171,6 +171,7 @@ def test_does_not_concatenate_or_repeat(kind):
         lambda: (1,) + v,
         lambda: 2 * v,
         lambda: v * 2,
+        lambda: v - v,
     ):
         with pytest.raises(TypeError):
             op()
