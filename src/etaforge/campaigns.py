@@ -5,13 +5,15 @@ exact rational identities, or floating-point residuals) over either a fixed
 sweep or seeded random trials.  A runner `run_x(report, config)` only records
 named checks, one input at a time: `report.record` feeds a numeric check, and
 `report.exact_check(name).add`, the one way to record an exact check, feeds
-an exact one: it counts its inputs and keeps the first that fails.  Each check keeps at most MAX_RECORDED_FAILURES
-failing inputs, its worst, which hold the worst of the whole report.
-`run_campaign` alone builds a report, with the campaign's gate from
-TOLERANCES, times the runner, and records an exception it raises as one
-failed exact check after the checks already declared or recorded.  Reports are
-deterministic for a given seed and configuration; the JSON form deliberately
-omits wall time so identical runs serialize to identical bytes.
+an exact one: it counts its inputs and keeps the first that fails.  The theta
+and Poisson runners share one residual sweep.  Each check keeps at most
+MAX_RECORDED_FAILURES failing inputs, its worst, which hold the worst of the
+whole report.  `run_campaign` alone builds a report, with the campaign's gate
+from TOLERANCES, times the runner, and records an exception it raises as one
+failed exact check after the checks already declared or recorded.  Reports
+are deterministic for a given seed and configuration; the JSON form, with one
+"schema" key from `reports_json`, omits wall time so identical runs serialize
+to identical bytes.
 
 A `CliConfig` is an immutable named tuple (order, trials, seed).  A
 `VerificationReport` and its `CheckResult`s are filled in place as a campaign
@@ -186,10 +188,10 @@ class VerificationReport:
         return result
 
     def to_json_dict(self) -> dict:
+        """The report's JSON fields but "schema", which `reports_json` adds."""
         # wall_time stays out: reports must be byte-identical for a fixed
         # seed and configuration.
         return {
-            "schema": JSON_SCHEMA_VERSION,
             "campaign": self.campaign,
             "trials": self.trials,
             "tolerance": self.tolerance,
@@ -215,19 +217,16 @@ class VerificationReport:
 
 
 def reports_json(reports: list[VerificationReport]) -> str:
-    """The schema-1 JSON text: one campaign's report, or the suite of several."""
+    """The JSON text, with one "schema" key: one campaign's report, or the suite."""
     if len(reports) == 1:
         payload = reports[0].to_json_dict()
     else:
         payload = {
-            "schema": JSON_SCHEMA_VERSION,
             "suite": "all",
             "passed": all(r.passed for r in reports),
-            "reports": [
-                {key: val for key, val in r.to_json_dict().items() if key != "schema"}
-                for r in reports
-            ],
+            "reports": [r.to_json_dict() for r in reports],
         }
+    payload["schema"] = JSON_SCHEMA_VERSION
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -427,51 +426,45 @@ THETA_FIXED_CASES = (
 POISSON_FIXED_CASES = ((1.0, 0.0, 0.0), (4.0, 0.0, 0.0), (1.0, 1.0 / 3.0, 1.0 / 5.0))
 
 
-def run_theta(report: VerificationReport, config: CliConfig) -> None:
-    """Theta transformation residuals on fixed probes and random parameters.
-
-    Random tau has im in [0.3, 3]; z and w have real parts in [-1, 1] and
-    imaginary parts in [-0.3, 0.3], the envelope where double precision keeps
-    the two sides comparable at 1e-12.  The gate is also the truncation
-    tolerance of each sum.
-    """
-    trials = config.trials or 100
+def _identity_sweep(report, config, residual, names, fixed, draw) -> None:
+    """Record `residual(*args, report.tolerance)` at each fixed probe as "fixed " +
+    label under "fixed probes", then at `config.trials or 100` draws `draw(rng)`,
+    rng = random.Random(config.seed), as label under "random"; the label gives
+    `names` as "u = {}, a = {}, b = {}".  The gate is also each sum's truncation
+    tolerance."""
+    label = ", ".join(name + " = {}" for name in names)
     tol = report.tolerance
+    for args in fixed:
+        report.record("fixed " + label.format(*args), residual(*args, tol), "fixed probes")
     rng = random.Random(config.seed)
-    for tau, z, w in THETA_FIXED_CASES:
-        report.record(
-            f"fixed tau = {tau}, z = {z}, w = {w}",
-            theta_identity_residual(tau, z, w, tol),
-            "fixed probes",
-        )
-    for _ in range(trials):
-        tau = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.3, 3.0))
-        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.3, 0.3))
-        w = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.3, 0.3))
-        report.record(
-            f"tau = {tau}, z = {z}, w = {w}", theta_identity_residual(tau, z, w, tol), "random"
-        )
+    for _ in range(config.trials or 100):
+        args = draw(rng)
+        report.record(label.format(*args), residual(*args, tol), "random")
+
+
+def run_theta(report: VerificationReport, config: CliConfig) -> None:
+    """Theta transformation residuals at fixed and random (tau, z, w), drawn in
+    that order, each as (re, im): tau in [-1, 1] + [0.3, 3]i, z and w in [-1, 1]
+    + [-0.3, 0.3]i, where double precision keeps both sides comparable at 1e-12."""
+    _identity_sweep(
+        report, config, theta_identity_residual, ("tau", "z", "w"), THETA_FIXED_CASES,
+        lambda rng: (
+            complex(rng.uniform(-1.0, 1.0), rng.uniform(0.3, 3.0)),
+            complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.3, 0.3)),
+            complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.3, 0.3)),
+        ),
+    )
 
 
 def run_poisson(report: VerificationReport, config: CliConfig) -> None:
-    """Gaussian summation-identity residuals on fixed probes and random (u, a, b);
-    the gate is also the truncation tolerance of each sum."""
-    trials = config.trials or 100
-    tol = report.tolerance
-    rng = random.Random(config.seed)
-    for u, a, b in POISSON_FIXED_CASES:
-        report.record(
-            f"fixed u = {u}, a = {a}, b = {b}",
-            gaussian_poisson_residual(u, a, b, tol),
-            "fixed probes",
-        )
-    for _ in range(trials):
-        u = 4.0 ** rng.uniform(-1.0, 1.0)
-        a = rng.uniform(-1.0, 1.0)
-        b = rng.uniform(-1.0, 1.0)
-        report.record(
-            f"u = {u}, a = {a}, b = {b}", gaussian_poisson_residual(u, a, b, tol), "random"
-        )
+    """Gaussian summation-identity residuals at fixed and random (u, a, b),
+    drawn in that order: u = 4^x, with x, a and b uniform in [-1, 1]."""
+    _identity_sweep(
+        report, config, gaussian_poisson_residual, ("u", "a", "b"), POISSON_FIXED_CASES,
+        lambda rng: (
+            4.0 ** rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        ),
+    )
 
 
 CAMPAIGNS: dict[str, Callable[[VerificationReport, CliConfig], None]] = {

@@ -24,16 +24,16 @@ theta_identity_residual is the absolute defect of the theta transformation
 identity; gaussian_poisson_residual is that identity at tau = iu with real
 z and w.
 
-Invalid input: tau is a plain complex number.  Every public entry point
-raises ValueError, before any summation, for a tau that fails
-`modgroup._as_tau` (finite, Im > 0), a tolerance that is not a finite positive
-number, or a non-finite theta/Poisson parameter (z, w, u, a, b; u must also
-be positive).  A series that would need more than MAX_SERIES_TERMS terms
-raises ConvergenceBudgetError instead, before summing where a closed-form
-lower bound on its term count already passes the budget.  An intermediate
-value beyond the float range raises NumericDegeneracyError: a reduced or
-image point, f eta(tau) in functional_eq_residual when it underflows to 0,
-and -1/tau, the H2 factor or a theta term in theta_identity_residual.
+Invalid input: tau is a plain complex number.  Every public entry point raises
+ValueError, before any summation, for a tau that fails `modgroup._as_tau`
+(finite, Im > 0), a tolerance that is not a finite positive number, or a
+non-finite theta/Poisson parameter (z, w, u, a, b; u, a and b must also be
+real, and u positive).  A series that would need more than MAX_SERIES_TERMS
+terms raises ConvergenceBudgetError instead, before summing where a closed-form
+lower bound on its term count already passes the budget.  An intermediate value
+beyond the float range raises NumericDegeneracyError: a reduced or image point,
+f eta(tau) in functional_eq_residual when it underflows to 0, and -1/tau, the
+H2 factor or a theta term in theta_identity_residual.
 
 An `EvalResult` is a named tuple (value, tail_bound, terms_used): it unpacks
 as one and equals the plain tuple of its fields, and it neither concatenates
@@ -316,30 +316,28 @@ def eta_transformed_eval(tau: complex, tol: float = DEFAULT_TOL) -> EvalResult:
     return _transported(IDENTITY, *_reduced(_as_tau(tau), tol))
 
 
-def _routes() -> dict:
-    # Built per call, so a module-level evaluator rebound at run time (for
-    # example by a tracer) is the one used.
-    return {
-        "product": eta_product_eval,
-        "pentagonal": eta_pentagonal_eval,
-        "character": eta_char_eval,
-        "transformed": eta_transformed_eval,
-    }
+_ROUTES = {
+    "product": eta_product_eval,
+    "pentagonal": eta_pentagonal_eval,
+    "character": eta_char_eval,
+    "transformed": eta_transformed_eval,
+}
 
-
-EVAL_METHODS = ("auto", *_routes())
+# The `eta_eval` and `etaforge eval --method` choices: `auto`, then each route.
+EVAL_METHODS = ("auto", *_ROUTES)
 
 
 def eta_eval(
     tau: complex, tol: float = DEFAULT_TOL, method: str = "auto"
 ) -> tuple[str, EvalResult]:
     """eta(tau) by one of EVAL_METHODS, with the route taken; `auto` takes
-    `transformed` below Im tau = SMALL_IM and `pentagonal` elsewhere."""
+    `transformed` below Im tau = SMALL_IM and `pentagonal` elsewhere; a named
+    route calls the evaluator that `_ROUTES` bound at import."""
     if method not in EVAL_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {', '.join(EVAL_METHODS)}")
     if method == "auto":
         method = "pentagonal" if _direct(_as_tau(tau).imag) else "transformed"
-    return method, _routes()[method](tau, tol)
+    return method, _ROUTES[method](tau, tol)
 
 
 def _direct(im: float) -> bool:
@@ -514,6 +512,9 @@ def gaussian_poisson_residual(u: float, a: float, b: float, tol: float = DEFAULT
     for u > 0 and real a, b.  This is the theta transformation identity at
     tau = iu, z = a, w = b, so the residual is theta_identity_residual there.
     """
+    for name, value in (("u", u), ("a", a), ("b", b)):
+        if isinstance(value, complex):
+            raise ValueError(f"{name} must be real, got {value}")
     if not (u > 0 and math.isfinite(u)):
         raise ValueError(f"u must be finite and positive, got {u}")
     _check_finite("a", a)

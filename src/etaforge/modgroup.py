@@ -195,10 +195,11 @@ def descent_step(a: int, b: int, c: int, d: int) -> tuple[int, ModularMatrix]:
 
 
 def decompose(mat: ModularMatrix) -> GeneratorWord:
-    """Write a canonical matrix as a word in S and T-powers: each `descent_step`
-    peels S T^q off the right and at least halves c, and at c = 0 what is left
-    is the translation T^b."""
-    a, b, c, d = mat
+    """Write a matrix as a word in S and T-powers: each `descent_step` peels
+    S T^q off the right and at least halves c, and at c = 0 what is left is
+    the translation T^b.  A plain 4-tuple is checked and put in canonical
+    form by `ModularMatrix` first."""
+    a, b, c, d = mat if type(mat) is ModularMatrix else ModularMatrix(*mat)
     peeled: list[WordFactor] = []
     while c:
         q, (a, b, c, d) = descent_step(a, b, c, d)
@@ -216,9 +217,12 @@ def apply_mobius(mat: ModularMatrix, tau: complex) -> complex:
     range, Im is im(tau) / |c tau + d| / |c tau + d|, so an image that is a
     float is still returned.  Raises NumericDegeneracyError when an entry of
     the matrix is beyond the float range, or when a part of the image leaves
-    it, so Im would come out 0 or inf.
+    it, so Im would come out 0 or inf.  A plain 4-tuple is checked by
+    `ModularMatrix` first, so it must be unimodular with int entries.
     """
     z = _as_tau(tau)
+    if type(mat) is not ModularMatrix:
+        mat = ModularMatrix(*mat)
     a, b, c, d = mat
     try:
         den = c * z + d

@@ -121,6 +121,22 @@ def test_eval_json_format(capsys):
     assert abs(payload["value_re"] - 0.7682254223260566) < 1e-12
 
 
+# Each (tau, method) of `eval --format json` at ten points, with its exit code,
+# stdout and stderr, as the CLI printed them when the file was written.
+EVAL_GOLDEN = Path(__file__).resolve().parent / "golden" / "eval_json.json"
+
+
+def test_eval_json_matches_the_golden_file(capsys):
+    recorded = json.loads(EVAL_GOLDEN.read_text())
+    assert len(recorded) == 50
+    assert sum(entry["exit"] == 2 for entry in recorded) == 3
+    for entry in recorded:
+        tau, method = entry["tau"], entry["method"]
+        argv = ("eval", "--tau", tau, "--method", method, "--format", "json")
+        got = run(capsys, *argv)
+        assert got == (entry["exit"], entry["stdout"], entry["stderr"]), (tau, method)
+
+
 def test_eval_bad_literal_exits_2(capsys):
     code, _, err = run(capsys, "eval", "--tau", "garbage")
     assert code == 2

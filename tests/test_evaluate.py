@@ -550,3 +550,17 @@ def test_gaussian_poisson_rejects_nonpositive_u():
         gaussian_poisson_residual(0, 0, 0)
     with pytest.raises(ValueError):
         gaussian_poisson_residual(-2, 0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((1.0, 0.5 + 0.1j, 0.2), "a"),  # used to return 1.4e-15, the theta residual
+        ((1 + 0j, 0.5, 0.2), "u"),  # used to raise TypeError
+        ((1.0, 0.5, 0.2 + 0j), "b"),
+        ((complex(1.0, math.nan), 0.5, 0.2), "u"),
+    ],
+)
+def test_gaussian_poisson_rejects_complex_parameters(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be real"):
+        gaussian_poisson_residual(*args)

@@ -186,6 +186,30 @@ def test_decompose_generators():
     assert decompose(ModularMatrix(2, 1, 1, 1)).factors == (2, "S", 1)
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ((2, 5, 0, 3), "determinant 1"),  # decompose used to return T^5
+        ((2, 0, 0, 1), "determinant 1"),  # apply_mobius used to return 1j, not 2j
+        ((1, 0, 0, 1.5), "type int"),  # apply_mobius used to return 0.444...j
+    ],
+)
+def test_plain_tuple_is_checked_as_a_matrix(entries, message):
+    with pytest.raises(ValueError, match=message):
+        decompose(entries)
+    with pytest.raises(ValueError, match=message):
+        apply_mobius(entries, 1j)
+
+
+def test_plain_tuple_is_taken_in_canonical_form():
+    # (1, 0; -1, 1) used to raise "c must be >= 1" in decompose
+    word = decompose((1, 0, -1, 1))
+    assert word == decompose(ModularMatrix(1, 0, -1, 1))
+    assert str(word) == "T^-1 S T^-1"
+    assert apply_mobius((1, 0, -1, 1), 1j) == apply_mobius(ModularMatrix(1, 0, -1, 1), 1j)
+    assert apply_mobius((0, -1, 1, 0), 2j) == 0.5j
+
+
 def test_evaluate_word_basics():
     assert evaluate_word(GeneratorWord(())) == IDENTITY
     assert evaluate_word(GeneratorWord(("S",))) == S

@@ -42,6 +42,8 @@ def test_install_wraps_and_uninstall_restores_every_site():
             )
         campaigns.run_campaign("reciprocity", campaigns.CliConfig(order=10))
         campaigns.run_campaign("jtp", campaigns.CliConfig(order=10))
+        for name in ("theta", "poisson"):
+            campaigns.run_campaign(name, campaigns.CliConfig(trials=2))
         metrics = spans.layer_metrics()
     finally:
         spans.uninstall()
@@ -53,6 +55,10 @@ def test_install_wraps_and_uninstall_restores_every_site():
     # check made 258)
     assert metrics["dedekind.dedekind_sum_fast.calls"] == 1 + 31 * 5
     assert metrics["qseries.jtp_product_side.calls"] == 1
+    # three fixed probes and two draws each; the runners look up their
+    # residual when they run, so the patched one is counted
+    assert metrics["evaluate.theta_identity_residual.calls"] == 3 + 2
+    assert metrics["evaluate.gaussian_poisson_residual.calls"] == 3 + 2
     left_patched = [
         _site(owner, attr)
         for (owner, attr), original in zip(sites, originals)
