@@ -46,6 +46,8 @@ from .evaluate import (
 )
 from .modgroup import ModularMatrix, S, descent_step
 from .qseries import (
+    MAX_ORDER,
+    MAX_W_ORDER,
     _jtp_expansion,
     euler_product_series,
     eta_char_qseries,
@@ -477,6 +479,25 @@ CAMPAIGNS: dict[str, Callable[[VerificationReport, CliConfig], None]] = {
     "omega": run_omega,
 }
 
+# The largest `order` of each series campaign: the limit of the series it
+# builds at that order.
+MAX_ORDERS = {"jtp": MAX_W_ORDER, "pentagonal": MAX_ORDER}
+
+
+def _selected_campaigns(name: str, config: CliConfig) -> list[str]:
+    """The campaigns `name` selects: one, or every one for 'all'.  Raises
+    ValueError, before any campaign runs, for an unknown name or for an
+    `order` above the MAX_ORDERS entry of a selected series campaign."""
+    if name != "all" and name not in CAMPAIGNS:
+        raise ValueError(f"unknown campaign {name!r}; choose from {', '.join(CAMPAIGNS)} or all")
+    keys = list(CAMPAIGNS) if name == "all" else [name]
+    for key in keys:
+        if config.order is not None and config.order > MAX_ORDERS.get(key, config.order):
+            raise ValueError(
+                f"order {config.order} is above the {key} campaign's limit {MAX_ORDERS[key]}"
+            )
+    return keys
+
 
 def run_campaign(name: str, config: CliConfig) -> list[VerificationReport]:
     """Run one named campaign, or every campaign for name == 'all', each into
@@ -485,12 +506,12 @@ def run_campaign(name: str, config: CliConfig) -> list[VerificationReport]:
     A runner that raises an Exception keeps the checks it recorded and gains
     one failed exact check naming the exception, fed through `exact_check`
     like any other; the next campaign still runs.  A BaseException such as
-    KeyboardInterrupt propagates.
+    KeyboardInterrupt propagates.  An unknown name, or an `order` above a
+    selected series campaign's MAX_ORDERS entry, raises ValueError before any
+    campaign runs.
     """
-    if name != "all" and name not in CAMPAIGNS:
-        raise ValueError(f"unknown campaign {name!r}; choose from {', '.join(CAMPAIGNS)} or all")
     reports = []
-    for key in CAMPAIGNS if name == "all" else [name]:
+    for key in _selected_campaigns(name, config):
         report = VerificationReport(key, TOLERANCES.get(key, 0.0), config.seed)
         start = time.perf_counter()
         try:

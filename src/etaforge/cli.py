@@ -20,7 +20,14 @@ import re
 import sys
 from contextlib import nullcontext
 
-from .campaigns import CAMPAIGNS, JSON_SCHEMA_VERSION, CliConfig, reports_json, run_campaign
+from .campaigns import (
+    CAMPAIGNS,
+    JSON_SCHEMA_VERSION,
+    CliConfig,
+    _selected_campaigns,
+    reports_json,
+    run_campaign,
+)
 from .dedekind import dedekind_sum_fast, dedekind_sum_naive
 from .evaluate import DEFAULT_TOL, EVAL_METHODS, SMALL_IM, ConvergenceBudgetError, eta_eval
 from .modgroup import (
@@ -104,6 +111,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = CliConfig(order=args.order, trials=args.trials, seed=args.seed)
+    _selected_campaigns(args.suite, config)  # an order past a limit exits 2 before --out opens
     # opened before any campaign runs, so a bad --out path fails at once
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as fh:
         reports = run_campaign(args.suite, config)

@@ -246,6 +246,22 @@ def test_verify_jtp(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize(
+    "suite, order, limit",
+    [("pentagonal", 100_000_000, 20_000), ("jtp", 2_001, 2_000), ("all", 2_001, 2_000)],
+)
+def test_verify_order_above_a_series_limit_exits_2_before_anything_runs(
+    capsys, monkeypatch, tmp_path, suite, order, limit
+):
+    ran = []
+    for name in campaigns.CAMPAIGNS:
+        monkeypatch.setitem(campaigns.CAMPAIGNS, name, lambda report, config: ran.append(config))
+    out_file = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", suite, "--order", str(order), "--out", str(out_file))
+    assert (code, out, ran, out_file.exists()) == (2, "", [], False)
+    assert err.startswith(f"error: order {order} is above the ") and f"limit {limit}" in err
+
+
 def test_verify_reciprocity(capsys):
     code, out, _ = run(capsys, "verify", "reciprocity", "--order", "60")
     assert code == 0

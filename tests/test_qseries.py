@@ -1,9 +1,13 @@
 """Exact series identities: Euler product, pentagonal numbers, triple product,
 and the character theta form.  Expected values come from a brute-force dense
-polynomial oracle defined below, independent of the sparse implementation.
+polynomial oracle defined below, independent of the sparse implementation,
+and at larger orders from the plain descending loops over every factor, which
+the regrouped products must reproduce exactly.
 """
 
 import random
+from math import isqrt
+from operator import add, sub
 
 import pytest
 
@@ -72,6 +76,47 @@ def brute_jtp(order: int) -> BiSeries:
     )
 
 
+def reference_euler(n_order: int) -> QSeries:
+    """prod (1 - q^n) by one in-place slice update per factor, descending n.
+
+    Before factor m the partial product is supported on {0} and [m+1, N], so
+    (1 - q^m) sets c[m] = -1 and changes only c[2m+1..N].
+    """
+    dense = [1] + [-1] * n_order
+    for m in range((n_order - 1) // 2, 0, -1):
+        dense[2 * m + 1:] = map(sub, dense[2 * m + 1:], dense[m + 1:n_order - m + 1])
+    return as_qseries(dense, n_order)
+
+
+def reference_jtp(n_order: int) -> BiSeries:
+    """The triple product by a 0/1 knapsack over all three factors, descending n.
+
+    Row m is dense over |j| <= isqrt(m); each factor reads the source degrees
+    0 and [low, N - shift], low being the smallest shift applied so far.
+    """
+    radius = [isqrt(m) for m in range(n_order + 1)]
+    rows = [[0] * (2 * r + 1) for r in radius]
+    rows[0][0] = 1
+    low = n_order + 1
+    for n in range((n_order + 1) // 2, 0, -1):
+        for shift, dj, op in ((2 * n, 0, sub), (2 * n - 1, 1, add), (2 * n - 1, -1, add)):
+            if shift > n_order:
+                continue
+            for m in (*range(n_order - shift, low - 1, -1), 0):
+                source, target = rows[m], rows[m + shift]
+                at = radius[m + shift] - radius[m] + dj
+                if at == dj != 0:
+                    assert not source[-1 if dj > 0 else 0]
+                    source = source[:-1] if dj > 0 else source[1:]
+                    at = max(at, 0)
+                target[at:at + len(source)] = map(op, target[at:at + len(source)], source)
+            low = shift
+    return BiSeries(
+        {(m, j - radius[m]): c for m, row in enumerate(rows) for j, c in enumerate(row) if c},
+        n_order,
+    )
+
+
 # --- Series containers ------------------------------------------------------
 
 
@@ -89,6 +134,25 @@ def brute_jtp(order: int) -> BiSeries:
 def test_negative_order_rejected(producer):
     with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
         producer(-1)
+
+
+@pytest.mark.parametrize(
+    "producer, limit",
+    [
+        (euler_product_series, qseries.MAX_ORDER),
+        (pentagonal_series, qseries.MAX_ORDER),
+        (eta_char_qseries, qseries.MAX_ORDER),
+        (jtp_sum_side, qseries.MAX_W_ORDER),
+        (jtp_shift_residual, qseries.MAX_W_ORDER),
+        # the expansion jtp_shift_residual reads at its own limit
+        (jtp_product_side, (isqrt(qseries.MAX_W_ORDER) + 2) ** 2),
+    ],
+)
+def test_order_above_the_limit_rejected_before_any_work(producer, limit):
+    # at 10^18 any table or loop would fail or spin before the check
+    for order in (limit + 1, 10**18):
+        with pytest.raises(ValueError, match=rf"^order {order} is above the limit {limit} "):
+            producer(order)
 
 
 def test_unknown_coefficient_is_rejected():
@@ -132,6 +196,17 @@ def test_euler_product_matches_brute_force():
         assert euler_product_series(order) == as_qseries(brute_euler(order), order), (
             f"euler product disagrees with dense oracle at order {order}"
         )
+
+
+def test_euler_product_matches_the_descending_loop():
+    # odd and even orders and 2^k +- 1 reach the recursion's base and the
+    # seed's edges at every depth; below 512 the reference is its order-512
+    # table cut at each order, which factors past that order do not touch
+    reference = reference_euler(512).coeffs
+    for order in range(513):
+        expected = QSeries({e: c for e, c in reference.items() if e <= order}, order)
+        assert euler_product_series(order) == expected, order
+    assert euler_product_series(10_000) == reference_euler(10_000)
 
 
 def test_euler_coefficients_are_signs():
@@ -181,6 +256,14 @@ def test_jtp_product_matches_brute_force():
         assert jtp_product_side(order) == brute_jtp(order), (
             f"triple product disagrees with dense oracle at w-order {order}"
         )
+
+
+def test_jtp_product_matches_the_descending_loop():
+    reference = reference_jtp(200).coeffs
+    for order in range(201):
+        expected = BiSeries({k: c for k, c in reference.items() if k[0] <= order}, order)
+        assert jtp_product_side(order) == expected, order
+    assert jtp_product_side(576) == reference_jtp(576)
 
 
 def test_jtp_sum_side_enumeration():

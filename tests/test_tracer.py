@@ -42,6 +42,7 @@ def test_install_wraps_and_uninstall_restores_every_site():
             )
         campaigns.run_campaign("reciprocity", campaigns.CliConfig(order=10))
         campaigns.run_campaign("jtp", campaigns.CliConfig(order=10))
+        campaigns.run_campaign("pentagonal", campaigns.CliConfig(order=10))
         for name in ("theta", "poisson"):
             campaigns.run_campaign(name, campaigns.CliConfig(trials=2))
         metrics = spans.layer_metrics()
@@ -54,6 +55,9 @@ def test_install_wraps_and_uninstall_restores_every_site():
     # periodicity, oddness and floor-square-sum arguments (one sweep per
     # check made 258)
     assert metrics["dedekind.dedekind_sum_fast.calls"] == 1 + 31 * 5
+    # the Euler product's half-order seed, in both products, comes from a
+    # private helper, so each public product counts once per campaign call
+    assert metrics["qseries.euler_product_series.calls"] == 1
     assert metrics["qseries.jtp_product_side.calls"] == 1
     # three fixed probes and two draws each; the runners look up their
     # residual when they run, so the patched one is counted
