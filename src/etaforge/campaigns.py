@@ -30,8 +30,12 @@ from collections.abc import Callable
 from math import gcd, inf, isnan
 from operator import eq
 
+from . import dedekind
 from ._valuetype import ValueTuple
 from .dedekind import (
+    # the benchmark tracer (benchmarks/tracer.py) patches this name at this
+    # module, so it stays importable here although run_reciprocity reads
+    # every Dedekind sum from dedekind._scaled_dedekind_sum
     dedekind_sum_fast,
     dedekind_sum_naive,
     floor_square_sum_check,
@@ -316,16 +320,19 @@ def run_reciprocity(report: VerificationReport, config: CliConfig) -> None:
     on the coprime ones; periodicity, oddness and the two O(k) floor sums
     run to min(order, 200).
 
-    The fast algorithm gives s(h, k) = p/q and s(k, h) = r/t once per coprime
-    pair with h >= 1, and every check reads those two values with integer
-    comparisons only: reciprocity as 12hk(pt + rq) == (h^2 + k^2 - 3hk + 1)qt,
-    the closed form as 12kp == (k^2 - 3k + 2)q at h = 1, oddness part by part,
-    and the defining sum and periodicity against s(h, k) itself.  Counts and
-    first failures are those of one sweep per check in (k, h) order.
+    Every fast Dedekind sum is read as the integer N(h, k) = 12k s(h, k)
+    from `dedekind._scaled_dedekind_sum`, bound from the module when the run
+    starts, and every check but the floor sums is an integer comparison:
+    reciprocity as h N(h, k) + k N(k, h) == h^2 + k^2 - 3hk + 1, the closed
+    form as N(1, k) == k^2 - 3k + 2 (and N(1, 1) == 0), the defining sum
+    s = p/q as N(h, k) q == 12k p, periodicity as N(h + k, k) == N(h, k) and
+    oddness as N(-h, k) == -N(h, k).  The only Fractions are the defining
+    sums and the floor-square sums.  Counts and first failures are those of
+    one sweep per check in (k, h) order.
     """
     limit = config.order or 500
     naive_limit, sweep_limit = min(limit, 300), min(limit, 200)
-    fast, naive = dedekind_sum_fast, dedekind_sum_naive
+    scaled, naive = dedekind._scaled_dedekind_sum, dedekind_sum_naive
     floor_sum, floor_square_sum = floor_sum_check, floor_square_sum_check
     check = report.exact_check
     closed_form = check(f"s(1, h) closed form for h <= {limit}").add
@@ -338,7 +345,7 @@ def run_reciprocity(report: VerificationReport, config: CliConfig) -> None:
         f"floor-square-sum identity on coprime pairs <= {sweep_limit}"
     ).add
     denominator = check(f"denominator of s(h, k) divides 6k for k <= {naive_limit} (all h)").add
-    closed_form(not fast(1, 1).numerator, 1)  # h = 1 is in no coprime pair
+    closed_form(scaled(1, 1) == 0, 1)  # h = 1 is in no coprime pair
     for k in range(1, limit + 1):
         with_naive, with_sweeps = k <= naive_limit, k <= sweep_limit
         for h in range(k):
@@ -348,18 +355,15 @@ def run_reciprocity(report: VerificationReport, config: CliConfig) -> None:
                 denominator(not (6 * k) % s.denominator, pair)
             if not h or gcd(h, k) != 1:
                 continue
-            s_hk, s_kh = fast(h, k), fast(k, h)
-            p, q, r, t = s_hk.numerator, s_hk.denominator, s_kh.numerator, s_kh.denominator
-            law = (h * h + k * k - 3 * h * k + 1) * q * t
-            reciprocity(12 * h * k * (p * t + r * q) == law, pair)
+            n = scaled(h, k)
+            reciprocity(h * n + k * scaled(k, h) == h * h + k * k - 3 * h * k + 1, pair)
             if h == 1:
-                closed_form(12 * k * p == (k * k - 3 * k + 2) * q, k)
+                closed_form(n == k * k - 3 * k + 2, k)
             if with_naive:
-                defining_sum(s_hk == s, pair)
+                defining_sum(n * s.denominator == 12 * k * s.numerator, pair)
             if with_sweeps:
-                periodicity(fast(h + k, k) == s_hk, pair)
-                odd = fast(-h, k)
-                oddness(odd.numerator == -p and odd.denominator == q, pair)
+                periodicity(scaled(h + k, k) == n, pair)
+                oddness(scaled(-h, k) == -n, pair)
                 floor_identity(eq(*floor_sum(h, k)), pair)
                 floor_square_identity(eq(*floor_square_sum(h, k)), pair)
 
@@ -479,23 +483,33 @@ CAMPAIGNS: dict[str, Callable[[VerificationReport, CliConfig], None]] = {
     "omega": run_omega,
 }
 
-# The largest `order` of each series campaign: the limit of the series it
-# builds at that order.
-MAX_ORDERS = {"jtp": MAX_W_ORDER, "pentagonal": MAX_ORDER}
+# The largest `order` and `trials` of each campaign, by the knobs it reads,
+# sized at up to about 10 s of work on a 2-core x86-64 host (Python 3.11): a
+# series campaign takes the limit of the series it builds, and reciprocity
+# visits every pair h < k <= order (order 2000 took 8.7 s).
+LIMITS = {
+    "jtp": {"order": MAX_W_ORDER},
+    "pentagonal": {"order": MAX_ORDER},
+    "reciprocity": {"order": 2_000},
+    "functional-eq": {"trials": 100_000},
+    "theta": {"trials": 200_000},
+    "poisson": {"trials": 200_000},
+    "omega": {"trials": 300_000},
+}
 
 
 def _selected_campaigns(name: str, config: CliConfig) -> list[str]:
     """The campaigns `name` selects: one, or every one for 'all'.  Raises
     ValueError, before any campaign runs, for an unknown name or for an
-    `order` above the MAX_ORDERS entry of a selected series campaign."""
+    `order` or `trials` above its LIMITS entry for a selected campaign."""
     if name != "all" and name not in CAMPAIGNS:
         raise ValueError(f"unknown campaign {name!r}; choose from {', '.join(CAMPAIGNS)} or all")
     keys = list(CAMPAIGNS) if name == "all" else [name]
     for key in keys:
-        if config.order is not None and config.order > MAX_ORDERS.get(key, config.order):
-            raise ValueError(
-                f"order {config.order} is above the {key} campaign's limit {MAX_ORDERS[key]}"
-            )
+        for knob, limit in LIMITS[key].items():
+            value = getattr(config, knob)
+            if value is not None and value > limit:
+                raise ValueError(f"{knob} {value} is above the {key} campaign's limit {limit}")
     return keys
 
 
@@ -506,8 +520,8 @@ def run_campaign(name: str, config: CliConfig) -> list[VerificationReport]:
     A runner that raises an Exception keeps the checks it recorded and gains
     one failed exact check naming the exception, fed through `exact_check`
     like any other; the next campaign still runs.  A BaseException such as
-    KeyboardInterrupt propagates.  An unknown name, or an `order` above a
-    selected series campaign's MAX_ORDERS entry, raises ValueError before any
+    KeyboardInterrupt propagates.  An unknown name, or an `order` or `trials`
+    above a selected campaign's LIMITS entry, raises ValueError before any
     campaign runs.
     """
     reports = []

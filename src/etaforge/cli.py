@@ -111,7 +111,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = CliConfig(order=args.order, trials=args.trials, seed=args.seed)
-    _selected_campaigns(args.suite, config)  # an order past a limit exits 2 before --out opens
+    _selected_campaigns(args.suite, config)  # a knob past its limit exits 2 before --out opens
     # opened before any campaign runs, so a bad --out path fails at once
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as fh:
         reports = run_campaign(args.suite, config)

@@ -8,8 +8,9 @@ eta transformation phase.
 
 All arithmetic is exact: values are fractions.Fraction (lowest terms, positive
 denominator), never floats.  The reciprocity descent itself runs in integers,
-on 12k s(h, k), and omega reads that integer directly, so the eta
-transformation law builds no Fraction.  The three O(k) sums raise ValueError,
+on 12k s(h, k) (_scaled_dedekind_sum), and omega and the reciprocity campaign
+read that integer directly, so neither the eta transformation law nor the
+campaign's fast sums build a Fraction.  The three O(k) sums raise ValueError,
 before the loop, for k above MAX_DIRECT_MODULUS; dedekind_sum_fast has no
 limit.
 """

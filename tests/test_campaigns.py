@@ -8,18 +8,14 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from etaforge import campaigns, dedekind, evaluate, modgroup, qseries
 from etaforge.campaigns import VerificationReport, random_unimodular_matrix
 from etaforge.cli import main
-from etaforge.dedekind import (
-    dedekind_sum_fast,
-    dedekind_sum_naive,
-    floor_square_sum_check,
-    omega,
-)
+from etaforge.dedekind import dedekind_sum_naive, floor_square_sum_check, omega
 from etaforge.modgroup import ModularMatrix
 from etaforge.qseries import jtp_sum_side, pentagonal_series
 
@@ -171,6 +167,15 @@ def _off(value):
     return value + Fraction(1, 35)
 
 
+def _kernel_off_at(broken_args):
+    """The `dedekind` module as the reciprocity campaign reads it, with the
+    kernel N(h, k) = 12k s(h, k) one more at the argument tuples in
+    `broken_args`.  The floor-square sum reads the real module, so it stays
+    honest."""
+    scaled = _bumped_at(dedekind._scaled_dedekind_sum, broken_args, lambda n: n + 1)
+    return "dedekind", SimpleNamespace(_scaled_dedekind_sum=scaled)
+
+
 # Each variant breaks one name the reciprocity campaign looks up at three
 # inputs, spread over its limits at order 201 (200 for periodicity, oddness
 # and the floor sums, the order itself for the rest).  The fast sum is broken
@@ -183,13 +188,11 @@ RECIPROCITY_VARIANTS = {
         "dedekind_sum_naive",
         _bumped_at(dedekind_sum_naive, {(5, 12), (0, 97), (100, 201)}, _off),
     ),
-    "fast sum off at (1, 9), (45, 199), (100, 201)": (
-        "dedekind_sum_fast",
-        _bumped_at(dedekind_sum_fast, {(1, 9), (45, 199), (100, 201)}, _off),
+    "fast sum off at (1, 9), (45, 199), (100, 201)": _kernel_off_at(
+        {(1, 9), (45, 199), (100, 201)}
     ),
-    "fast sum off at (13, 9), (199, 45), (201, 100)": (
-        "dedekind_sum_fast",
-        _bumped_at(dedekind_sum_fast, {(13, 9), (199, 45), (201, 100)}, _off),
+    "fast sum off at (13, 9), (199, 45), (201, 100)": _kernel_off_at(
+        {(13, 9), (199, 45), (201, 100)}
     ),
     "floor-square sum off at (2, 3), (50, 101), (150, 199)": (
         "floor_square_sum_check",
@@ -221,6 +224,14 @@ def test_reciprocity_checks_match_the_recorded_campaign(monkeypatch, variant):
     for order in RECIPROCITY_ORDERS:
         (report,) = campaigns.run_campaign("reciprocity", campaigns.CliConfig(order=order))
         assert reciprocity_checks(report) == recorded[str(order)], order
+
+
+def test_reciprocity_builds_no_fast_sum_fraction(monkeypatch):
+    def fraction_path(h, k):
+        raise AssertionError(f"dedekind_sum_fast({h}, {k}) called")
+
+    monkeypatch.setattr(campaigns, "dedekind_sum_fast", fraction_path)
+    assert main(["verify", "reciprocity", "--order", "40"]) == 0
 
 
 def test_run_campaign_records_a_raised_exception_after_the_checks_before_it(monkeypatch):

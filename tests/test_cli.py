@@ -262,6 +262,34 @@ def test_verify_order_above_a_series_limit_exits_2_before_anything_runs(
     assert err.startswith(f"error: order {order} is above the ") and f"limit {limit}" in err
 
 
+@pytest.mark.parametrize(
+    "suite, knob, limit",
+    [
+        ("reciprocity", "order", 2_000),
+        ("functional-eq", "trials", 100_000),
+        ("theta", "trials", 200_000),
+        ("poisson", "trials", 200_000),
+        ("omega", "trials", 300_000),
+        ("all", "trials", 100_000),
+    ],
+)
+def test_verify_knob_above_a_campaign_limit_exits_2_before_anything_runs(
+    capsys, monkeypatch, tmp_path, suite, knob, limit
+):
+    ran = []
+    for name in campaigns.CAMPAIGNS:
+        monkeypatch.setitem(campaigns.CAMPAIGNS, name, lambda report, config: ran.append(config))
+    out_file = tmp_path / "report.json"
+    for value in (limit + 1, 10**18):
+        code, out, err = run(
+            capsys, "verify", suite, f"--{knob}", str(value), "--out", str(out_file)
+        )
+        assert (code, out, ran, out_file.exists()) == (2, "", [], False)
+        assert err.startswith(f"error: {knob} {value} is above the ") and f"limit {limit}" in err
+    assert run(capsys, "verify", suite, f"--{knob}", str(limit))[0] == 0
+    assert ran and all(getattr(config, knob) == limit for config in ran)
+
+
 def test_verify_reciprocity(capsys):
     code, out, _ = run(capsys, "verify", "reciprocity", "--order", "60")
     assert code == 0

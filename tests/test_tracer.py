@@ -51,10 +51,9 @@ def test_install_wraps_and_uninstall_restores_every_site():
     # one defining sum per pair k <= 10, 0 <= h < k; one triple-product
     # expansion serves every check of the jtp campaign
     assert metrics["dedekind.dedekind_sum_naive.calls"] == 55
-    # s(1, 1), then for each of the 31 coprime pairs s(h, k), s(k, h) and the
-    # periodicity, oddness and floor-square-sum arguments (one sweep per
-    # check made 258)
-    assert metrics["dedekind.dedekind_sum_fast.calls"] == 1 + 31 * 5
+    # the campaign reads every Dedekind sum from the integer kernel, so these
+    # are floor_square_sum_check's own calls, one per coprime pair
+    assert metrics["dedekind.dedekind_sum_fast.calls"] == 31
     # the Euler product's half-order seed, in both products, comes from a
     # private helper, so each public product counts once per campaign call
     assert metrics["qseries.euler_product_series.calls"] == 1
