@@ -500,11 +500,17 @@ LIMITS = {
 
 def _selected_campaigns(name: str, config: CliConfig) -> list[str]:
     """The campaigns `name` selects: one, or every one for 'all'.  Raises
-    ValueError, before any campaign runs, for an unknown name or for an
-    `order` or `trials` above its LIMITS entry for a selected campaign."""
+    ValueError, before any campaign runs, for an unknown name, for an
+    `order` or `trials` above its LIMITS entry for a selected campaign, or,
+    when one campaign is named, for an `order` or `trials` it does not read
+    (one with no LIMITS entry), which would otherwise be dropped unseen."""
     if name != "all" and name not in CAMPAIGNS:
         raise ValueError(f"unknown campaign {name!r}; choose from {', '.join(CAMPAIGNS)} or all")
     keys = list(CAMPAIGNS) if name == "all" else [name]
+    for knob in ("order", "trials"):
+        if name != "all" and getattr(config, knob) is not None and knob not in LIMITS[name]:
+            reads = ", ".join(LIMITS[name])
+            raise ValueError(f"the {name} campaign reads no {knob}, only {reads}")
     for key in keys:
         for knob, limit in LIMITS[key].items():
             value = getattr(config, knob)
@@ -520,9 +526,8 @@ def run_campaign(name: str, config: CliConfig) -> list[VerificationReport]:
     A runner that raises an Exception keeps the checks it recorded and gains
     one failed exact check naming the exception, fed through `exact_check`
     like any other; the next campaign still runs.  A BaseException such as
-    KeyboardInterrupt propagates.  An unknown name, or an `order` or `trials`
-    above a selected campaign's LIMITS entry, raises ValueError before any
-    campaign runs.
+    KeyboardInterrupt propagates.  A name or a knob that _selected_campaigns
+    refuses raises ValueError before any campaign runs.
     """
     reports = []
     for key in _selected_campaigns(name, config):

@@ -46,7 +46,7 @@ def _check_direct_modulus(k: int) -> None:
     if k > MAX_DIRECT_MODULUS:
         raise ValueError(
             f"k = {k} is above MAX_DIRECT_MODULUS = {MAX_DIRECT_MODULUS} for an O(k) sum; "
-            "use dedekind_sum_fast (--mode fast)"
+            "use dedekind_sum_fast"
         )
 
 
@@ -54,6 +54,15 @@ def _check_coprime(h: int, k: int) -> None:
     g = gcd(h, k)
     if g != 1:
         raise ValueError(f"h and k must be coprime, got gcd({h}, {k}) = {g}")
+
+
+def _check_floor_args(h: int, k: int) -> None:
+    """The floor sums' hypotheses, checked in one order: k, then h >= 1, then
+    gcd(h, k) = 1, so both floor sums raise the same message for any input."""
+    _check_direct_modulus(k)
+    if h < 1:
+        raise ValueError(f"h must be >= 1, got {h}")
+    _check_coprime(h, k)
 
 
 def dedekind_sum_naive(h: int, k: int) -> Fraction:
@@ -114,10 +123,7 @@ def floor_sum_check(h: int, k: int) -> tuple[int, int]:
     Requires gcd(h, k) = 1 and h >= 1; the two return values agree exactly
     whenever the hypotheses hold.
     """
-    _check_direct_modulus(k)
-    _check_coprime(h, k)
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
+    _check_floor_args(h, k)
     lhs = sum((h * r) // k for r in range(1, k))
     rhs = (h - 1) * (k - 1) // 2
     return lhs, rhs
@@ -133,10 +139,7 @@ def floor_square_sum_check(h: int, k: int) -> tuple[Fraction, Fraction]:
     with s(k, h) = p/q the right side is built as the one exact fraction
     (12hp + (2hk - 3h - k + 3)(h - 1)q) / (6q).
     """
-    _check_direct_modulus(k)
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
-    _check_coprime(h, k)
+    _check_floor_args(h, k)
     lhs = Fraction(sum(((h * r) // k) ** 2 for r in range(1, k)))
     s = dedekind_sum_fast(k, h)
     p, q = s.numerator, s.denominator

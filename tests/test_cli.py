@@ -3,13 +3,15 @@
 import json
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from etaforge import campaigns, dedekind, evaluate
+from etaforge import campaigns, cli, dedekind, evaluate
 from etaforge.cli import main, parse_complex_literal
 from etaforge.dedekind import omega
+from etaforge.modgroup import ModularMatrix
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,7 +44,7 @@ def test_readme_cli_examples_run(capsys):
     text = README.read_text()
     block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if not line.startswith("etaforge verify")]
-    assert len(lines) == 5
+    assert len(lines) == 6
     for line in lines:
         command, _, comment = line.partition("#")
         code, out, _ = run(capsys, *shlex.split(command)[1:])
@@ -152,45 +154,67 @@ def test_eval_lower_half_plane_exits_2(capsys):
 # --- dedekind ---------------------------------------------------------------------
 
 
-def test_dedekind_default_both(capsys):
+def test_dedekind_both_defined_cross_checks(capsys):
     code, out, _ = run(capsys, "dedekind", "5", "7")
     assert code == 0
-    assert "-1/14" in out
-    assert "equal: yes" in out
-
-
-def test_dedekind_zero_case(capsys):
-    code, out, _ = run(capsys, "dedekind", "0", "1", "--mode", "fast")
-    assert code == 0
-    assert "s(0, 1) = 0" in out
-
-
-def test_dedekind_both_mode(capsys):
-    code, out, _ = run(capsys, "dedekind", "1", "3", "--mode", "both")
+    assert out.splitlines() == ["s(5, 7) = -1/14 (naive) = -1/14 (fast)", "equal: yes"]
+    code, out, _ = run(capsys, "dedekind", "1", "3")
     assert code == 0
     assert "1/18" in out
     assert "equal: yes" in out
 
 
-def test_dedekind_non_coprime_fast_exits_2(capsys):
-    code, _, err = run(capsys, "dedekind", "2", "4", "--mode", "fast")
-    assert code == 2
-    assert "coprime" in err
-
-
-def test_dedekind_non_coprime_naive_ok(capsys):
-    code, out, _ = run(capsys, "dedekind", "2", "4", "--mode", "naive")
+def test_dedekind_zero_case(capsys):
+    code, out, _ = run(capsys, "dedekind", "0", "1")
     assert code == 0
-    assert "s(2, 4) = -1/4" in out
+    assert out.splitlines() == ["s(0, 1) = 0 (naive) = 0 (fast)", "equal: yes"]
 
 
-def test_dedekind_modulus_above_the_limit_exits_2_unless_fast(capsys):
-    code, out, err = run(capsys, "dedekind", "1", "10000001")
+def test_dedekind_disagreement_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "dedekind_sum_fast", lambda h, k: Fraction(1, 2))
+    code, out, err = run(capsys, "dedekind", "5", "7")
+    assert code == 1
+    assert out == "s(5, 7) = -1/14 (naive) = 1/2 (fast)\n"
+    assert "disagree" in err
+
+
+def test_dedekind_non_coprime_prints_the_defining_sum_only(capsys):
+    # the fast sum needs gcd(h, k) = 1; the defining sum does not
+    code, out, _ = run(capsys, "dedekind", "2", "4")
+    assert code == 0
+    assert out.splitlines() == [
+        "s(2, 4) = -1/4 (naive)",
+        "not cross-checked: h and k must be coprime, got gcd(2, 4) = 2",
+    ]
+
+
+def test_dedekind_modulus_above_the_limit_prints_the_fast_sum_only(capsys):
+    # the O(k) defining sum refuses k above MAX_DIRECT_MODULUS before its loop
+    code, out, _ = run(capsys, "dedekind", "1", "10000001")
+    assert code == 0
+    value, note = out.splitlines()
+    assert value == f"s(1, 10000001) = {dedekind.dedekind_sum_fast(1, 10000001)} (fast)"
+    assert note.startswith("not cross-checked: k = 10000001 is above MAX_DIRECT_MODULUS")
+    assert note.endswith("use dedekind_sum_fast")
+
+
+def test_dedekind_neither_defined_exits_2_with_the_first_error(capsys):
+    code, out, err = run(capsys, "dedekind", "2", "10000002")
     assert (code, out) == (2, "")
-    assert "--mode fast" in err
-    code, out, _ = run(capsys, "dedekind", "1", "10000001", "--mode", "fast")
-    assert code == 0
-    assert "s(1, 10000001) = " in out
+    assert err.startswith("error: k = 10000002 is above MAX_DIRECT_MODULUS")
+    code, out, err = run(capsys, "dedekind", "1", "0")
+    assert (code, out, err) == (2, "", "error: k must be a positive integer, got 0\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dedekind", "5", "7", "--mode", "fast"], ["decompose", "2", "1", "1", "1", "--check"]],
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # --- decompose --------------------------------------------------------------------
@@ -199,30 +223,37 @@ def test_dedekind_modulus_above_the_limit_exits_2_unless_fast(capsys):
 def test_decompose_s(capsys):
     code, out, _ = run(capsys, "decompose", "0", "-1", "1", "0")
     assert code == 0
-    assert out.strip() == "S"
+    assert out.splitlines() == ["S", "check: OK, word recomposes to [0 -1; 1 0]"]
 
 
 def test_decompose_translation(capsys):
     code, out, _ = run(capsys, "decompose", "1", "5", "0", "1")
     assert code == 0
-    assert out.strip() == "T^5"
+    assert out.splitlines()[0] == "T^5"
 
 
-def test_decompose_with_check(capsys):
-    code, out, _ = run(capsys, "decompose", "2", "1", "1", "1", "--check")
+def test_decompose_checks_the_word(capsys):
+    code, out, _ = run(capsys, "decompose", "2", "1", "1", "1")
     assert code == 0
     assert "T^2 S T" in out
     assert "check: OK" in out
 
 
-def test_decompose_deep_descent_with_check(capsys):
+def test_decompose_deep_descent_checks_the_word(capsys):
     # the descent from c = 10^12 takes two steps
-    code, out, _ = run(capsys, "decompose", "1", "0", "1000000000000", "1", "--check")
+    code, out, _ = run(capsys, "decompose", "1", "0", "1000000000000", "1")
     assert code == 0
     assert out.splitlines() == [
         "S T^-1000000000000 S",
         "check: OK, word recomposes to [1 0; 1000000000000 1]",
     ]
+
+
+def test_decompose_recomposition_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "evaluate_word", lambda word: ModularMatrix(1, 0, 0, 1))
+    code, out, err = run(capsys, "decompose", "2", "1", "1", "1")
+    assert (code, out) == (1, "T^2 S T\n")
+    assert err == "error: word recomposes to [1 0; 0 1], expected [2 1; 1 1]\n"
 
 
 def test_decompose_non_unimodular_exits_2(capsys):
@@ -288,6 +319,34 @@ def test_verify_knob_above_a_campaign_limit_exits_2_before_anything_runs(
         assert err.startswith(f"error: {knob} {value} is above the ") and f"limit {limit}" in err
     assert run(capsys, "verify", suite, f"--{knob}", str(limit))[0] == 0
     assert ran and all(getattr(config, knob) == limit for config in ran)
+
+
+@pytest.mark.parametrize(
+    "suite, knob",
+    [
+        ("jtp", "trials"),
+        ("pentagonal", "trials"),
+        ("reciprocity", "trials"),
+        ("functional-eq", "order"),
+        ("theta", "order"),
+        ("poisson", "order"),
+        ("omega", "order"),
+    ],
+)
+def test_verify_knob_a_named_campaign_does_not_read_exits_2_before_anything_runs(
+    capsys, monkeypatch, tmp_path, suite, knob
+):
+    ran = []
+    for name in campaigns.CAMPAIGNS:
+        monkeypatch.setitem(campaigns.CAMPAIGNS, name, lambda report, config: ran.append(config))
+    out_file = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", suite, f"--{knob}", "5", "--out", str(out_file))
+    assert (code, out, ran, out_file.exists()) == (2, "", [], False)
+    other = "trials" if knob == "order" else "order"
+    assert err == f"error: the {suite} campaign reads no {knob}, only {other}\n"
+    # `all` passes each campaign the knobs it reads and ignores the rest
+    assert run(capsys, "verify", "all", f"--{knob}", "5")[0] == 0
+    assert len(ran) == len(campaigns.CAMPAIGNS)
 
 
 def test_verify_reciprocity(capsys):

@@ -105,7 +105,7 @@ def test_fast_rejects_non_coprime_and_bad_modulus():
 def test_direct_sums_refuse_modulus_above_the_limit(direct_sum):
     # raised before the O(k) loop, which would take seconds here
     assert dedekind.MAX_DIRECT_MODULUS == 10**7
-    with pytest.raises(ValueError, match=r"MAX_DIRECT_MODULUS = 10000000 .*--mode fast"):
+    with pytest.raises(ValueError, match=r"MAX_DIRECT_MODULUS = 10000000 .* dedekind_sum_fast$"):
         direct_sum(1, 10**7 + 1)
 
 
@@ -159,6 +159,23 @@ def test_floor_square_sum_check():
         assert lhs == rhs, (h, k)
     with pytest.raises(ValueError):
         floor_square_sum_check(4, 6)
+
+
+@pytest.mark.parametrize(
+    "h, k, message",
+    [
+        (0, 2, "h must be >= 1, got 0"),
+        (-1, 2, "h must be >= 1, got -1"),
+        (2, 0, "k must be a positive integer, got 0"),
+        (2, 4, "h and k must be coprime, got gcd(2, 4) = 2"),
+    ],
+)
+def test_floor_sums_check_their_arguments_alike(h, k, message):
+    # one order for both: k, then h >= 1, then coprimality
+    for floor_sum in (floor_sum_check, floor_square_sum_check):
+        with pytest.raises(ValueError) as exc:
+            floor_sum(h, k)
+        assert str(exc.value) == message, floor_sum.__name__
 
 
 def test_omega_known_values():
