@@ -72,8 +72,11 @@ def dedekind_sum_naive(h: int, k: int) -> Fraction:
     Each term is r/k * ((hr mod k)/k - 1/2); over the common denominator 2k^2
     the sum is 2 sum r (hr mod k) - k sum r, so the loop accumulates the
     integers r (hr mod k) and the constant k sum r = k^2 (k-1)/2 is taken out.
+    A term reads h only through hr mod k = (h mod k) r mod k, so h is reduced
+    mod k first and the loop multiplies small integers whatever h's size.
     """
     _check_direct_modulus(k)
+    h %= k
     total = 2 * sum(r * (h * r % k) for r in range(1, k)) - k * k * (k - 1) // 2
     return Fraction(total, 2 * k * k)
 
@@ -121,7 +124,8 @@ def floor_sum_check(h: int, k: int) -> tuple[int, int]:
     """Both sides of sum_{r=1}^{k-1} floor(hr/k) = (h-1)(k-1)/2, independently.
 
     Requires gcd(h, k) = 1 and h >= 1; the two return values agree exactly
-    whenever the hypotheses hold.
+    whenever the hypotheses hold.  Both sides depend on h itself, not only on
+    h mod k, so h is not reduced.
     """
     _check_floor_args(h, k)
     lhs = sum((h * r) // k for r in range(1, k))
@@ -137,7 +141,8 @@ def floor_square_sum_check(h: int, k: int) -> tuple[Fraction, Fraction]:
 
     for positive coprime h, k.  Both sides are returned as exact fractions;
     with s(k, h) = p/q the right side is built as the one exact fraction
-    (12hp + (2hk - 3h - k + 3)(h - 1)q) / (6q).
+    (12hp + (2hk - 3h - k + 3)(h - 1)q) / (6q).  Both sides depend on h
+    itself, not only on h mod k, so h is not reduced.
     """
     _check_floor_args(h, k)
     lhs = Fraction(sum(((h * r) // k) ** 2 for r in range(1, k)))

@@ -262,12 +262,20 @@ def _floor_descent_step(a, b, c, d):
 
 _scaled, _CHI12 = dedekind._scaled_dedekind_sum, qseries._CHI12_TABLE
 _jtp_product = qseries.jtp_product_side
+_divisor_sums = qseries._divisor_sums
 
 
 def _jtp_product_plus_one_at_4_0(n_order):
     coeffs = dict(_jtp_product(n_order).coeffs)
     coeffs[(4, 0)] = coeffs.get((4, 0), 0) + 1
     return qseries.BiSeries(coeffs, n_order)
+
+
+def _divisor_sums_plus_one_at_4(n):
+    sig = _divisor_sums(n)
+    if n >= 4:
+        sig[4] += 1
+    return sig
 
 
 # Mutation analysis (DeMillo, Lipton and Sayward, "Hints on test data
@@ -292,6 +300,7 @@ MUTATIONS = {
     ],
     "SMALL_IM = 0.001": [(evaluate, "SMALL_IM", 0.001)],
     "jtp_product_side (4, 0) + 1": [(qseries, "jtp_product_side", _jtp_product_plus_one_at_4_0)],
+    "σ(4) + 1": [(qseries, "_divisor_sums", _divisor_sums_plus_one_at_4)],
 }
 MUTATION_GOLDEN = Path(__file__).resolve().parent / "golden" / "mutation_checks.json"
 

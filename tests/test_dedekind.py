@@ -54,6 +54,15 @@ def test_naive_accepts_non_coprime():
     assert dedekind_sum_naive(6, 9) == dedekind_sum_literal(6, 9)
 
 
+def test_naive_reduces_a_huge_h_to_its_residue():
+    # every term reads h through hr mod k only; a 20001-digit h, positive or
+    # negative, gives the value of its residue mod k
+    huge = 10**20000
+    assert dedekind_sum_naive(huge + 1, 10**4) == dedekind_sum_naive(1, 10**4)
+    assert dedekind_sum_naive(1 - huge, 10**4) == dedekind_sum_naive(1, 10**4)
+    assert dedekind_sum_naive(-7 * huge - 3, 7) == dedekind_sum_naive(4, 7)
+
+
 def test_fast_known_values():
     assert dedekind_sum_fast(1, 2) == 0
     assert dedekind_sum_fast(5, 7) == Fraction(-1, 14)

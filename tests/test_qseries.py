@@ -2,7 +2,7 @@
 and the character theta form.  Expected values come from a brute-force dense
 polynomial oracle defined below, independent of the sparse implementation,
 and at larger orders from the plain descending loops over every factor, which
-the regrouped products must reproduce exactly.
+the fast products must reproduce exactly.
 """
 
 import random
@@ -199,9 +199,11 @@ def test_euler_product_matches_brute_force():
 
 
 def test_euler_product_matches_the_descending_loop():
-    # odd and even orders and 2^k +- 1 reach the recursion's base and the
-    # seed's edges at every depth; below 512 the reference is its order-512
-    # table cut at each order, which factors past that order do not touch
+    # every order up to 512: a wrong sigma(m) first enters at exponent m, as
+    # sigma(m) p(0), so the sweep reaches each m <= 512 where the division
+    # first becomes inexact, also as the last exponent of a run; below 512
+    # the reference is its order-512 table cut at each order, which factors
+    # past that order do not touch
     reference = reference_euler(512).coeffs
     for order in range(513):
         expected = QSeries({e: c for e, c in reference.items() if e <= order}, order)
@@ -212,6 +214,18 @@ def test_euler_product_matches_the_descending_loop():
 def test_euler_coefficients_are_signs():
     s = euler_product_series(2000)
     assert all(c in (-1, 1) for c in s.coeffs.values())
+
+
+def test_euler_kernel_takes_any_coefficient_value(monkeypatch):
+    # 3 sigma is q P'/P for P the cube of the Euler product, whose coefficient
+    # at n(n+1)/2 is (-1)^n (2n + 1) (Jacobi); values past +-1 take the
+    # kernel's general row
+    sigma = qseries._divisor_sums
+    monkeypatch.setattr(qseries, "_divisor_sums", lambda n: [3 * s for s in sigma(n)])
+    expected = [0] * 301
+    for n in range(25):
+        expected[n * (n + 1) // 2] = (-1) ** n * (2 * n + 1)
+    assert qseries._euler_dense(300) == expected
 
 
 # --- Pentagonal series ------------------------------------------------------
