@@ -15,7 +15,6 @@ concatenates nor repeats, and it cannot be hashed, since it holds a dict.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import namedtuple
 from math import isqrt
 from operator import add
@@ -43,13 +42,17 @@ _CHI12_TABLE = (0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)
 # is allocated, so an order past it raises ValueError at once.  Sized by
 # measurement on a 2-core host (Python 3.11): euler_product_series(MAX_ORDER)
 # takes about 0.2 s, and jtp_shift_residual(MAX_W_ORDER), which expands the
-# triple product to w-order (isqrt(MAX_W_ORDER) + 2)^2, about 4-5 s.  The
+# triple product to w-order (isqrt(MAX_W_ORDER) + 2)^2, about 0.08 s.  The
 # one-variable series take MAX_ORDER, the two-variable ones MAX_W_ORDER.
 MAX_ORDER = 20_000
 MAX_W_ORDER = 2_000
 
 
 def _check_order(n_order: int, limit: int) -> None:
+    """Raise ValueError unless n_order is of type int (not a bool or a float)
+    and in [0, limit]."""
+    if type(n_order) is not int:
+        raise ValueError(f"order must be an int, got {n_order!r}")
     if n_order < 0:
         raise ValueError(f"order must be >= 0, got {n_order}")
     if n_order > limit:
@@ -157,11 +160,9 @@ def _euler_dense(n_order: int) -> list[int]:
     holds sigma(k - i) p(i) summed over the nonzero p(i) found so far, so it
     is complete when the loop reaches k, and each new nonzero p(m) adds its
     row p(m) sigma(k - m) to `acc[m+1:]` in one slice update.  The rows for
-    p(m) = +-1 are built once; any other value scales sigma afresh.
-    `jtp_product_side` reads the result as its seed too, so the public
-    producers each count once per call in a trace.  A division with a
-    remainder can only come from a broken sigma table, never from the input,
-    and raises ArithmeticError.
+    p(m) = +-1 are built once; any other value scales sigma afresh.  A
+    division with a remainder can only come from a broken sigma table, never
+    from the input, and raises ArithmeticError.
     """
     sig = _divisor_sums(n_order)
     rows = {1: sig, -1: [-s for s in sig]}
@@ -230,55 +231,70 @@ def pentagonal_series(n_order: int) -> QSeries:
 def jtp_product_side(n_order: int) -> BiSeries:
     """Triple product prod_{n>=1} (1 - w^2n)(1 + w^(2n-1) z^2)(1 + w^(2n-1) z^-2).
 
-    Expanded exactly to w-order N.  The coefficient of w^m is a dense row
-    over |j| <= isqrt(m): in every partial product a monomial w^m z^(2j)
-    takes its |j| net z^2 steps from distinct odd weights 2n - 1, whose sum
-    is at least j^2.  The factors (1 - w^2n) with 2n <= N are the Euler
-    product at order N // 2 in w^2, so row j = 0 starts as that product
-    (the seed, from `_euler_dense`), and only the two z^2 shifts of weight
-    2n - 1 <= N are multiplied in, in descending n.  Each updates the rows
-    in place from the top degree down, as in a 0/1 knapsack.
+    Expanded exactly to w-order N, from the logarithmic derivative of the
+    product F, as `euler_product_series` does for one variable:
 
-    Support: the shifts applied so far, the smallest being `low`, form a
-    product supported on degree 0 and [low, N], so the rows below `low`
-    still hold the seed.  A shift therefore reads the dense source rows
-    [low, N - shift], and then the seed's nonzero degrees below `low`, each a
-    single coefficient at j = 0, whose targets lie at or above the new `low`.
-    As in `euler_product_series`, those degrees are read from the computed
-    seed, so no sparsity is assumed.  A source coefficient that would leave
-    its target row contradicts the bound and raises ArithmeticError.  Orders
-    above `(isqrt(MAX_W_ORDER) + 2)^2`, the expansion `jtp_shift_residual`
-    reads at MAX_W_ORDER, raise ValueError before anything is allocated.
+        w d/dw log F = sum_{m>=1} L_m(z) w^m,
+        L_m = -2 sigma(m/2) [m even]
+              + sum_{k | m, m/k odd} (-1)^(k+1) (m/k) (z^2k + z^-2k),
+
+    the first term from the factors (1 - w^2n), as in the Euler product at
+    w^2, the second from expanding each log(1 + w^d z^+-2) at odd d = 2n - 1.
+    So m F_m(z) = sum_{i=1}^{m} L_i(z) F_{m-i}(z), and every division by m is
+    exact, since F_0 = 1 fixes the series one coefficient at a time.
+
+    The sums are kept in columns, one list over w-degree for each
+    z^2-exponent |j| <= isqrt(N), and built forward: each nonzero
+    c = F_m[j] adds c L_i to the columns at degree m + i.  The even part is
+    one stride-2 slice update of column j, from a row of -2 sigma that is
+    built once for c = +-1 and scaled afresh for any other c.  The part in
+    z^(+-2k) is one stride-2k slice update of column j +- k, adding
+    c (-1)^(k+1) d at degree m + kd for odd d, an arithmetic progression
+    read from a range.  A monomial w^p z^(2j) of F takes its |j| net z^2
+    steps from distinct odd weights 2n - 1, whose sum is at least j^2, so
+    each update starts at the first degree p with (j +- k)^2 <= p; the sums
+    below that band cancel and are never formed.
+
+    No value or sparsity is assumed: the nonzero positions are read from
+    the coefficients already computed.  A nonzero coefficient costs about
+    N (1/2 + log sqrt(N)) additions, the stride-2k updates summing to a
+    harmonic series, and by the theta sum there are about 2 sqrt(N) of
+    them.  A division with a remainder can only come from a broken sigma
+    table and raises ArithmeticError.  Orders above
+    `(isqrt(MAX_W_ORDER) + 2)^2`, the expansion `jtp_shift_residual` reads
+    at MAX_W_ORDER, raise ValueError before anything is allocated.
     """
     _check_order(n_order, _expansion_order(MAX_W_ORDER))
-    radius = [isqrt(m) for m in range(n_order + 1)]
-    rows = [[0] * (2 * r + 1) for r in radius]
-    seed_at, seed_c = [], []
-    for i, c in enumerate(_euler_dense(n_order // 2)):
-        rows[2 * i][radius[2 * i]] = c
-        if c:
-            seed_at.append(2 * i)
-            seed_c.append(c)
-    low = n_order + 1
-    for shift in range(n_order - 1 + n_order % 2, 0, -2):
-        for dj in (1, -1):
-            for m in range(n_order - shift, low - 1, -1):
-                source, target = rows[m], rows[m + shift]
-                at = radius[m + shift] - radius[m] + dj  # target index of source[0]
-                if at == dj:  # equal radii: one end of the source lands off the row
-                    if source[-1 if dj > 0 else 0]:
-                        raise ArithmeticError(f"z^2-exponent above isqrt({m + shift})")
-                    source = source[:-1] if dj > 0 else source[1:]
-                    at = max(at, 0)
-                target[at:at + len(source)] = map(add, target[at:at + len(source)], source)
-            top = bisect_right(seed_at, min(low - 1, n_order - shift))
-            for s, c in zip(seed_at[:top], seed_c):
-                rows[s + shift][radius[s + shift] + dj] += c
-            low = shift
-    return BiSeries(
-        {(m, j - radius[m]): c for m, row in enumerate(rows) for j, c in enumerate(row) if c},
-        n_order,
-    )
+    radius = isqrt(n_order)
+    even = [-2 * s for s in _divisor_sums(n_order // 2)[1:]]  # at w^2, w^4, ...
+    rows = {1: even, -1: [-a for a in even]}
+    # cols[radius + j][m] holds m F_m[j] once the loop reaches m; the
+    # constant term is seeded as F_0 itself and read as F_0 / 1
+    cols = [[0] * (n_order + 1) for _ in range(2 * radius + 1)]
+    cols[radius][0] = 1
+    coeffs = {}
+    for m in range(n_order + 1):
+        for j in range(-isqrt(m), isqrt(m) + 1):
+            col = cols[radius + j]
+            if not col[m]:
+                continue
+            c, r = divmod(col[m], m or 1)
+            if r:
+                raise ArithmeticError(f"inexact division at exponent {m}")
+            coeffs[m, j] = c
+            row = rows[c] if c in rows else [c * a for a in even]
+            col[m + 2::2] = map(add, col[m + 2::2], row)
+            # stride 2k from the first odd d with m + k d in the band of
+            # j + s k, adding c (-1)^(k+1) d: v d, v (d + 2), ...
+            for s in (1, -1):
+                for k in range(1, radius - s * j + 1):
+                    target = cols[radius + j + s * k]
+                    d = max(1, ((j + s * k) ** 2 - m + k - 1) // k) | 1
+                    v = c if k % 2 else -c
+                    target[m + k * d::2 * k] = map(
+                        add, target[m + k * d::2 * k], range(v * d, v * (n_order + 2), 2 * v)
+                    )
+    return BiSeries(coeffs, n_order)
 
 
 def jtp_sum_side(n_order: int) -> BiSeries:
@@ -313,9 +329,8 @@ def _jtp_expansion(n_order: int) -> tuple[BiSeries, BiSeries]:
     order N, is F(w, z) itself.  The shift is one-to-one on keys, so the
     shifted terms need no accumulation before F(w, z) is subtracted.
 
-    The expansion is one `jtp_product_side` call, which seeds its even
-    factors with the Euler product at half its order and multiplies in only
-    the odd ones; nothing here depends on how it is computed.  Orders above
+    The expansion is one `jtp_product_side` call; nothing here depends on
+    how it is computed.  Orders above
     MAX_W_ORDER raise ValueError before the expansion starts.
     """
     _check_order(n_order, MAX_W_ORDER)

@@ -329,6 +329,14 @@ def test_mutation_is_caught_where_recorded(monkeypatch, variant):
         assert test in {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}, node
 
 
+def test_jtp_campaign_passes_at_its_limit():
+    limit = campaigns.LIMITS["jtp"]["order"]
+    assert limit == qseries.MAX_W_ORDER
+    (report,) = campaigns.run_campaign("jtp", campaigns.CliConfig(order=limit))
+    assert report.passed
+    assert all(check.count == 1 for check in report.checks.values())
+
+
 def test_functional_eq_campaign_probes_large_real_parts():
     (report,) = campaigns.run_campaign("functional-eq", campaigns.CliConfig(trials=1))
     large_re = report.checks["large Re"]

@@ -6,6 +6,7 @@ the fast products must reproduce exactly.
 """
 
 import random
+import re
 from math import isqrt
 from operator import add, sub
 
@@ -120,20 +121,30 @@ def reference_jtp(n_order: int) -> BiSeries:
 # --- Series containers ------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "producer",
-    [
-        euler_product_series,
-        pentagonal_series,
-        jtp_product_side,
-        jtp_sum_side,
-        jtp_shift_residual,
-        eta_char_qseries,
-    ],
-)
+PRODUCERS = [
+    euler_product_series,
+    pentagonal_series,
+    jtp_product_side,
+    jtp_sum_side,
+    jtp_shift_residual,
+    eta_char_qseries,
+]
+
+
+@pytest.mark.parametrize("producer", PRODUCERS)
 def test_negative_order_rejected(producer):
     with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
         producer(-1)
+
+
+@pytest.mark.parametrize("producer", PRODUCERS)
+@pytest.mark.parametrize("order", [True, False, 2.5, 3.0, 1e18])
+def test_non_int_order_rejected(producer, order):
+    # a bool or a float is refused by its type, before the sign, the limit
+    # or any table (1e18 would otherwise meet the limit check)
+    message = f"order must be an int, got {order!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        producer(order)
 
 
 @pytest.mark.parametrize(
@@ -278,6 +289,25 @@ def test_jtp_product_matches_the_descending_loop():
         expected = BiSeries({k: c for k, c in reference.items() if k[0] <= order}, order)
         assert jtp_product_side(order) == expected, order
     assert jtp_product_side(576) == reference_jtp(576)
+
+
+def test_jtp_kernel_takes_any_coefficient_value(monkeypatch):
+    # 3 sigma is w d/dw log of prod (1 - w^2n)^3 at w^2, so the kernel expands
+    # the triple product times prod (1 - w^2n)^2, whose coefficients go past
+    # +-1 and take the kernel's freshly scaled even row; the expected series
+    # multiplies the dense oracles out by a plain loop
+    sigma = qseries._divisor_sums
+    monkeypatch.setattr(qseries, "_divisor_sums", lambda n: [3 * s for s in sigma(n)])
+    order = 40
+    euler = brute_euler(order // 2)
+    square = poly_mul(euler, euler, order // 2)  # in w^2
+    expected = {}
+    for (m, j), c in brute_jtp(order).coeffs.items():
+        for t, e in enumerate(square[:(order - m) // 2 + 1]):
+            expected[m + 2 * t, j] = expected.get((m + 2 * t, j), 0) + c * e
+    product = jtp_product_side(order)
+    assert product == BiSeries(expected, order)
+    assert max(abs(c) for c in product.coeffs.values()) > 1
 
 
 def test_jtp_sum_side_enumeration():
