@@ -31,7 +31,7 @@ from math import gcd, inf, isnan
 from operator import eq
 
 from . import dedekind
-from ._valuetype import ValueTuple
+from ._valuetype import ValueTuple, check_int
 from .dedekind import (
     # the benchmark tracer (benchmarks/tracer.py) patches this name at this
     # module, so it stays importable here although run_reciprocity reads
@@ -86,17 +86,18 @@ TOLERANCES = {"functional-eq": 1e-10, "theta": 1e-12, "poisson": 1e-12}
 
 class CliConfig(ValueTuple, namedtuple("CliConfig", "order trials seed")):
     """Campaign knobs; None means the campaign's own default.  order and
-    trials are None or a positive int, seed an int; a bool or a float
-    raises ValueError."""
+    trials are None or a positive int, seed an int; a bool, a float or a
+    Fraction raises ValueError."""
 
     __slots__ = ()
 
     def __new__(cls, order: int | None = None, trials: int | None = None, seed: int = 0):
         for name, value in (("order", order), ("trials", trials)):
-            if value is not None and (type(value) is not int or value < 1):
-                raise ValueError(f"{name} must be a positive int, got {value!r}")
-        if type(seed) is not int:
-            raise ValueError(f"seed must be an int, got {seed!r}")
+            if value is not None:
+                check_int(name, value)
+                if value < 1:
+                    raise ValueError(f"{name} must be a positive int, got {value!r}")
+        check_int("seed", seed)
         return tuple.__new__(cls, (order, trials, seed))
 
 
@@ -258,7 +259,13 @@ def random_unimodular_matrix(rng: random.Random, min_c: int = 1) -> ModularMatri
     `randint` does: draw (2 EXP_BOUND + 1).bit_length() bits and redraw while
     the value is not below 2 EXP_BOUND + 1.  The stream is therefore that of
     `randint(-EXP_BOUND, EXP_BOUND)`, draw for draw.
+
+    A min_c not of type int, or above MAX_ENTRY, where no candidate can
+    pass, raises ValueError before anything is drawn.
     """
+    check_int("min_c", min_c)
+    if min_c > MAX_ENTRY:
+        raise ValueError(f"min_c must be <= MAX_ENTRY = {MAX_ENTRY}, got {min_c}")
     width = 2 * EXP_BOUND + 1
     bits = width.bit_length()
     getrandbits = rng.getrandbits

@@ -168,7 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run an identity-verification campaign")
     p_ver.add_argument("suite", choices=[*CAMPAIGNS, "all"])
-    p_ver.add_argument("--order", type=int, default=None, help="series truncation order")
+    p_ver.add_argument(
+        "--order",
+        type=int,
+        default=None,
+        help="series truncation order; reciprocity reads it as its largest modulus k",
+    )
     p_ver.add_argument("--trials", type=int, default=None, help="random trial count")
     p_ver.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     p_ver.add_argument(

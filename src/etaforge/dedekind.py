@@ -13,6 +13,10 @@ read that integer directly, so neither the eta transformation law nor the
 campaign's fast sums build a Fraction.  The three O(k) sums raise ValueError,
 before the loop, for k above MAX_DIRECT_MODULUS; dedekind_sum_fast has no
 limit.
+
+Every public function refuses an h, k or matrix entry not of type int, such
+as ValueError("h must be of type int, got 2.0"), before any other check on
+it; the private kernel _scaled_dedekind_sum checks nothing.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from ._valuetype import check_int
 from .modgroup import _check_unimodular, _entry_text
 
 __all__ = [
@@ -36,6 +41,7 @@ MAX_DIRECT_MODULUS = 10_000_000
 
 
 def _check_modulus(k: int) -> None:
+    check_int("k", k)
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
 
@@ -51,15 +57,19 @@ def _check_direct_modulus(k: int) -> None:
 
 
 def _check_coprime(h: int, k: int) -> None:
+    """gcd(h, k) = 1, for h of type int and k already checked."""
+    check_int("h", h)
     g = gcd(h, k)
     if g != 1:
         raise ValueError(f"h and k must be coprime, got gcd({h}, {k}) = {g}")
 
 
 def _check_floor_args(h: int, k: int) -> None:
-    """The floor sums' hypotheses, checked in one order: k, then h >= 1, then
-    gcd(h, k) = 1, so both floor sums raise the same message for any input."""
+    """The floor sums' hypotheses, checked in one order: k, then h's type,
+    then h >= 1, then gcd(h, k) = 1, so both floor sums raise the same
+    message for any input."""
     _check_direct_modulus(k)
+    check_int("h", h)
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
     _check_coprime(h, k)
@@ -76,6 +86,7 @@ def dedekind_sum_naive(h: int, k: int) -> Fraction:
     mod k first and the loop multiplies small integers whatever h's size.
     """
     _check_direct_modulus(k)
+    check_int("h", h)
     h %= k
     total = 2 * sum(r * (h * r % k) for r in range(1, k)) - k * k * (k - 1) // 2
     return Fraction(total, 2 * k * k)
@@ -156,8 +167,8 @@ def omega(a: int, b: int, c: int, d: int) -> int:
     """Multiplier exponent omega(a, b, c, d) = (a + d)/c + 12 s(-d, c).
 
     Defined for a unimodular integer matrix with c >= 1; an entry whose type
-    is not int (a bool or a float) raises ValueError.  The value is always
-    an integer.  With N = 12c s(-d, c), itself an integer, it is
+    is not int (a bool, a float or a Fraction) raises ValueError.  The value
+    is always an integer.  With N = 12c s(-d, c), itself an integer, it is
     (a + d + N) / c, divided in exact integer arithmetic with no Fraction
     built; the determinant makes gcd(c, d) = 1.  A nonzero remainder is
     asserted against, so a non-integer result can only mean a bug in the

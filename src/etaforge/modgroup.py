@@ -21,12 +21,12 @@ entry with more digits than Python converts to text is printed by its bit
 length.
 
 A `ModularMatrix` is a named 4-tuple (a, b, c, d): it unpacks as one, equals
-the plain tuple of its entries, and takes only entries of type int (a bool
-or a float raises ValueError).  It drops the tuple `+` and `*`, so a matrix
-never concatenates or repeats.  A `GeneratorWord` is a named 1-tuple
-(factors,) holding its normalized factor tuple: a T-exponent must be of type
-int, and a word drops `+` and `*` too.  So `len(word)` is 1, and
-`len(word.factors)` counts the factors.  Both types check their fields
+the plain tuple of its entries, and takes only entries of type int (a bool,
+a float or a Fraction raises ValueError naming the entry).  It drops the
+tuple `+` and `*`, so a matrix never concatenates or repeats.  A
+`GeneratorWord` is a named 1-tuple (factors,) holding its normalized factor
+tuple: a T-exponent must be of type int, and a word drops `+` and `*` too.
+So `len(word)` is 1, and `len(word.factors)` counts the factors.  Both types check their fields
 however they are built, the tuple constructors `_make` and `_replace`
 included.  `str` of a word prints each T-exponent as `str` of a matrix
 prints an entry, by its bit length past the digit limit; `repr` of either is
@@ -40,7 +40,7 @@ import math
 import sys
 from collections import namedtuple
 
-from ._valuetype import ValueTuple
+from ._valuetype import ValueTuple, check_int
 
 __all__ = [
     "ModularMatrix",
@@ -94,8 +94,8 @@ class ModularMatrix(ValueTuple, namedtuple("ModularMatrix", "a b c d")):
 def _check_unimodular(a: int, b: int, c: int, d: int) -> None:
     """Raise ValueError unless every entry is of type int and ad - bc = 1."""
     if not type(a) is type(b) is type(c) is type(d) is int:
-        bad = next(x for x in (a, b, c, d) if type(x) is not int)
-        raise ValueError(f"matrix entries must be of type int, got {type(bad).__name__} {bad!r}")
+        for name, x in zip("abcd", (a, b, c, d)):
+            check_int(f"matrix entry {name}", x)
     if a * d - b * c != 1:
         raise ValueError(
             "matrix ({}, {}; {}, {}) must have determinant 1".format(
@@ -148,8 +148,7 @@ class GeneratorWord(ValueTuple, namedtuple("GeneratorWord", "factors")):
         merged: list[WordFactor] = []
         for f in factors:
             if f != "S":
-                if type(f) is not int:
-                    raise ValueError(f"word factor must be 'S' or a T-exponent, got {f!r}")
+                check_int("word factor other than 'S'", f)
                 if merged and merged[-1] != "S":
                     f += merged.pop()
                 if not f:
@@ -187,7 +186,10 @@ def descent_step(a: int, b: int, c: int, d: int) -> tuple[int, ModularMatrix]:
     """One nearest-integer descent step on c >= 1 (Knuth, TAOCP vol. 2,
     sec. 4.5.3): q = floor(d/c + 1/2) gives (a, b; c, d) = M' S T^q with
     M' = +-(aq - b, a; qc - d, c), whose lower-left entry |qc - d| <= c/2.
-    Raises ValueError for c < 1, as `omega` does."""
+    Raises ValueError for an entry not of type int, checked first, and for
+    c < 1, as `omega` does."""
+    if not type(a) is type(b) is type(c) is type(d) is int:
+        _check_unimodular(a, b, c, d)  # names the first entry not of type int
     if c < 1:
         raise ValueError(f"c must be >= 1, got {_entry_text(c)}")
     q = (2 * d + c) // (2 * c)

@@ -8,18 +8,22 @@ the Jacobi triple product, and the theta-series form of eta driven by the
 Dirichlet character mod 12.
 
 `QSeries` and `BiSeries` are named 2-tuples (coeffs, order) that check their
-exponents however they are built, `_make` and `_replace` included.  A series
+fields however they are built, `_make` and `_replace` included.  A series
 equals the plain tuple of its fields and unpacks as one; it neither
 concatenates nor repeats, and it cannot be hashed, since it holds a dict.
+
+Every order, exponent and coefficient, given to a producer, a series or its
+`coeff`, must be of type int: a bool, a float or a Fraction raises, say,
+ValueError("order must be of type int, got 2.5") before any other check on it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import isqrt
+from math import inf, isqrt
 from operator import add
 
-from ._valuetype import ValueTuple
+from ._valuetype import ValueTuple, check_int
 
 __all__ = [
     "QSeries",
@@ -48,11 +52,9 @@ MAX_ORDER = 20_000
 MAX_W_ORDER = 2_000
 
 
-def _check_order(n_order: int, limit: int) -> None:
-    """Raise ValueError unless n_order is of type int (not a bool or a float)
-    and in [0, limit]."""
-    if type(n_order) is not int:
-        raise ValueError(f"order must be an int, got {n_order!r}")
+def _check_order(n_order: int, limit: int | float) -> None:
+    """Raise ValueError unless n_order is of type int and in [0, limit]."""
+    check_int("order", n_order)
     if n_order < 0:
         raise ValueError(f"order must be >= 0, got {n_order}")
     if n_order > limit:
@@ -72,6 +74,7 @@ def chi12(n: int) -> int:
 class QSeries(ValueTuple, namedtuple("QSeries", "coeffs order")):
     """Power series in one variable, truncated at `order`, with int coefficients.
 
+    The order, every exponent and every coefficient must be of type int.
     Coefficients are stored sparsely (zero entries are dropped).  Exponents
     above `order` are unknown, not zero, so `coeff` refuses them.  There is no
     series arithmetic: the producers below build a series, callers read it.
@@ -80,10 +83,12 @@ class QSeries(ValueTuple, namedtuple("QSeries", "coeffs order")):
     __slots__ = ()
 
     def __new__(cls, coeffs: dict[int, int], order: int):
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
+        _check_order(order, inf)
         cleaned = {}
         for e, c in coeffs.items():
+            if not type(e) is type(c) is int:
+                check_int("exponent", e)
+                check_int("coefficient", c)
             if e < 0 or e > order:
                 raise ValueError(f"exponent {e} outside [0, {order}]")
             if c:
@@ -92,6 +97,7 @@ class QSeries(ValueTuple, namedtuple("QSeries", "coeffs order")):
 
     def coeff(self, e: int) -> int:
         """Coefficient at exponent e; raises if e is beyond the known range."""
+        check_int("exponent", e)
         if e > self.order:
             raise ValueError(f"coefficient at {e} is unknown (order {self.order})")
         return self.coeffs.get(e, 0)
@@ -109,17 +115,21 @@ class BiSeries(ValueTuple, namedtuple("BiSeries", "coeffs order")):
 
     A key (m, j) holds the coefficient of w^m * z^(2j); j may be negative.
     Both sides of the Jacobi triple product live here, so for every monomial
-    |j| <= m (a z^2 step always costs at least one power of w).  Like
-    `QSeries`, it carries no arithmetic.
+    |j| <= m (a z^2 step always costs at least one power of w).  The order,
+    m, j and every coefficient must be of type int.  Like `QSeries`, it
+    carries no arithmetic.
     """
 
     __slots__ = ()
 
     def __new__(cls, coeffs: dict[tuple[int, int], int], order: int):
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
+        _check_order(order, inf)
         cleaned = {}
         for (m, j), c in coeffs.items():
+            if not type(m) is type(j) is type(c) is int:
+                check_int("w-exponent", m)
+                check_int("z^2-exponent", j)
+                check_int("coefficient", c)
             if m < 0 or m > order:
                 raise ValueError(f"w-exponent {m} outside [0, {order}]")
             if abs(j) > m:
@@ -129,6 +139,9 @@ class BiSeries(ValueTuple, namedtuple("BiSeries", "coeffs order")):
         return tuple.__new__(cls, (cleaned, order))
 
     def coeff(self, m: int, j: int) -> int:
+        """Coefficient of w^m * z^(2j); raises if m is beyond the known range."""
+        check_int("w-exponent", m)
+        check_int("z^2-exponent", j)
         if m > self.order:
             raise ValueError(f"coefficient at w^{m} is unknown (order {self.order})")
         return self.coeffs.get((m, j), 0)
@@ -152,34 +165,6 @@ def _divisor_sums(n: int) -> list[int]:
     return sig
 
 
-def _euler_dense(n_order: int) -> list[int]:
-    """Coefficients 0..N of prod_{n=1}^{N} (1 - q^n), as a dense list.
-
-    By the divisor-sum recurrence m p(m) = -sum_{i<m} sigma(m - i) p(i) that
-    `euler_product_series` derives.  The sums are built forward: `acc[k]`
-    holds sigma(k - i) p(i) summed over the nonzero p(i) found so far, so it
-    is complete when the loop reaches k, and each new nonzero p(m) adds its
-    row p(m) sigma(k - m) to `acc[m+1:]` in one slice update.  The rows for
-    p(m) = +-1 are built once; any other value scales sigma afresh.  A
-    division with a remainder can only come from a broken sigma table, never
-    from the input, and raises ArithmeticError.
-    """
-    sig = _divisor_sums(n_order)
-    rows = {1: sig, -1: [-s for s in sig]}
-    dense = [0] * (n_order + 1)
-    dense[0] = 1
-    acc = sig[:]
-    for m in range(1, n_order + 1):
-        c, r = divmod(-acc[m], m)
-        if r:
-            raise ArithmeticError(f"inexact division at exponent {m}")
-        if c:
-            dense[m] = c
-            row = rows[c] if c in rows else [c * s for s in sig]
-            acc[m + 1:] = map(add, acc[m + 1:], row[1:n_order - m + 1])
-    return dense
-
-
 def euler_product_series(n_order: int) -> QSeries:
     """prod_{n=1}^{N} (1 - q^n) truncated to order N.
 
@@ -194,8 +179,16 @@ def euler_product_series(n_order: int) -> QSeries:
     Introduction to Analytic Number Theory, 1976, ch. 14, has the same
     recurrence for partitions).  It is exact: a power series with p(0) = 1
     is fixed by that equation, one coefficient at a time, and P is such a
-    series, so every division by m leaves no remainder.  The work is N times
-    the number of nonzero coefficients, since a zero p(i) drops out.
+    series, so every division by m leaves no remainder.
+
+    The sums are built forward: `acc[k]` holds sigma(k - i) p(i) summed over
+    the nonzero p(i) found so far, so it is complete when the loop reaches
+    k, and each new nonzero p(m) goes straight into the result and adds its
+    row p(m) sigma(k - m) to `acc[m+1:]` in one slice update.  The rows for
+    p(m) = +-1 are built once; any other value scales sigma afresh.  The
+    work is N times the number of nonzero coefficients, since a zero p(i)
+    drops out.  A division with a remainder can only come from a broken
+    sigma table, never from the input, and raises ArithmeticError.
 
     No sparsity is assumed: the nonzero positions are read from the
     coefficients already computed, not from the pentagonal-number theorem,
@@ -204,7 +197,19 @@ def euler_product_series(n_order: int) -> QSeries:
     raise ValueError before anything is allocated.
     """
     _check_order(n_order, MAX_ORDER)
-    return QSeries({e: c for e, c in enumerate(_euler_dense(n_order)) if c}, n_order)
+    sig = _divisor_sums(n_order)
+    rows = {1: sig, -1: [-s for s in sig]}
+    coeffs = {0: 1}
+    acc = sig[:]
+    for m in range(1, n_order + 1):
+        c, r = divmod(-acc[m], m)
+        if r:
+            raise ArithmeticError(f"inexact division at exponent {m}")
+        if c:
+            coeffs[m] = c
+            row = rows[c] if c in rows else [c * s for s in sig]
+            acc[m + 1:] = map(add, acc[m + 1:], row[1:n_order - m + 1])
+    return QSeries(coeffs, n_order)
 
 
 def pentagonal_series(n_order: int) -> QSeries:

@@ -153,6 +153,24 @@ def test_random_unimodular_matrix_draws_are_pinned(
     assert rng.random() == next_random
 
 
+@pytest.mark.parametrize(
+    "min_c, message",
+    [
+        (campaigns.MAX_ENTRY + 1, "min_c must be <= MAX_ENTRY = 1000000, got 1000001"),
+        (10**7, "min_c must be <= MAX_ENTRY = 1000000, got 10000000"),
+        (2.5, "min_c must be of type int, got 2.5"),
+        (True, "min_c must be of type int, got True"),
+    ],
+)
+def test_random_unimodular_matrix_refuses_min_c_before_any_draw(min_c, message):
+    # no candidate can pass above MAX_ENTRY; the refusal leaves the stream as it was
+    rng = random.Random(3)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        random_unimodular_matrix(rng, min_c)
+    assert rng.getstate() == state
+
+
 def _bumped_at(fn, broken_args, bump):
     """`fn` with its value passed through `bump` at the argument tuples in `broken_args`."""
 

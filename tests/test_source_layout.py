@@ -8,6 +8,9 @@ and in the package `__all__`; a name that one list keeps after the code is
 gone, or that the package exports without a submodule exporting it, is
 caught here.
 
+The rule that an integer argument must be of type int lives in one helper,
+`_valuetype.check_int`; no other module compares `type(x) is not int`.
+
 The package is built from plain stdlib types, so importing it (the cold start
 of every CLI call) loads neither `dataclasses` nor `typing`, nor `inspect`,
 which `dataclasses` pulls in.
@@ -79,3 +82,31 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout.strip() == "[]"
+
+
+def type_is_not_int_lines(tree: ast.Module) -> list[int]:
+    """Lines holding a comparison `type(...) is not int`, either way round."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, pair in zip(node.ops, zip(operands, operands[1:])):
+                sides = {ast.unparse(x).partition("(")[0] for x in pair}
+                if isinstance(op, ast.IsNot) and sides == {"type", "int"}:
+                    lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "_valuetype.py"],
+    ids=lambda path: path.name,
+)
+def test_only_check_int_compares_a_type_against_int(path):
+    assert type_is_not_int_lines(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_type_is_not_int_finder():
+    source = "type(x) is not int\nint is not type(y)\ntype(z) is int\nx is not int"
+    assert type_is_not_int_lines(ast.parse(source)) == [1, 2]
+    assert type_is_not_int_lines(ast.parse((PACKAGE / "_valuetype.py").read_text())) != []

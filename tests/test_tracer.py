@@ -54,8 +54,8 @@ def test_install_wraps_and_uninstall_restores_every_site():
     # the campaign reads every Dedekind sum from the integer kernel, so these
     # are floor_square_sum_check's own calls, one per coprime pair
     assert metrics["dedekind.dedekind_sum_fast.calls"] == 31
-    # the Euler product's half-order seed, in both products, comes from a
-    # private helper, so each public product counts once per campaign call
+    # each campaign builds its product once: pentagonal the Euler product,
+    # jtp the triple-product expansion
     assert metrics["qseries.euler_product_series.calls"] == 1
     assert metrics["qseries.jtp_product_side.calls"] == 1
     # three fixed probes and two draws each; the runners look up their

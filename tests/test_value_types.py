@@ -6,13 +6,17 @@ Each is a named tuple: it is immutable, prints as `Name(field=value, ...)`
 equals the plain tuple of its fields.  Every type but EvalResult checks its
 fields however it is built, `_make` and `_replace` included.  Equal
 values have equal hashes, except that a series holds a dict and cannot be
-hashed.  A matrix takes only entries of type int, a word only int
-T-exponents; no value concatenates, repeats or subtracts.
+hashed.  No value concatenates, repeats or subtracts.  Every integer
+argument of the package, in a value type or not, refuses a value not of type
+int with one message, pinned by one contract test.
 """
 
 import copy
 import pickle
+import random
+import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -23,10 +27,21 @@ from etaforge import (
     GeneratorWord,
     ModularMatrix,
     QSeries,
+    dedekind_sum_fast,
+    dedekind_sum_naive,
+    descent_step,
+    euler_product_series,
+    eta_char_qseries,
+    floor_square_sum_check,
+    floor_sum_check,
+    jtp_product_side,
+    jtp_shift_residual,
+    jtp_sum_side,
     omega,
+    pentagonal_series,
     t_power,
 )
-from etaforge.campaigns import CliConfig
+from etaforge.campaigns import CliConfig, random_unimodular_matrix
 
 # (build a value, one of its fields, its repr)
 VALUES = {
@@ -54,6 +69,14 @@ VALUES = {
     ),
 }
 SERIES = ("QSeries", "BiSeries")
+PRODUCERS = (
+    euler_product_series,
+    pentagonal_series,
+    jtp_product_side,
+    jtp_sum_side,
+    jtp_shift_residual,
+    eta_char_qseries,
+)
 
 
 @pytest.mark.parametrize("kind", VALUES)
@@ -177,28 +200,86 @@ def test_does_not_concatenate_or_repeat(kind):
             op()
 
 
-@pytest.mark.parametrize(
-    "entries",
-    [(2.0, 1, 1, 1), (1, 0, 0, 1.0), (True, 0, 0, True), (2, 1, True, 1), (Fraction(2), 1, 1, 1)],
-)
-def test_matrix_and_omega_reject_entries_not_of_type_int(entries):
-    with pytest.raises(ValueError, match="matrix entries must be of type int"):
-        ModularMatrix(*entries)
-    with pytest.raises(ValueError, match="matrix entries must be of type int"):
-        omega(*entries)
+# Every integer argument of the package, each given as (call, valid
+# arguments, the name of each argument, or None where it is not an integer):
+# one contract, checked in each position, that a value not of type int is
+# refused with the one message, before any other check on that argument.
+MATRIX = (2, 1, 1, 1), tuple(f"matrix entry {x}" for x in "abcd")
+DEDEKIND = (2, 7), ("h", "k")
+INT_ARGUMENTS = {
+    "ModularMatrix": (ModularMatrix, *MATRIX),
+    "omega": (omega, *MATRIX),
+    "descent_step": (descent_step, *MATRIX),
+    "GeneratorWord": (
+        lambda *factors: GeneratorWord(factors),
+        (2, "S", 1),
+        ("word factor other than 'S'", None, "word factor other than 'S'"),
+    ),
+    "CliConfig": (CliConfig, (5, 10, 0), ("order", "trials", "seed")),
+    **{producer.__name__: (producer, (3,), ("order",)) for producer in PRODUCERS},
+    "QSeries": (
+        lambda e, c, order: QSeries({e: c}, order),
+        (1, 2, 3),
+        ("exponent", "coefficient", "order"),
+    ),
+    "BiSeries": (
+        lambda m, j, c, order: BiSeries({(m, j): c}, order),
+        (1, -1, 2, 3),
+        ("w-exponent", "z^2-exponent", "coefficient", "order"),
+    ),
+    "QSeries.coeff": (lambda e: euler_product_series(10).coeff(e), (2,), ("exponent",)),
+    "BiSeries.coeff": (
+        lambda m, j: jtp_sum_side(4).coeff(m, j),
+        (1, 1),
+        ("w-exponent", "z^2-exponent"),
+    ),
+    "dedekind_sum_naive": (dedekind_sum_naive, *DEDEKIND),
+    "dedekind_sum_fast": (dedekind_sum_fast, *DEDEKIND),
+    "floor_sum_check": (floor_sum_check, *DEDEKIND),
+    "floor_square_sum_check": (floor_square_sum_check, *DEDEKIND),
+    "random_unimodular_matrix": (
+        lambda min_c: random_unimodular_matrix(random.Random(0), min_c),
+        (2,),
+        ("min_c",),
+    ),
+}
+NOT_INTS = (True, False, 2.0, 2.5, Fraction(2))
 
 
-@pytest.mark.parametrize("factors", [(True,), ("S", False), (2, 1.0), (Fraction(1),)])
-def test_generator_word_rejects_factors_not_of_type_int(factors):
-    with pytest.raises(ValueError, match="word factor"):
-        GeneratorWord(factors)
+def _not_int_cases():
+    for kind, (call, args, names) in INT_ARGUMENTS.items():
+        for i, name in enumerate(names):
+            for bad in NOT_INTS if name else ():
+                given = args[:i] + (bad,) + args[i + 1:]
+                yield pytest.param(call, given, name, bad, id=f"{kind}-{i}-{bad!r}")
+    # inputs pinned before the contract covered every position; each names
+    # its first argument not of type int
+    for entries, i in [
+        ((2.0, 1, 1, 1), 0),
+        ((1, 0, 0, 1.0), 3),
+        ((True, 0, 0, True), 0),
+        ((2, 1, True, 1), 2),
+        ((Fraction(2), 1, 1, 1), 0),
+    ]:
+        for kind in ("ModularMatrix", "omega"):
+            call, _, names = INT_ARGUMENTS[kind]
+            yield pytest.param(call, entries, names[i], entries[i], id=f"{kind}{entries}")
+    call, _, (name, _, _) = INT_ARGUMENTS["GeneratorWord"]
+    for factors, bad in [((True,), True), (("S", False), False), ((2, 1.0), 1.0),
+                         ((Fraction(1),), Fraction(1))]:
+        yield pytest.param(call, factors, name, bad, id=f"GeneratorWord{factors}")
+    for kwargs in [{"order": 2.0}, {"order": True}, {"trials": False}, {"trials": 10.0},
+                   {"seed": 1.5}, {"seed": True}, {"seed": None}]:
+        ((name, bad),) = kwargs.items()
+        yield pytest.param(partial(CliConfig, **kwargs), (), name, bad, id=f"CliConfig-{kwargs}")
+    # 1e18 would otherwise meet the limit check
+    for producer in PRODUCERS:
+        for bad in (3.0, 1e18):
+            yield pytest.param(producer, (bad,), "order", bad, id=f"{producer.__name__}-{bad!r}")
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [{"order": 2.0}, {"order": True}, {"trials": False}, {"trials": 10.0},
-     {"seed": 1.5}, {"seed": True}, {"seed": None}],
-)
-def test_cli_config_rejects_bools_and_floats(kwargs):
-    with pytest.raises(ValueError, match=next(iter(kwargs))):
-        CliConfig(**kwargs)
+@pytest.mark.parametrize("call, args, name, bad", list(_not_int_cases()))
+def test_integer_arguments_refuse_values_not_of_type_int(call, args, name, bad):
+    message = f"{name} must be of type int, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*args)
