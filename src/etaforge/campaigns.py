@@ -48,7 +48,7 @@ from .evaluate import (
     gaussian_poisson_residual,
     theta_identity_residual,
 )
-from .modgroup import ModularMatrix, S, descent_step
+from .modgroup import ModularMatrix, S, _descent_step
 from .qseries import (
     MAX_ORDER,
     MAX_W_ORDER,
@@ -377,8 +377,10 @@ def run_reciprocity(report: VerificationReport, config: CliConfig) -> None:
 
 def _omega_descends(mat: ModularMatrix) -> bool:
     """omega(M) = omega(M') + q - 3 d'/c for the descent step M = M' S T^q
-    (c >= 2), where the lower-right entry d' of M' is +-c."""
-    q, reduced = descent_step(*mat)
+    (c >= 2).  M' is put in canonical form, so omega gets c' >= 1, and its
+    lower-right entry d' is +-c."""
+    q, *rest = _descent_step(*mat)
+    reduced = ModularMatrix(*rest)
     return omega(*mat) == omega(*reduced) + q - 3 * reduced.d // mat.c
 
 

@@ -4,9 +4,10 @@ constructive generator words.
 Matrices are kept in a canonical sign form (c > 0, or c = 0 and d > 0) so each
 object represents a class modulo +-I.  `decompose` rewrites any element as a
 word in the generators S: z -> -1/z and T: z -> z + 1 by repeating one
-nearest-integer descent step on the lower-left entry (`descent_step`), which
-at least halves c, so the word has at most c.bit_length() S factors;
-`evaluate_word` multiplies a word back out in plain integers.
+nearest-integer descent step on the lower-left entry (`_descent_step`),
+which at least halves |c|, so the word has at most c.bit_length() S factors.
+It checks the matrix once and walks on plain ints, building no matrix per
+step; `evaluate_word` multiplies a word back out in plain integers.
 `reduce_to_fundamental_domain` moves any point of the upper half-plane into
 -1/2 <= Re < 1/2, |tau| >= 1, deciding every step in exact integers, and
 returns the reduced point correctly rounded.
@@ -49,10 +50,8 @@ __all__ = [
     "IDENTITY",
     "S",
     "T",
-    "t_power",
     "apply_mobius",
     "decompose",
-    "descent_step",
     "evaluate_word",
     "reduce_to_fundamental_domain",
 ]
@@ -77,10 +76,6 @@ class ModularMatrix(ValueTuple, namedtuple("ModularMatrix", "a b c d")):
         if c < 0 or (c == 0 and d < 0):
             return tuple.__new__(cls, (-a, -b, -c, -d))
         return tuple.__new__(cls, (a, b, c, d))
-
-    def inverse(self) -> "ModularMatrix":
-        a, b, c, d = self
-        return ModularMatrix(d, -b, -c, a)
 
     def __matmul__(self, other: "ModularMatrix") -> "ModularMatrix":
         a, b, c, d = self
@@ -115,11 +110,6 @@ def _entry_text(x: int) -> str:
 IDENTITY = ModularMatrix(1, 0, 0, 1)
 S = ModularMatrix(0, -1, 1, 0)
 T = ModularMatrix(1, 1, 0, 1)
-
-
-def t_power(m: int) -> ModularMatrix:
-    """The translation matrix T^m = (1, m; 0, 1)."""
-    return ModularMatrix(1, m, 0, 1)
 
 
 def _as_tau(tau: complex) -> complex:
@@ -182,31 +172,31 @@ def evaluate_word(word: GeneratorWord) -> ModularMatrix:
     return ModularMatrix(a, b, c, d)
 
 
-def descent_step(a: int, b: int, c: int, d: int) -> tuple[int, ModularMatrix]:
-    """One nearest-integer descent step on c >= 1 (Knuth, TAOCP vol. 2,
+def _descent_step(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int, int]:
+    """One nearest-integer descent step on c != 0 (Knuth, TAOCP vol. 2,
     sec. 4.5.3): q = floor(d/c + 1/2) gives (a, b; c, d) = M' S T^q with
-    M' = +-(aq - b, a; qc - d, c), whose lower-left entry |qc - d| <= c/2.
-    Raises ValueError for an entry not of type int, checked first, and for
-    c < 1, as `omega` does."""
-    if not type(a) is type(b) is type(c) is type(d) is int:
-        _check_unimodular(a, b, c, d)  # names the first entry not of type int
-    if c < 1:
-        raise ValueError(f"c must be >= 1, got {_entry_text(c)}")
+    M' = (aq - b, a; qc - d, c), whose lower-left entry |qc - d| <= |c|/2.
+    Returns (q, *M').  Nothing is checked: M' is unimodular when M is, and
+    its sign is left as the step makes it."""
     q = (2 * d + c) // (2 * c)
-    return q, ModularMatrix(a * q - b, a, q * c - d, c)
+    return q, a * q - b, a, q * c - d, c
 
 
 def decompose(mat: ModularMatrix) -> GeneratorWord:
-    """Write a matrix as a word in S and T-powers: each `descent_step` peels
-    S T^q off the right and at least halves c, and at c = 0 what is left is
-    the translation T^b.  A plain 4-tuple is checked and put in canonical
-    form by `ModularMatrix` first."""
+    """Write a matrix as a word in S and T-powers: each `_descent_step` peels
+    S T^q off the right and at least halves |c|, and at c = 0 what is left is
+    the translation +-T^b.  A plain 4-tuple is checked by `ModularMatrix`
+    first; the walk itself runs on plain ints, with no check and no sign
+    rule per step."""
     a, b, c, d = mat if type(mat) is ModularMatrix else ModularMatrix(*mat)
     peeled: list[WordFactor] = []
     while c:
-        q, (a, b, c, d) = descent_step(a, b, c, d)
+        q, a, b, c, d = _descent_step(a, b, c, d)
         peeled += (q, "S")
-    return GeneratorWord((b, *reversed(peeled)))
+    # skipping the sign rule changes no q, which reads c and d only through
+    # d/c; the walk ends at (d, b; 0, d) with d = +-1, whose canonical form
+    # is T^(b*d)
+    return GeneratorWord((b * d, *reversed(peeled)))
 
 
 def apply_mobius(mat: ModularMatrix, tau: complex) -> complex:

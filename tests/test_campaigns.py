@@ -16,7 +16,6 @@ from etaforge import campaigns, dedekind, evaluate, modgroup, qseries
 from etaforge.campaigns import VerificationReport, random_unimodular_matrix
 from etaforge.cli import main
 from etaforge.dedekind import dedekind_sum_naive, floor_square_sum_check, omega
-from etaforge.modgroup import ModularMatrix
 from etaforge.qseries import jtp_sum_side, pentagonal_series
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -275,7 +274,7 @@ def _omega_plus(n):
 
 def _floor_descent_step(a, b, c, d):
     q = d // c
-    return q, ModularMatrix(a * q - b, a, q * c - d, c)
+    return q, a * q - b, a, q * c - d, c
 
 
 _scaled, _CHI12 = dedekind._scaled_dedekind_sum, qseries._CHI12_TABLE
@@ -313,8 +312,8 @@ MUTATIONS = {
         (dedekind, "_scaled_dedekind_sum", lambda h, k: -_scaled(h, k))
     ],
     "floor descent step q = d // c": [
-        (modgroup, "descent_step", _floor_descent_step),
-        (campaigns, "descent_step", _floor_descent_step),
+        (modgroup, "_descent_step", _floor_descent_step),
+        (campaigns, "_descent_step", _floor_descent_step),
     ],
     "SMALL_IM = 0.001": [(evaluate, "SMALL_IM", 0.001)],
     "jtp_product_side (4, 0) + 1": [(qseries, "jtp_product_side", _jtp_product_plus_one_at_4_0)],

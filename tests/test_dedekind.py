@@ -16,7 +16,7 @@ from etaforge import (
     floor_sum_check,
     omega,
 )
-from etaforge.modgroup import descent_step
+from etaforge.modgroup import ModularMatrix, _descent_step
 
 
 def dedekind_sum_literal(h: int, k: int) -> Fraction:
@@ -278,7 +278,8 @@ def test_omega_descent_recursion():
             continue
         a = pow(d, -1, c)
         b = (a * d - 1) // c
-        q, reduced = descent_step(a, b, c, d)
+        q, *rest = _descent_step(a, b, c, d)
+        reduced = ModularMatrix(*rest)
         # the lower-right entry of the reduced matrix is c up to sign
         assert reduced.d in (c, -c)
         assert omega(a, b, c, d) == omega(*reduced) + q - 3 * reduced.d // c

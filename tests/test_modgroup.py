@@ -26,11 +26,11 @@ from etaforge import (
     evaluate_word,
     functional_eq_residual,
     reduce_to_fundamental_domain,
-    t_power,
     theta_identity_residual,
     transform_factor,
 )
-from etaforge.modgroup import descent_step
+from etaforge import modgroup
+from etaforge.modgroup import _descent_step
 
 
 def random_word_matrix(rng, exp_bound=20, max_factors=30):
@@ -61,16 +61,18 @@ def test_non_unimodular_rejected():
 
 def test_compose():
     assert S @ S == IDENTITY           # S^2 = -I ~ I
-    assert T @ T == t_power(2)
-    assert t_power(2) @ S @ T == ModularMatrix(2, 1, 1, 1)
+    assert T @ T == ModularMatrix(1, 2, 0, 1)
+    assert ModularMatrix(1, 2, 0, 1) @ S @ T == ModularMatrix(2, 1, 1, 1)
 
 
 def test_inverse():
     rng = random.Random(1)
     for _ in range(100):
         m = random_word_matrix(rng)
-        assert m @ m.inverse() == IDENTITY
-        assert m.inverse() @ m == IDENTITY
+        a, b, c, d = m
+        inverse = ModularMatrix(d, -b, -c, a)
+        assert m @ inverse == IDENTITY
+        assert inverse @ m == IDENTITY
 
 
 def test_matrix_str_names_an_entry_past_the_digit_limit_by_bit_length():
@@ -89,7 +91,7 @@ def test_apply_mobius_fixed_point_and_translation():
     assert abs(image - 1j) < 1e-15
 
     tau = complex(0.37, 2.1)
-    shifted = apply_mobius(t_power(3), tau)
+    shifted = apply_mobius(ModularMatrix(1, 3, 0, 1), tau)
     assert abs(shifted - (tau + 3)) < 1e-12
 
 
@@ -182,7 +184,7 @@ def test_word_str_names_an_exponent_past_the_digit_limit_by_bit_length():
 
 def test_decompose_generators():
     assert decompose(S).factors == ("S",)
-    assert str(decompose(t_power(5))) == "T^5"
+    assert str(decompose(ModularMatrix(1, 5, 0, 1))) == "T^5"
     assert decompose(ModularMatrix(2, 1, 1, 1)).factors == (2, "S", 1)
 
 
@@ -213,7 +215,7 @@ def test_plain_tuple_is_taken_in_canonical_form():
 def test_evaluate_word_basics():
     assert evaluate_word(GeneratorWord(())) == IDENTITY
     assert evaluate_word(GeneratorWord(("S",))) == S
-    assert evaluate_word(GeneratorWord((5,))) == t_power(5)
+    assert evaluate_word(GeneratorWord((5,))) == ModularMatrix(1, 5, 0, 1)
 
 
 def test_decompose_round_trip():
@@ -259,6 +261,19 @@ def test_decompose_s_count_is_at_most_the_bit_length_of_c(m, s_count):
     assert evaluate_word(word) == m
 
 
+def test_decompose_checks_its_input_once_and_no_step(monkeypatch):
+    # the descent walks on plain ints, so a built matrix costs no check and
+    # a plain tuple one, however many steps follow
+    m = fibonacci_matrix(1438)
+    calls = []
+    check = modgroup._check_unimodular
+    monkeypatch.setattr(modgroup, "_check_unimodular", lambda *e: calls.append(e) or check(*e))
+    assert decompose(m).factors.count("S") == 719
+    assert calls == []
+    assert decompose(tuple(m)) == decompose(m)
+    assert calls == [tuple(m)]
+
+
 def test_descent_step_factorization():
     rng = random.Random(11)
     checked = 0
@@ -266,17 +281,12 @@ def test_descent_step_factorization():
         m = random_word_matrix(rng)
         if m.c == 0:
             continue
-        q, reduced = descent_step(*m)
+        q, *rest = _descent_step(*m)
+        reduced = ModularMatrix(*rest)
         assert 0 <= 2 * reduced.c <= m.c
-        assert reduced @ S @ t_power(q) == m, m
+        assert reduced @ S @ ModularMatrix(1, q, 0, 1) == m, m
         checked += 1
     assert checked > 900
-
-
-@pytest.mark.parametrize("c", [0, -1, -(10**5000)], ids=["0", "-1", "-1e5000"])
-def test_descent_step_rejects_c_below_one(c):
-    with pytest.raises(ValueError, match="c must be >= 1"):
-        descent_step(1, 0, c, 1)
 
 
 def nearest_integer_steps(d: int, c: int) -> int:
@@ -304,7 +314,7 @@ def test_decompose_depth_matches_descent():
 
 def test_reduce_translation_only():
     reduced, mat = reduce_to_fundamental_domain(complex(5.0, 1.0))
-    assert mat == t_power(-5)
+    assert mat == ModularMatrix(1, -5, 0, 1)
     assert abs(reduced - 1j) < 1e-15
 
 
@@ -355,7 +365,7 @@ def test_reduce_boundary_points():
     # the exact loop sends Re = 1/2 to -1/2 and leaves |tau| = 1 uninverted
     assert reduce_to_fundamental_domain(complex(0.5, 1.0)) == (
         complex(-0.5, 1.0),
-        T.inverse(),
+        ModularMatrix(1, -1, 0, 1),
     )
     assert reduce_to_fundamental_domain(complex(0.0, 1.0)) == (
         complex(0.0, 1.0),

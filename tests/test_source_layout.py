@@ -11,6 +11,10 @@ caught here.
 The rule that an integer argument must be of type int lives in one helper,
 `_valuetype.check_int`; no other module compares `type(x) is not int`.
 
+A package module reads every name it imports.  The only exceptions are the
+names `campaigns` imports so that the benchmark tracer can patch them where a
+campaign would look them up; each must still be a tracer site.
+
 The package is built from plain stdlib types, so importing it (the cold start
 of every CLI call) loads neither `dataclasses` nor `typing`, nor `inspect`,
 which `dataclasses` pulls in.
@@ -18,6 +22,7 @@ which `dataclasses` pulls in.
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -27,6 +32,7 @@ from pathlib import Path
 import pytest
 
 import etaforge
+from etaforge import campaigns
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "etaforge"
@@ -110,3 +116,46 @@ def test_type_is_not_int_finder():
     source = "type(x) is not int\nint is not type(y)\ntype(z) is int\nx is not int"
     assert type_is_not_int_lines(ast.parse(source)) == [1, 2]
     assert type_is_not_int_lines(ast.parse((PACKAGE / "_valuetype.py").read_text())) != []
+
+
+def unread_imports(tree: ast.Module) -> list[str]:
+    """Names the module imports and never reads, `from __future__` aside."""
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    imported.discard("*")
+    return sorted(imported - read)
+
+
+# campaigns imports these only for benchmarks/tracer.py, which patches them there
+TRACER_ONLY_IMPORTS = {
+    "campaigns.py": ["dedekind_sum_fast", "jtp_product_side", "jtp_shift_residual"],
+}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_imported_name_is_read(path):
+    unread = unread_imports(ast.parse(path.read_text(), str(path)))
+    assert unread == TRACER_ONLY_IMPORTS.get(path.name, [])
+
+
+def test_tracer_only_imports_are_tracer_sites():
+    path = ROOT / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    sites = {(owner, attr) for owner, attr, _ in tracer._SITES}
+    assert [n for n in TRACER_ONLY_IMPORTS["campaigns.py"] if (campaigns, n) not in sites] == []
+
+
+def test_unread_import_finder():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport sys as system\n"
+        "from math import *\nfrom math import floor as fl, gcd, pi\npi = 3\n"
+        "def f():\n    import json\n    return json, gcd, os.path\n"
+    )
+    assert unread_imports(ast.parse(source)) == ["fl", "pi", "system"]

@@ -29,7 +29,6 @@ from etaforge import (
     QSeries,
     dedekind_sum_fast,
     dedekind_sum_naive,
-    descent_step,
     euler_product_series,
     eta_char_qseries,
     floor_square_sum_check,
@@ -39,7 +38,6 @@ from etaforge import (
     jtp_sum_side,
     omega,
     pentagonal_series,
-    t_power,
 )
 from etaforge.campaigns import CliConfig, random_unimodular_matrix
 
@@ -126,7 +124,7 @@ def test_pickle_and_copy_round_trip(kind):
 
 def test_make_and_replace_run_the_matrix_checks():
     assert ModularMatrix._make((-2, -1, -1, -1)) == ModularMatrix(2, 1, 1, 1)
-    assert IDENTITY._replace(b=5) == t_power(5)
+    assert IDENTITY._replace(b=5) == ModularMatrix(1, 5, 0, 1)
     assert ModularMatrix(0, -1, 1, 0)._replace(b=1, c=-1) == ModularMatrix(0, -1, 1, 0)
     with pytest.raises(ValueError, match="determinant 1"):
         ModularMatrix._make((1, 0, 0, 2))
@@ -209,7 +207,6 @@ DEDEKIND = (2, 7), ("h", "k")
 INT_ARGUMENTS = {
     "ModularMatrix": (ModularMatrix, *MATRIX),
     "omega": (omega, *MATRIX),
-    "descent_step": (descent_step, *MATRIX),
     "GeneratorWord": (
         lambda *factors: GeneratorWord(factors),
         (2, "S", 1),
