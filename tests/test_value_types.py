@@ -29,6 +29,7 @@ from etaforge import (
     QSeries,
     dedekind_sum_fast,
     dedekind_sum_naive,
+    decompose,
     euler_product_series,
     eta_char_qseries,
     floor_square_sum_check,
@@ -207,6 +208,8 @@ DEDEKIND = (2, 7), ("h", "k")
 INT_ARGUMENTS = {
     "ModularMatrix": (ModularMatrix, *MATRIX),
     "omega": (omega, *MATRIX),
+    # the one check decompose makes before its unchecked descent
+    "decompose": (lambda *entries: decompose(entries), *MATRIX),
     "GeneratorWord": (
         lambda *factors: GeneratorWord(factors),
         (2, "S", 1),
