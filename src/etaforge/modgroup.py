@@ -40,6 +40,7 @@ import cmath
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Sized
 
 from ._valuetype import ValueTuple, check_int
 
@@ -105,6 +106,21 @@ def _entry_text(x: int) -> str:
         return str(x)
     except ValueError:
         return f"{'-' if x < 0 else ''}<{abs(x).bit_length()}-bit integer>"
+
+
+def _as_matrix(mat: tuple[int, int, int, int]) -> ModularMatrix:
+    """A plain input as a `ModularMatrix`: it is unpacked into four entries,
+    which `ModularMatrix` checks.  What does not unpack into exactly four
+    entries raises ValueError.  Callers test `type(mat) is ModularMatrix`
+    first, so a matrix costs no call."""
+    try:
+        a, b, c, d = mat
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"matrix must be a ModularMatrix or four entries a, b, c, d, got {type(mat).__name__}"
+            + (f" of length {len(mat)}" if isinstance(mat, Sized) else "")
+        ) from None
+    return ModularMatrix(a, b, c, d)
 
 
 IDENTITY = ModularMatrix(1, 0, 0, 1)
@@ -186,9 +202,9 @@ def decompose(mat: ModularMatrix) -> GeneratorWord:
     """Write a matrix as a word in S and T-powers: each `_descent_step` peels
     S T^q off the right and at least halves |c|, and at c = 0 what is left is
     the translation +-T^b.  A plain 4-tuple is checked by `ModularMatrix`
-    first; the walk itself runs on plain ints, with no check and no sign
-    rule per step."""
-    a, b, c, d = mat if type(mat) is ModularMatrix else ModularMatrix(*mat)
+    first (`_as_matrix`); the walk itself runs on plain ints, with no check
+    and no sign rule per step."""
+    a, b, c, d = mat if type(mat) is ModularMatrix else _as_matrix(mat)
     peeled: list[WordFactor] = []
     while c:
         q, a, b, c, d = _descent_step(a, b, c, d)
@@ -210,11 +226,12 @@ def apply_mobius(mat: ModularMatrix, tau: complex) -> complex:
     float is still returned.  Raises NumericDegeneracyError when an entry of
     the matrix is beyond the float range, or when a part of the image leaves
     it, so Im would come out 0 or inf.  A plain 4-tuple is checked by
-    `ModularMatrix` first, so it must be unimodular with int entries.
+    `ModularMatrix` first (`_as_matrix`), so it must be unimodular with int
+    entries.
     """
     z = _as_tau(tau)
     if type(mat) is not ModularMatrix:
-        mat = ModularMatrix(*mat)
+        mat = _as_matrix(mat)
     a, b, c, d = mat
     try:
         den = c * z + d

@@ -157,11 +157,19 @@ class BiSeries(ValueTuple, namedtuple("BiSeries", "coeffs order")):
 def _divisor_sums(n: int) -> list[int]:
     """sigma(0..n) as a list, sigma(m) the sum of the divisors of m (sigma(0) = 0).
 
-    A slice sieve: each d adds itself to every multiple of d.
+    A sieve over divisor pairs x e = m, split at s = isqrt(n).  Each d <= s
+    adds itself to every multiple of d, then adds each co-divisor e > s to
+    d e, reading the values e from a range.  A divisor x of m <= n is then
+    counted exactly once: as itself if x <= s, else through its co-divisor
+    m / x, which is at most s, since m / x <= n / (s + 1) < s + 1.  That is
+    2s slice updates, where a sieve over every d <= n takes n, most of them
+    on slices of one element.
     """
     sig = [0] * (n + 1)
-    for d in range(1, n + 1):
+    s = isqrt(n)
+    for d in range(1, s + 1):
         sig[d::d] = map(d.__add__, sig[d::d])
+        sig[d * (s + 1)::d] = map(add, sig[d * (s + 1)::d], range(s + 1, n // d + 1))
     return sig
 
 
@@ -184,11 +192,14 @@ def euler_product_series(n_order: int) -> QSeries:
     The sums are built forward: `acc[k]` holds sigma(k - i) p(i) summed over
     the nonzero p(i) found so far, so it is complete when the loop reaches
     k, and each new nonzero p(m) goes straight into the result and adds its
-    row p(m) sigma(k - m) to `acc[m+1:]` in one slice update.  The rows for
-    p(m) = +-1 are built once; any other value scales sigma afresh.  The
-    work is N times the number of nonzero coefficients, since a zero p(i)
-    drops out.  A division with a remainder can only come from a broken
-    sigma table, never from the input, and raises ArithmeticError.
+    row p(m) sigma(k - m) to `acc[m+1:]` in one slice update.  The rows are
+    kept shifted by one, starting at sigma(1), so every p(m) reads its row
+    from the start and `map` stops where `acc` ends; no row is cut per
+    coefficient.  The rows for p(m) = +-1 are built once; any other value
+    scales sigma afresh.  The work is N times the number of nonzero
+    coefficients, since a zero p(i) drops out.  A division with a remainder
+    can only come from a broken sigma table, never from the input, and
+    raises ArithmeticError.
 
     No sparsity is assumed: the nonzero positions are read from the
     coefficients already computed, not from the pentagonal-number theorem,
@@ -198,17 +209,18 @@ def euler_product_series(n_order: int) -> QSeries:
     """
     _check_order(n_order, MAX_ORDER)
     sig = _divisor_sums(n_order)
-    rows = {1: sig, -1: [-s for s in sig]}
+    tail = sig[1:]  # sigma(1), sigma(2), ...: the row of p(m) from exponent m + 1
+    rows = {1: tail, -1: [-s for s in tail]}
     coeffs = {0: 1}
-    acc = sig[:]
+    acc = sig
     for m in range(1, n_order + 1):
         c, r = divmod(-acc[m], m)
         if r:
             raise ArithmeticError(f"inexact division at exponent {m}")
         if c:
             coeffs[m] = c
-            row = rows[c] if c in rows else [c * s for s in sig]
-            acc[m + 1:] = map(add, acc[m + 1:], row[1:n_order - m + 1])
+            row = rows[c] if c in rows else [c * s for s in tail]
+            acc[m + 1:] = map(add, acc[m + 1:], row)
     return QSeries(coeffs, n_order)
 
 

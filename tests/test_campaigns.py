@@ -7,6 +7,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -295,6 +296,17 @@ def _divisor_sums_plus_one_at_4(n):
     return sig
 
 
+def _divisor_sums_split_one_low(n):
+    # the divisor-pair sieve split at isqrt(n) - 1: a divisor x of m with x
+    # and m / x both at least isqrt(n), as at m = isqrt(n)^2, is never counted
+    sig = [0] * (n + 1)
+    s = max(math.isqrt(n) - 1, 0)
+    for d in range(1, s + 1):
+        sig[d::d] = map(d.__add__, sig[d::d])
+        sig[d * (s + 1)::d] = map(add, sig[d * (s + 1)::d], range(s + 1, n // d + 1))
+    return sig
+
+
 # Mutation analysis (DeMillo, Lipton and Sayward, "Hints on test data
 # selection", Computer 11(4), 1978): each variant breaks one kernel, patched
 # at every module that looks the name up, as (owner, name, replacement).
@@ -318,6 +330,7 @@ MUTATIONS = {
     "SMALL_IM = 0.001": [(evaluate, "SMALL_IM", 0.001)],
     "jtp_product_side (4, 0) + 1": [(qseries, "jtp_product_side", _jtp_product_plus_one_at_4_0)],
     "σ(4) + 1": [(qseries, "_divisor_sums", _divisor_sums_plus_one_at_4)],
+    "σ split at isqrt(n) − 1": [(qseries, "_divisor_sums", _divisor_sums_split_one_low)],
 }
 MUTATION_GOLDEN = Path(__file__).resolve().parent / "golden" / "mutation_checks.json"
 

@@ -203,6 +203,24 @@ def test_plain_tuple_is_checked_as_a_matrix(entries, message):
         apply_mobius(entries, 1j)
 
 
+@pytest.mark.parametrize(
+    "mat, got",
+    [
+        ((1, 0, 0), "tuple of length 3"),  # used to raise TypeError: missing argument 'd'
+        ((1, 0, 0, 1, 0), "tuple of length 5"),
+        ([0, -1, 1], "list of length 3"),
+        (5, "int"),  # used to raise TypeError: argument after * must be an iterable
+        (None, "NoneType"),
+    ],
+)
+def test_input_that_is_not_four_entries_raises_value_error(mat, got):
+    message = f"^matrix must be a ModularMatrix or four entries a, b, c, d, got {got}$"
+    with pytest.raises(ValueError, match=message):
+        decompose(mat)
+    with pytest.raises(ValueError, match=message):
+        apply_mobius(mat, 1j)
+
+
 def test_plain_tuple_is_taken_in_canonical_form():
     # (1, 0; -1, 1) used to raise "c must be >= 1" in decompose
     word = decompose((1, 0, -1, 1))

@@ -88,6 +88,14 @@ def reference_euler(n_order: int) -> QSeries:
     return as_qseries(dense, n_order)
 
 
+def reference_divisor_sums(n: int) -> list[int]:
+    """sigma(0..n) by one slice update per d <= n: d adds itself to every multiple."""
+    sig = [0] * (n + 1)
+    for d in range(1, n + 1):
+        sig[d::d] = map(d.__add__, sig[d::d])
+    return sig
+
+
 def reference_jtp(n_order: int) -> BiSeries:
     """The triple product by a 0/1 knapsack over all three factors, descending n.
 
@@ -175,6 +183,16 @@ def test_exponent_beyond_order_rejected_at_construction():
 
 
 # --- Euler product ----------------------------------------------------------
+
+
+def test_divisor_sums_match_trial_division():
+    # every n <= 400 passes the split isqrt(n) at each s^2 - 1, s^2 and
+    # s^2 + 1; sigma(m) does not depend on n, so one trial-division table
+    # serves every n, and n = 0 and 1 are the empty and the one-entry sieve
+    trial = [0] + [sum(x for x in range(1, m + 1) if m % x == 0) for m in range(1, 401)]
+    for n in range(401):
+        assert qseries._divisor_sums(n) == trial[:n + 1], n
+    assert qseries._divisor_sums(qseries.MAX_ORDER) == reference_divisor_sums(qseries.MAX_ORDER)
 
 
 def test_euler_product_empty():
