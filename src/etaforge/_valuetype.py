@@ -6,10 +6,12 @@ def check_int(name: str, value: object) -> None:
     """Raise ValueError unless value is of type int (a bool, a float or a
     Fraction is refused even where it equals an int).
 
-    Every integer argument of the package is checked here; a caller run once
-    per term may test `type(x) is int` inline and call this only to name the
-    bad value.  `qseries.chi12` is exempt: it runs once per term of the
-    character series, whose callers pass it range indices.
+    Every integer argument of the package is checked here, one call per
+    argument.  Only `modgroup._check_unimodular`, run several times per eta
+    evaluation, tests its four entries in one inline `type(...) is ... is
+    int` chain and calls this only to name the bad entry.  `qseries.chi12` is
+    exempt: it runs once per term of the character series, whose callers
+    pass it range indices.
     """
     if type(value) is not int:
         raise ValueError(f"{name} must be of type int, got {value!r}")

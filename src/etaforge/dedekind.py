@@ -22,7 +22,7 @@ it; the private kernel _scaled_dedekind_sum checks nothing.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from ._valuetype import check_int
 from .modgroup import _check_unimodular, _entry_text
@@ -40,25 +40,22 @@ __all__ = [
 MAX_DIRECT_MODULUS = 10_000_000
 
 
-def _check_modulus(k: int) -> None:
+def _check_modulus(k: int, limit: int | float = inf) -> None:
+    """Raise ValueError unless k is of type int and in [1, limit]; the O(k)
+    sums pass MAX_DIRECT_MODULUS as the limit."""
     check_int("k", k)
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-
-
-def _check_direct_modulus(k: int) -> None:
-    """_check_modulus, plus the limit of the O(k) sums."""
-    _check_modulus(k)
-    if k > MAX_DIRECT_MODULUS:
+    if k > limit:
         raise ValueError(
-            f"k = {k} is above MAX_DIRECT_MODULUS = {MAX_DIRECT_MODULUS} for an O(k) sum; "
+            f"k = {k} is above MAX_DIRECT_MODULUS = {limit} for an O(k) sum; "
             "use dedekind_sum_fast"
         )
 
 
 def _check_coprime(h: int, k: int) -> None:
-    """gcd(h, k) = 1, for h of type int and k already checked."""
-    check_int("h", h)
+    """gcd(h, k) = 1, for h and k already checked: each caller checks h's
+    type itself, once, in its own order."""
     g = gcd(h, k)
     if g != 1:
         raise ValueError(f"h and k must be coprime, got gcd({h}, {k}) = {g}")
@@ -68,7 +65,7 @@ def _check_floor_args(h: int, k: int) -> None:
     """The floor sums' hypotheses, checked in one order: k, then h's type,
     then h >= 1, then gcd(h, k) = 1, so both floor sums raise the same
     message for any input."""
-    _check_direct_modulus(k)
+    _check_modulus(k, MAX_DIRECT_MODULUS)
     check_int("h", h)
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
@@ -85,7 +82,7 @@ def dedekind_sum_naive(h: int, k: int) -> Fraction:
     A term reads h only through hr mod k = (h mod k) r mod k, so h is reduced
     mod k first and the loop multiplies small integers whatever h's size.
     """
-    _check_direct_modulus(k)
+    _check_modulus(k, MAX_DIRECT_MODULUS)
     check_int("h", h)
     h %= k
     total = 2 * sum(r * (h * r % k) for r in range(1, k)) - k * k * (k - 1) // 2
@@ -107,6 +104,7 @@ def dedekind_sum_fast(h: int, k: int) -> Fraction:
     built is the result.
     """
     _check_modulus(k)
+    check_int("h", h)
     _check_coprime(h, k)
     return Fraction(_scaled_dedekind_sum(h, k), 12 * k)
 

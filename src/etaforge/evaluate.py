@@ -26,14 +26,16 @@ z and w.
 
 Invalid input: tau is a plain complex number.  Every public entry point raises
 ValueError, before any summation, for a tau that fails `modgroup._as_tau`
-(finite, Im > 0), a tolerance that is not a finite positive number, or a
-non-finite theta/Poisson parameter (z, w, u, a, b; u, a and b must also be
-real, and u positive).  A series that would need more than MAX_SERIES_TERMS
-terms raises ConvergenceBudgetError instead, before summing where a closed-form
-lower bound on its term count already passes the budget.  An intermediate value
-beyond the float range raises NumericDegeneracyError: a reduced or image point,
-f eta(tau) in functional_eq_residual when it underflows to 0, and -1/tau, the
-H2 factor or a theta term in theta_identity_residual.
+(finite, Im > 0), a matrix that fails `modgroup._as_matrix` (four int
+entries with determinant 1), a tolerance that is not a finite positive
+number, or a non-finite theta/Poisson parameter (z, w, u, a, b; u, a and b
+must also be real, and u positive).  A series that would need more than
+MAX_SERIES_TERMS terms raises ConvergenceBudgetError instead, before summing
+where a closed-form lower bound on its term count already passes the budget.
+An intermediate value beyond the float range raises NumericDegeneracyError:
+a reduced or image point, f eta(tau) in functional_eq_residual when it
+underflows to 0, and -1/tau, the H2 factor or a theta term in
+theta_identity_residual.
 
 An `EvalResult` is a named tuple (value, tail_bound, terms_used): it unpacks
 as one and equals the plain tuple of its fields, and it neither concatenates
@@ -52,6 +54,7 @@ from .modgroup import (
     IDENTITY,
     ModularMatrix,
     NumericDegeneracyError,
+    _as_matrix,
     _as_tau,
     apply_mobius,
     reduce_to_fundamental_domain,
@@ -245,9 +248,10 @@ def transform_factor(mat: ModularMatrix, tau: complex) -> complex:
     Im(tau) > 0, -i(c tau + d) lies in the open right half-plane, so the
     principal square root is the continuous branch.  Translations (c = 0)
     have no square-root factor and follow the shift law directly, so they are
-    rejected here.
+    rejected here.  A plain 4-tuple is checked and put in canonical sign form
+    by `modgroup._as_matrix` first, so (0, 1, -1, 0) is S.
     """
-    a, b, c, d = mat
+    a, b, c, d = mat if type(mat) is ModularMatrix else _as_matrix(mat)
     if c <= 0:
         raise ValueError(f"transformation factor requires c > 0, got c = {c}")
     return _law_factor(a, b, c, d, _as_tau(tau))
@@ -355,8 +359,10 @@ def functional_eq_residual(mat: ModularMatrix, tau: complex, tol: float = DEFAUL
     even, in exact integers) split off exactly, so eta is only ever evaluated
     at well-scaled points even when the matrix entries reach 10^6.  Each side
     takes the `auto` route; when either is below SMALL_IM, tau is reduced once
-    and both sides that need it transport the same eta(tau_red).
+    and both sides that need it transport the same eta(tau_red).  A plain
+    4-tuple is read once by `modgroup._as_matrix`, as in `transform_factor`.
     """
+    mat = mat if type(mat) is ModularMatrix else _as_matrix(mat)
     factor = transform_factor(mat, tau)
     z = complex(tau)
     _check_tol(tol)

@@ -67,7 +67,8 @@ class ModularMatrix(ValueTuple, namedtuple("ModularMatrix", "a b c d")):
 
     Construction normalizes the sign so that c > 0, or c = 0 and d > 0; the
     object therefore names the class {M, -M}.  Every entry must be of type
-    int; anything else, a bool included, raises ValueError.
+    int; anything else, a bool included, raises ValueError.  The right
+    operand of `@` may be a plain 4-tuple, read as `_as_matrix` reads it.
     """
 
     __slots__ = ()
@@ -80,7 +81,7 @@ class ModularMatrix(ValueTuple, namedtuple("ModularMatrix", "a b c d")):
 
     def __matmul__(self, other: "ModularMatrix") -> "ModularMatrix":
         a, b, c, d = self
-        e, f, g, h = other
+        e, f, g, h = other if type(other) is ModularMatrix else _as_matrix(other)
         return ModularMatrix(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def __str__(self):
@@ -110,9 +111,12 @@ def _entry_text(x: int) -> str:
 
 def _as_matrix(mat: tuple[int, int, int, int]) -> ModularMatrix:
     """A plain input as a `ModularMatrix`: it is unpacked into four entries,
-    which `ModularMatrix` checks.  What does not unpack into exactly four
-    entries raises ValueError.  Callers test `type(mat) is ModularMatrix`
-    first, so a matrix costs no call."""
+    which `ModularMatrix` checks and puts in canonical sign form.  What does
+    not unpack into exactly four entries raises ValueError.  Every function
+    that takes a caller's matrix reads it here (`decompose`, `apply_mobius`,
+    the right operand of `@`, and `evaluate.transform_factor` and
+    `evaluate.functional_eq_residual`), each after testing
+    `type(mat) is ModularMatrix`, so a matrix costs no call."""
     try:
         a, b, c, d = mat
     except (TypeError, ValueError):
@@ -230,8 +234,7 @@ def apply_mobius(mat: ModularMatrix, tau: complex) -> complex:
     entries.
     """
     z = _as_tau(tau)
-    if type(mat) is not ModularMatrix:
-        mat = _as_matrix(mat)
+    mat = mat if type(mat) is ModularMatrix else _as_matrix(mat)
     a, b, c, d = mat
     try:
         den = c * z + d

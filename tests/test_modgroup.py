@@ -29,7 +29,7 @@ from etaforge import (
     theta_identity_residual,
     transform_factor,
 )
-from etaforge import modgroup
+from etaforge import evaluate, modgroup
 from etaforge.modgroup import _descent_step
 
 
@@ -188,21 +188,37 @@ def test_decompose_generators():
     assert decompose(ModularMatrix(2, 1, 1, 1)).factors == (2, "S", 1)
 
 
+# Every function that takes a caller's matrix, each called on that matrix
+# alone; each reads a plain input through modgroup._as_matrix.
+MATRIX_ENTRY_POINTS = {
+    "decompose": decompose,
+    "apply_mobius": lambda mat: apply_mobius(mat, 1j),
+    "transform_factor": lambda mat: transform_factor(mat, 1j),
+    "functional_eq_residual": lambda mat: functional_eq_residual(mat, 1j),
+    "matmul": lambda mat: S @ mat,
+}
+entry_points = pytest.mark.parametrize(
+    "call", MATRIX_ENTRY_POINTS.values(), ids=MATRIX_ENTRY_POINTS.keys()
+)
+
+
+@entry_points
 @pytest.mark.parametrize(
     "entries, message",
     [
         ((2, 5, 0, 3), "determinant 1"),  # decompose used to return T^5
-        ((2, 0, 0, 1), "determinant 1"),  # apply_mobius used to return 1j, not 2j
+        # apply_mobius used to return 1j, not 2j; S @ used to name the product
+        ((2, 0, 0, 1), r"^matrix \(2, 0; 0, 1\) must have determinant 1$"),
         ((1, 0, 0, 1.5), "type int"),  # apply_mobius used to return 0.444...j
     ],
+    ids=["det6", "det2", "float_d"],
 )
-def test_plain_tuple_is_checked_as_a_matrix(entries, message):
+def test_plain_tuple_is_checked_as_a_matrix(call, entries, message):
     with pytest.raises(ValueError, match=message):
-        decompose(entries)
-    with pytest.raises(ValueError, match=message):
-        apply_mobius(entries, 1j)
+        call(entries)
 
 
+@entry_points
 @pytest.mark.parametrize(
     "mat, got",
     [
@@ -213,21 +229,38 @@ def test_plain_tuple_is_checked_as_a_matrix(entries, message):
         (None, "NoneType"),
     ],
 )
-def test_input_that_is_not_four_entries_raises_value_error(mat, got):
+def test_input_that_is_not_four_entries_raises_value_error(call, mat, got):
     message = f"^matrix must be a ModularMatrix or four entries a, b, c, d, got {got}$"
     with pytest.raises(ValueError, match=message):
-        decompose(mat)
-    with pytest.raises(ValueError, match=message):
-        apply_mobius(mat, 1j)
+        call(mat)
 
 
-def test_plain_tuple_is_taken_in_canonical_form():
-    # (1, 0; -1, 1) used to raise "c must be >= 1" in decompose
-    word = decompose((1, 0, -1, 1))
-    assert word == decompose(ModularMatrix(1, 0, -1, 1))
-    assert str(word) == "T^-1 S T^-1"
-    assert apply_mobius((1, 0, -1, 1), 1j) == apply_mobius(ModularMatrix(1, 0, -1, 1), 1j)
+@entry_points
+@pytest.mark.parametrize("entries", [(1, 0, -1, 1), (0, 1, -1, 0), [-2, -1, -1, -1]])
+def test_plain_tuple_is_taken_in_canonical_form(call, entries):
+    # (1, 0; -1, 1) used to raise "c must be >= 1" in decompose, and
+    # (0, 1; -1, 0) "requires c > 0, got c = -1" in transform_factor
+    assert call(entries) == call(ModularMatrix(*entries))
+
+
+def test_functional_eq_residual_reads_its_matrix_once(monkeypatch):
+    # a built matrix takes the fast path everywhere; a plain tuple is
+    # converted once and passed on as a ModularMatrix
+    calls = []
+    as_matrix = modgroup._as_matrix
+    for module in (modgroup, evaluate):
+        monkeypatch.setattr(module, "_as_matrix", lambda m: calls.append(m) or as_matrix(m))
+    m = ModularMatrix(2, 1, 1, 1)
+    value = functional_eq_residual(m, 0.1 + 0.01j)
+    assert calls == []
+    assert functional_eq_residual(tuple(m), 0.1 + 0.01j) == value
+    assert calls == [tuple(m)]
+
+
+def test_plain_tuple_values():
+    assert str(decompose((1, 0, -1, 1))) == "T^-1 S T^-1"
     assert apply_mobius((0, -1, 1, 0), 2j) == 0.5j
+    assert S @ (0, 1, -1, 0) == IDENTITY
 
 
 def test_evaluate_word_basics():

@@ -9,7 +9,9 @@ gone, or that the package exports without a submodule exporting it, is
 caught here.
 
 The rule that an integer argument must be of type int lives in one helper,
-`_valuetype.check_int`; no other module compares `type(x) is not int`.
+`_valuetype.check_int`; no other module compares `type(x) is not int`, and
+only `modgroup._check_unimodular` tests its entries inline, in one
+`type(a) is ... is int` chain, before it calls the helper.
 
 A package module reads every name it imports.  The only exceptions are the
 names `campaigns` imports so that the benchmark tracer can patch them where a
@@ -116,6 +118,39 @@ def test_type_is_not_int_finder():
     source = "type(x) is not int\nint is not type(y)\ntype(z) is int\nx is not int"
     assert type_is_not_int_lines(ast.parse(source)) == [1, 2]
     assert type_is_not_int_lines(ast.parse((PACKAGE / "_valuetype.py").read_text())) != []
+
+
+def inline_int_tests(tree: ast.Module) -> list[str]:
+    """The function (or "<module>") around each `type(x) is ... is int`
+    comparison, a chain or a single `is`, either way round."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Compare) and all(isinstance(op, ast.Is) for op in node.ops):
+            operands = [ast.unparse(x) for x in (node.left, *node.comparators)]
+            if "int" in operands and any(x.startswith("type(") for x in operands):
+                found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_only_check_unimodular_tests_int_types_inline(path):
+    allowed = ["_check_unimodular"] if path.name == "modgroup.py" else []
+    assert inline_int_tests(ast.parse(path.read_text(), str(path))) == allowed
+
+
+def test_inline_int_test_finder():
+    source = (
+        "type(x) is int\ndef f(a, b):\n    if not type(a) is type(b) is int:\n        pass\n"
+        "    return int is type(a), type(a) is not int, type(a) is str, a is int\n"
+    )
+    assert inline_int_tests(ast.parse(source)) == ["<module>", "f", "f"]
 
 
 def unread_imports(tree: ast.Module) -> list[str]:

@@ -22,6 +22,7 @@ import pytest
 
 from etaforge import (
     IDENTITY,
+    S,
     BiSeries,
     EvalResult,
     GeneratorWord,
@@ -39,6 +40,7 @@ from etaforge import (
     jtp_sum_side,
     omega,
     pentagonal_series,
+    transform_factor,
 )
 from etaforge.campaigns import CliConfig, random_unimodular_matrix
 
@@ -210,6 +212,8 @@ INT_ARGUMENTS = {
     "omega": (omega, *MATRIX),
     # the one check decompose makes before its unchecked descent
     "decompose": (lambda *entries: decompose(entries), *MATRIX),
+    "transform_factor": (lambda *entries: transform_factor(entries, 1j), *MATRIX),
+    "ModularMatrix.__matmul__": (lambda *entries: S @ entries, *MATRIX),
     "GeneratorWord": (
         lambda *factors: GeneratorWord(factors),
         (2, "S", 1),
