@@ -4,8 +4,8 @@ Subcommands: `eval` (eta values with tail bounds), `dedekind` (exact Dedekind
 sums), `decompose` (generator words), and `verify` (identity campaigns with
 human or JSON reports).  Each runs every cross-check its input allows, with
 no flag to skip one: `dedekind` compares the defining sum with the
-reciprocity descent wherever both are defined, and `decompose` multiplies
-its word back out.
+continued-fraction evaluation wherever both are defined, and `decompose`
+multiplies its word back out.
 
 Exit codes: 0 all good, 1 verification failure (a check that raises is one),
 2 usage or domain error, or a `verify --out` file that cannot be opened.

@@ -1,18 +1,18 @@
 """Exact Dedekind-sum arithmetic.
 
 s(h, k) is the rational number sum_{r=1}^{k-1} (r/k)(hr/k - floor(hr/k) - 1/2),
-with s(h, 1) = 0.  The module provides the defining sum as an O(k) oracle, a
-reciprocity-based O(log k) evaluation, two lattice-point identities used as
-cross-checks, and the integer multiplier omega(a, b, c, d) that drives the
-eta transformation phase.
+with s(h, 1) = 0.  The module provides the defining sum as an O(k) oracle, an
+O(log k) evaluation from the continued fraction of k/h, two lattice-point
+identities used as cross-checks, and the integer multiplier omega(a, b, c, d)
+that drives the eta transformation phase.
 
 All arithmetic is exact: values are fractions.Fraction (lowest terms, positive
-denominator), never floats.  The reciprocity descent itself runs in integers,
-on 12k s(h, k) (_scaled_dedekind_sum), and omega and the reciprocity campaign
-read that integer directly, so neither the eta transformation law nor the
-campaign's fast sums build a Fraction.  The three O(k) sums raise ValueError,
-before the loop, for k above MAX_DIRECT_MODULUS; dedekind_sum_fast has no
-limit.
+denominator), never floats.  The fast evaluation is one Euclid pass in
+integers, on 12k s(h, k) (_scaled_dedekind_sum), and omega and the
+reciprocity campaign read that integer directly, so neither the eta
+transformation law nor the campaign's fast sums build a Fraction.  The three
+O(k) sums raise ValueError, before the loop, for k above MAX_DIRECT_MODULUS;
+dedekind_sum_fast has no limit.
 
 Every public function refuses an h, k or matrix entry not of type int, such
 as ValueError("h must be of type int, got 2.0"), before any other check on
@@ -92,16 +92,10 @@ def dedekind_sum_naive(h: int, k: int) -> Fraction:
 def dedekind_sum_fast(h: int, k: int) -> Fraction:
     """s(h, k) for coprime arguments in O(log k) steps.
 
-    First reduce h mod k (s is periodic in h), then repeat the reciprocity
-    exchange
-
-        s(h, k) = (h^2 + k^2 - 3hk + 1) / (12hk) - s(k, h),
-        s(k, h) = s(k mod h, h),
-
-    until the second argument reaches 1, where s vanishes.  Each step is a
-    Euclidean division, so the (h, k) pair shrinks like gcd computation.
-    The steps run in integers (_scaled_dedekind_sum), and the only Fraction
-    built is the result.
+    s is periodic in h, so h is reduced mod k; the value then comes from the
+    partial quotients of k/h and the inverse of h mod k, both read off one
+    Euclidean pass over (k, h) in integers (_scaled_dedekind_sum).  The only
+    Fraction built is the result.
     """
     _check_modulus(k)
     check_int("h", h)
@@ -110,23 +104,37 @@ def dedekind_sum_fast(h: int, k: int) -> Fraction:
 
 
 def _scaled_dedekind_sum(h: int, k: int) -> int:
-    """The integer 12k s(h, k), for k >= 1 and gcd(h, k) = 1 (unchecked).
+    """The integer N = 12k s(h, k), for k >= 1 and gcd(h, k) = 1 (unchecked).
 
-    After the reciprocity step at (h, k) the sum so far is s(h0, k0) -+
-    s(k mod h, h), and 6k s(h, k) is an integer for every s(h, k), so the sum
-    is num / (12 k0 h) for an integer num.  A step thus goes from
-    num / (12 k0 k) to num' / (12 k0 h) with one exact division by k, and the
-    last step, at h = 1, leaves num = 12 k0 s(h0, k0).
+    After h %= k, let k/h = [a_1; a_2, ..., a_n] be the continued fraction
+    that Euclid's algorithm on (k, h) produces, and hbar = h^-1 mod k in
+    [0, k).  Then
+
+        N = k (a_1 - a_2 + ... + (-1)^(n+1) a_n + (-1)^n - 2) + h + hbar
+
+    (D. Hickerson, "Continued fractions and density results for Dedekind
+    sums", J. reine angew. Math. 290, 1977; Knuth, TAOCP vol. 2, 3.3.3), and
+    N = 0 at k = 1.  One loop runs Euclid and carries each remainder's
+    Bezout cofactor u, remainder = u h (mod k), so the cofactor of the last
+    remainder 1 is hbar.  Each iteration takes two half-steps, a_i with i
+    odd and then a_(i+1), so the remainder that reaches 0 tells the parity
+    of n and no sign is carried.  No number in the loop exceeds k in size.
     """
     h %= k
-    k0 = k
-    num = 0
-    sign = 1
-    while h > 0:
-        num = (num * h + sign * (h * h + k * k - 3 * h * k + 1) * k0) // k
-        sign = -sign
-        h, k = k % h, h
-    return num
+    if k == 1:
+        return 0
+    a, b, ua, ub, alternating = k, h, 0, 1, 0
+    while True:
+        q, a = divmod(a, b)
+        ua -= q * ub
+        alternating += q
+        if not a:  # n odd: b = 1 = ub h (mod k)
+            return k * (alternating - 3) + h + ub % k
+        q, b = divmod(b, a)
+        ub -= q * ua
+        alternating -= q
+        if not b:  # n even: a = 1 = ua h (mod k)
+            return k * (alternating - 1) + h + ua % k
 
 
 def floor_sum_check(h: int, k: int) -> tuple[int, int]:

@@ -242,7 +242,7 @@ def _char_series(z: complex, tol: float) -> tuple[complex, float, int]:
 def transform_factor(mat: ModularMatrix, tau: complex) -> complex:
     """The factor e^(pi i omega/12) sqrt(-i(c tau + d)) for a matrix with c > 0.
 
-    omega comes from the integer Dedekind descent (dedekind.omega builds no
+    omega comes from the integer Dedekind kernel (dedekind.omega builds no
     Fraction), and the phase is the table entry _ROOTS24[omega mod 24], so it
     never accumulates float error from a large omega.  With c > 0 and
     Im(tau) > 0, -i(c tau + d) lies in the open right half-plane, so the

@@ -307,6 +307,26 @@ def _divisor_sums_split_one_low(n):
     return sig
 
 
+def _scaled_parity_swapped(h, k):
+    # the continued-fraction kernel with its parity term (-1)^n - 2 swapped:
+    # -1 where n is odd, -3 where it is even
+    h %= k
+    if k == 1:
+        return 0
+    a, b, ua, ub, alternating = k, h, 0, 1, 0
+    while True:
+        q, a = divmod(a, b)
+        ua -= q * ub
+        alternating += q
+        if not a:
+            return k * (alternating - 1) + h + ub % k
+        q, b = divmod(b, a)
+        ub -= q * ua
+        alternating -= q
+        if not b:
+            return k * (alternating - 3) + h + ua % k
+
+
 # Mutation analysis (DeMillo, Lipton and Sayward, "Hints on test data
 # selection", Computer 11(4), 1978): each variant breaks one kernel, patched
 # at every module that looks the name up, as (owner, name, replacement).
@@ -322,6 +342,9 @@ MUTATIONS = {
     ],
     "_scaled_dedekind_sum sign-flipped": [
         (dedekind, "_scaled_dedekind_sum", lambda h, k: -_scaled(h, k))
+    ],
+    "_scaled_dedekind_sum parity term swapped": [
+        (dedekind, "_scaled_dedekind_sum", _scaled_parity_swapped)
     ],
     "floor descent step q = d // c": [
         (modgroup, "_descent_step", _floor_descent_step),

@@ -44,7 +44,7 @@ def test_readme_cli_examples_run(capsys):
     text = README.read_text()
     block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if not line.startswith("etaforge verify")]
-    assert len(lines) == 6
+    assert len(lines) == 7
     for line in lines:
         command, _, comment = line.partition("#")
         code, out, _ = run(capsys, *shlex.split(command)[1:])

@@ -27,6 +27,29 @@ def dedekind_sum_literal(h: int, k: int) -> Fraction:
     return total
 
 
+def reference_scaled_dedekind_sum(h: int, k: int) -> int:
+    """12k s(h, k) by the reciprocity descent s(h, k) = (h^2 + k^2 - 3hk + 1)
+    / (12hk) - s(k mod h, h), carrying one numerator over 12 k0 h with one
+    exact division by k per step."""
+    h %= k
+    k0 = k
+    num = 0
+    sign = 1
+    while h > 0:
+        num = (num * h + sign * (h * h + k * k - 3 * h * k + 1) * k0) // k
+        sign = -sign
+        h, k = k % h, h
+    return num
+
+
+def fibonacci_numbers(n: int) -> list[int]:
+    """F(0), ..., F(n)."""
+    fib = [0, 1]
+    while len(fib) <= n:
+        fib.append(fib[-1] + fib[-2])
+    return fib
+
+
 def coprime_pairs(limit):
     for k in range(1, limit + 1):
         for h in range(1, k):
@@ -97,6 +120,32 @@ def test_fast_at_modulus_near_1e18():
     assert dedekind_sum_fast(999_999_999_999_999_989, 10**18 + 9) == Fraction(
         -4166666666666666666666666666666668, 1000000000000000009
     )
+
+
+def test_kernel_matches_reciprocity_descent_on_small_pairs():
+    # k = 1 has no partial quotient; the kernel returns 0 for any h there
+    for h in (-(10**30), -2, 2, 10**30):
+        assert dedekind._scaled_dedekind_sum(h, 1) == 0 == reference_scaled_dedekind_sum(h, 1)
+    for k in range(1, 301):
+        for h in range(-k, 2 * k):
+            if gcd(h, k) == 1:
+                assert dedekind._scaled_dedekind_sum(h, k) == reference_scaled_dedekind_sum(
+                    h, k
+                ), (h, k)
+
+
+@pytest.mark.parametrize("bits, pairs", [(64, 300), (128, 200), (1000, 20)])
+def test_kernel_matches_reciprocity_descent_on_random_pairs(bits, pairs):
+    rng = random.Random(bits)
+    done = 0
+    while done < pairs:
+        k = rng.getrandbits(bits) | 1 << (bits - 1)
+        h = rng.randrange(-k, 2 * k)
+        if gcd(h, k) == 1:
+            assert dedekind._scaled_dedekind_sum(h, k) == reference_scaled_dedekind_sum(
+                h, k
+            ), (h, k)
+            done += 1
 
 
 def test_fast_rejects_non_coprime_and_bad_modulus():
@@ -244,13 +293,20 @@ def test_omega_matches_defining_sum():
 
 def test_omega_matches_fraction_formula_at_huge_modulus():
     # (F(n+1), F(n); F(n), F(n-1)) has determinant (-1)^n; n = 1436 gives c ~ 1e300
-    fib = [0, 1]
-    while len(fib) < 1438:
-        fib.append(fib[-1] + fib[-2])
+    fib = fibonacci_numbers(1437)
     a, b, c, d = fib[1437], fib[1436], fib[1436], fib[1435]
     assert a * d - b * c == 1 and 1e299 < c < 1e301
     expected = Fraction(a + d, c) + 12 * dedekind_sum_fast(-d, c)
     assert omega(a, b, c, d) == expected
+
+
+def test_omega_matches_reciprocity_descent_at_a_999_bit_fibonacci_matrix():
+    fib = fibonacci_numbers(1441)
+    a, b, c, d = fib[1441], fib[1440], fib[1440], fib[1439]
+    assert a * d - b * c == 1 and c.bit_length() == 999
+    num = a + d + reference_scaled_dedekind_sum(-d, c)
+    assert num % c == 0
+    assert omega(a, b, c, d) == num // c
 
 
 def test_omega_integral_on_random_matrices():

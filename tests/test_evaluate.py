@@ -450,7 +450,7 @@ def test_functional_eq_residual_shift_is_round_half_even(monkeypatch):
 
 
 def test_transformation_law_builds_no_fraction(monkeypatch):
-    # omega reads the integer Dedekind descent, so no Fraction is built here
+    # omega reads the integer Dedekind kernel, so no Fraction is built here
     def no_fraction(*args):
         raise AssertionError("a Fraction was built")
 
