@@ -15,6 +15,14 @@ are deterministic for a given seed and configuration; the JSON form, with one
 "schema" key from `reports_json`, omits wall time so identical runs serialize
 to identical bytes.
 
+The reciprocity campaign, most of `verify all`, runs its pass on every CPU
+this process may run on: from order FORK_MIN_ORDER on, where `os.fork`
+exists and there is more than one CPU, its rows k are dealt into one share
+per CPU, each share runs in a forked child and sends back, for each row,
+each check's input count and first failing input, and the parent merges the
+rows in ascending k.  Its report is therefore the same, byte for byte, as
+that of the one in-process sweep, which it falls back to when a share fails.
+
 A `CliConfig` is an immutable named tuple (order, trials, seed).  A
 `VerificationReport` and its `CheckResult`s are filled in place as a campaign
 records its checks.
@@ -23,10 +31,12 @@ records its checks.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
+from functools import partial
 from math import gcd, inf, isnan
 from operator import eq
 
@@ -124,10 +134,20 @@ class CheckResult:
         """One input `item` of this exact check; only the first that fails is kept."""
         self.count += 1
         if not holds and not self.failures:
-            self.max_residual = 1.0
-            self.worst_input = text = str(item)
-            suffix = f" (first failure {text})" if text else ""
-            self.failures.append((self.name + suffix, 1.0))
+            self._fail(str(item))
+
+    def merge(self, count: int, first_failure: str | None) -> None:
+        """`count` more inputs of this exact check, decided after those it
+        holds, the first that failed given by its text, or None if none did."""
+        self.count += count
+        if first_failure is not None and not self.failures:
+            self._fail(first_failure)
+
+    def _fail(self, text: str) -> None:
+        self.max_residual = 1.0
+        self.worst_input = text
+        suffix = f" (first failure {text})" if text else ""
+        self.failures.append((self.name + suffix, 1.0))
 
 
 def _severity(residual: float) -> float:
@@ -314,6 +334,140 @@ def run_jtp(report: VerificationReport, config: CliConfig) -> None:
     )
 
 
+# Where the reciprocity pass starts to fork.  On a 2-core x86-64 host
+# (Python 3.11) the in-process pass took about 5 ms at order 30, 10 ms at
+# 40, 25 ms at 60 and 0.5 s at 200.  Two forked shares cost about 5 ms more
+# than half the pass: 2 ms to fork and reap, and the rest as each child
+# first writes to the pages it shares with the parent.  With the host's two
+# cores often running at unequal speeds, forking won 2 of 25 alternating
+# runs at order 50, 7 at 60, 24 at 70 and 25 at 80.
+FORK_MIN_ORDER = 70
+
+
+def _reciprocity_workers(limit: int) -> int:
+    """W, the number of row shares the reciprocity pass to `limit` splits
+    into: the CPUs this process may run on, or 1 without `os.fork` or below
+    FORK_MIN_ORDER."""
+    if limit < FORK_MIN_ORDER or not hasattr(os, "fork"):
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _share_of(k: int, workers: int) -> int:
+    """The share that row k of the reciprocity pass falls in: rows are dealt
+    out to the `workers` shares in blocks of `workers`, every other block in
+    reverse, so that each share holds as many odd k as even ones.  An odd k
+    has more coprime pairs, each with its two O(k) floor sums: at order 500
+    the two shares k mod 2 took 688 and 525 ms in-process, these two 600
+    and 598 ms."""
+    position = (k - 1) % (2 * workers)
+    return position if position < workers else 2 * workers - 1 - position
+
+
+def _reciprocity_share(
+    ks: Iterable[int], limits: tuple[int, int], checks_for: Callable[[int], list]
+) -> None:
+    """Decide every input of the reciprocity rows k in `ks`, in (k, h) order,
+    feeding each to its check's `add` from `checks_for(k)`: eight, in the
+    order `run_reciprocity` declares them.  `limits` holds the pass's
+    defining-sum and sweep limits.  Row k visits every 0 <= h < k; row 1
+    also holds the closed form's s(1, 1), which is in no coprime pair."""
+    naive_limit, sweep_limit = limits
+    scaled, naive = dedekind._scaled_dedekind_sum, dedekind_sum_naive
+    floor_sum, floor_square_sum = floor_sum_check, floor_square_sum_check
+    for k in ks:
+        (
+            closed_form, reciprocity, defining_sum, periodicity, oddness,
+            floor_identity, floor_square_identity, denominator,
+        ) = checks_for(k)
+        if k == 1:
+            closed_form(scaled(1, 1) == 0, 1)
+        with_naive, with_sweeps = k <= naive_limit, k <= sweep_limit
+        for h in range(k):
+            pair = (h, k)
+            if with_naive:
+                s = naive(h, k)
+                denominator(not (6 * k) % s.denominator, pair)
+            if not h or gcd(h, k) != 1:
+                continue
+            n = scaled(h, k)
+            reciprocity(h * n + k * scaled(k, h) == h * h + k * k - 3 * h * k + 1, pair)
+            if h == 1:
+                closed_form(n == k * k - 3 * k + 2, k)
+            if with_naive:
+                defining_sum(n * s.denominator == 12 * k * s.numerator, pair)
+            if with_sweeps:
+                periodicity(scaled(h + k, k) == n, pair)
+                oddness(scaled(-h, k) == -n, pair)
+                floor_identity(eq(*floor_sum(h, k)), pair)
+                floor_square_identity(eq(*floor_square_sum(h, k)), pair)
+
+
+def _share_rows(ks: Iterable[int], limits: tuple[int, int]) -> list[list[tuple]]:
+    """`_reciprocity_share` over `ks`, as one row per k of eight (input
+    count, first failing input's text or None) cells, one per check."""
+    rows = []
+
+    def checks_for(k):
+        row = [CheckResult("", exact=True) for _ in range(8)]
+        rows.append(row)
+        return [check.add for check in row]
+
+    _reciprocity_share(ks, limits, checks_for)
+    return [[(c.count, c.worst_input if c.failures else None) for c in row] for row in rows]
+
+
+def _forked(tasks: list[Callable[[], object]]) -> list | None:
+    """Each task's result, each task run in a child made by `os.fork` and
+    marshalled back over a pipe of its own; None when a child fails to
+    deliver, as when its task raises, or when a pipe or fork cannot be made.
+    A child leaves through `os._exit`, so no buffer it shares with the
+    parent (stdout, an open `verify --out` file) is flushed twice, and every
+    child is reaped before this returns or raises."""
+    import marshal
+    import signal
+
+    pids, pipes = [], []  # the children not yet reaped, the read ends not yet closed
+    try:
+        for task in tasks:
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                pid = os.fork()
+                if not pid:
+                    code = 1
+                    try:
+                        for fd in pipes:
+                            os.close(fd)
+                        with open(write_end, "wb") as pipe:
+                            marshal.dump(task(), pipe)
+                        code = 0
+                    finally:
+                        os._exit(code)
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        results = []
+        while pids:
+            with open(pipes.pop(0), "rb") as pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pids[0], 0)
+            del pids[0]
+            if status:
+                return None
+            results.append(marshal.loads(payload))
+        return results
+    except OSError:
+        return None
+    finally:
+        for read_end in pipes:
+            os.close(read_end)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_reciprocity(report: VerificationReport, config: CliConfig) -> None:
     """Exact Dedekind-sum identities, decided in one pass over k <= order.
 
@@ -334,45 +488,52 @@ def run_reciprocity(report: VerificationReport, config: CliConfig) -> None:
     form as N(1, k) == k^2 - 3k + 2 (and N(1, 1) == 0), the defining sum
     s = p/q as N(h, k) q == 12k p, periodicity as N(h + k, k) == N(h, k) and
     oddness as N(-h, k) == -N(h, k).  The only Fractions are the defining
-    sums and the floor-square sums.  Counts and first failures are those of
+    sums and the floor-square sums.
+
+    The rows k split into W = `_reciprocity_workers(order)` shares,
+    interleaved as `_share_of` deals them.  With W = 1 the one share feeds
+    the report's checks in-process.  With W >= 2 each share runs in a
+    forked child (`_forked`) and sends back, for each of its rows, each
+    check's input count and first failing input; the rows are merged in
+    ascending k.  If any share fails to deliver, as when a kernel raises,
+    the pass is run again in-process, so a raise leaves the counts up to
+    the failing pair.  Either way counts and first failures are those of
     one sweep per check in (k, h) order.
     """
     limit = config.order or 500
     naive_limit, sweep_limit = min(limit, 300), min(limit, 200)
-    scaled, naive = dedekind._scaled_dedekind_sum, dedekind_sum_naive
-    floor_sum, floor_square_sum = floor_sum_check, floor_square_sum_check
-    check = report.exact_check
-    closed_form = check(f"s(1, h) closed form for h <= {limit}").add
-    reciprocity = check(f"reciprocity on coprime pairs <= {limit}").add
-    defining_sum = check(f"fast == defining sum on coprime pairs <= {naive_limit}").add
-    periodicity = check(f"periodicity on coprime pairs <= {sweep_limit}").add
-    oddness = check(f"oddness on coprime pairs <= {sweep_limit}").add
-    floor_identity = check(f"floor-sum identity on coprime pairs <= {sweep_limit}").add
-    floor_square_identity = check(
-        f"floor-square-sum identity on coprime pairs <= {sweep_limit}"
-    ).add
-    denominator = check(f"denominator of s(h, k) divides 6k for k <= {naive_limit} (all h)").add
-    closed_form(scaled(1, 1) == 0, 1)  # h = 1 is in no coprime pair
-    for k in range(1, limit + 1):
-        with_naive, with_sweeps = k <= naive_limit, k <= sweep_limit
-        for h in range(k):
-            pair = (h, k)
-            if with_naive:
-                s = naive(h, k)
-                denominator(not (6 * k) % s.denominator, pair)
-            if not h or gcd(h, k) != 1:
-                continue
-            n = scaled(h, k)
-            reciprocity(h * n + k * scaled(k, h) == h * h + k * k - 3 * h * k + 1, pair)
-            if h == 1:
-                closed_form(n == k * k - 3 * k + 2, k)
-            if with_naive:
-                defining_sum(n * s.denominator == 12 * k * s.numerator, pair)
-            if with_sweeps:
-                periodicity(scaled(h + k, k) == n, pair)
-                oddness(scaled(-h, k) == -n, pair)
-                floor_identity(eq(*floor_sum(h, k)), pair)
-                floor_square_identity(eq(*floor_square_sum(h, k)), pair)
+    limits = (naive_limit, sweep_limit)
+    checks = [
+        report.exact_check(name)
+        for name in (
+            f"s(1, h) closed form for h <= {limit}",
+            f"reciprocity on coprime pairs <= {limit}",
+            f"fast == defining sum on coprime pairs <= {naive_limit}",
+            f"periodicity on coprime pairs <= {sweep_limit}",
+            f"oddness on coprime pairs <= {sweep_limit}",
+            f"floor-sum identity on coprime pairs <= {sweep_limit}",
+            f"floor-square-sum identity on coprime pairs <= {sweep_limit}",
+            f"denominator of s(h, k) divides 6k for k <= {naive_limit} (all h)",
+        )
+    ]
+    ks = range(1, limit + 1)
+    workers = _reciprocity_workers(limit)
+    shares = None
+    if workers > 1:
+        shares = _forked(
+            [
+                partial(_share_rows, [k for k in ks if _share_of(k, workers) == j], limits)
+                for j in range(workers)
+            ]
+        )
+    if shares is None:
+        adds = [check.add for check in checks]
+        _reciprocity_share(ks, limits, lambda k: adds)
+        return
+    rows = [iter(share) for share in shares]
+    for k in ks:
+        for check, cell in zip(checks, next(rows[_share_of(k, workers)])):
+            check.merge(*cell)
 
 
 def _omega_descends(mat: ModularMatrix) -> bool:
@@ -495,7 +656,8 @@ CAMPAIGNS: dict[str, Callable[[VerificationReport, CliConfig], None]] = {
 # The largest `order` and `trials` of each campaign, by the knobs it reads,
 # sized at up to about 10 s of work on a 2-core x86-64 host (Python 3.11): a
 # series campaign takes the limit of the series it builds, and reciprocity
-# visits every pair h < k <= order (order 2000 took 8.7 s).
+# visits every pair h < k <= order (order 2000 took 5.6-6.2 s of CPU time,
+# and 3.1-3.7 s of wall time in two forked shares; two runs).
 LIMITS = {
     "jtp": {"order": MAX_W_ORDER},
     "pentagonal": {"order": MAX_ORDER},

@@ -5,6 +5,7 @@ each check keeps, and which campaigns and checks catch which broken kernel."""
 import ast
 import json
 import math
+import os
 import random
 from fractions import Fraction
 from operator import add
@@ -233,15 +234,120 @@ def reciprocity_checks(report):
     ]
 
 
-@pytest.mark.parametrize("variant", RECIPROCITY_VARIANTS)
-def test_reciprocity_checks_match_the_recorded_campaign(monkeypatch, variant):
+def _forced_workers(monkeypatch, workers):
+    """Split every reciprocity pass into `workers` shares, whatever its size
+    and the CPU count, and return the list that collects what each forked
+    pass's `_forked` returns: its shares' rows, or None if one failed."""
+    forked = campaigns._forked
+    returned = []
+
+    def spy(tasks):
+        returned.append(forked(tasks))
+        return returned[-1]
+
+    monkeypatch.setattr(campaigns, "_reciprocity_workers", lambda limit: workers)
+    monkeypatch.setattr(campaigns, "_forked", spy)
+    return returned
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# In-process (W = 1) and in forked shares, two as on a 2-core host and,
+# for the honest campaign, three, more than a 2-core host has
+RECIPROCITY_PATHS = [
+    *((variant, workers) for variant in RECIPROCITY_VARIANTS for workers in (1, 2)),
+    ("honest", 3),
+]
+
+
+@pytest.mark.parametrize(
+    "variant, workers",
+    RECIPROCITY_PATHS,
+    ids=[v if w == 1 else f"{v}, {w} forked shares" for v, w in RECIPROCITY_PATHS],
+)
+def test_reciprocity_checks_match_the_recorded_campaign(monkeypatch, variant, workers):
     # recorded from one sweep per check; keys are --order values
     recorded = json.loads(RECIPROCITY_GOLDEN.read_text())[variant]
     if RECIPROCITY_VARIANTS[variant]:
         monkeypatch.setattr(campaigns, *RECIPROCITY_VARIANTS[variant])
+    forked = _forced_workers(monkeypatch, workers)
     for order in RECIPROCITY_ORDERS:
         (report,) = campaigns.run_campaign("reciprocity", campaigns.CliConfig(order=order))
         assert reciprocity_checks(report) == recorded[str(order)], order
+    # every forked pass delivered its shares, none fell back to the in-process one
+    assert len(forked) == (len(RECIPROCITY_ORDERS) if workers > 1 else 0)
+    assert None not in forked
+    assert_no_child_left()
+
+
+def test_a_raise_in_a_forked_share_leaves_the_in_process_report(monkeypatch):
+    # (45, 79) falls in the second of two shares; the pass stops there
+    def raising(h, k):
+        if (h, k) == (45, 79):
+            raise ZeroDivisionError("kernel failed at (45, 79)")
+        return scaled(h, k)
+
+    scaled = dedekind._scaled_dedekind_sum
+    monkeypatch.setattr(campaigns, "dedekind", SimpleNamespace(_scaled_dedekind_sum=raising))
+    assert campaigns._share_of(79, 2) == 1
+    config = campaigns.CliConfig(order=100)
+    _forced_workers(monkeypatch, 1)
+    (in_process,) = campaigns.run_campaign("reciprocity", config)
+    forked = _forced_workers(monkeypatch, 2)
+    (report,) = campaigns.run_campaign("reciprocity", config)
+    assert forked == [None]  # the forked pass failed and was replayed in-process
+    assert_no_child_left()
+    assert reciprocity_checks(report) == reciprocity_checks(in_process)
+    assert report.to_json() == in_process.to_json()
+    raised = list(report.checks.values())[-1]
+    assert raised.name == "raised ZeroDivisionError: kernel failed at (45, 79)"
+    # the counts stop at the failing pair: reciprocity saw every coprime pair before it
+    before = sum(math.gcd(h, k) == 1 for k in range(2, 79) for h in range(1, k))
+    before += sum(math.gcd(h, 79) == 1 for h in range(1, 45))
+    assert report.checks["reciprocity on coprime pairs <= 100"].count == before
+
+
+def test_reciprocity_runs_in_process_when_a_share_cannot_be_forked(monkeypatch):
+    # the first share's child starts, the second fork fails as at a process limit
+    def second_fork_fails():
+        if forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forks.append(fork())
+        return forks[-1]
+
+    fork, forks = os.fork, []
+    config = campaigns.CliConfig(order=40)
+    _forced_workers(monkeypatch, 1)
+    (in_process,) = campaigns.run_campaign("reciprocity", config)
+    forked = _forced_workers(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    (report,) = campaigns.run_campaign("reciprocity", config)
+    assert len(forks) == 1 and forked == [None]
+    assert_no_child_left()
+    assert reciprocity_checks(report) == reciprocity_checks(in_process)
+
+
+def test_forked_shares_flush_no_buffer_of_the_parent(monkeypatch, tmp_path):
+    # as `verify --out` holds its file open while the campaigns run
+    _forced_workers(monkeypatch, 2)
+    path = tmp_path / "report.txt"
+    with open(path, "w") as out:
+        out.write("written once\n")  # still buffered when the shares fork
+        campaigns.run_campaign("reciprocity", campaigns.CliConfig(order=10))
+    assert path.read_text() == "written once\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_reciprocity_shares_deal_every_row_once_and_balance_odd_and_even(workers):
+    rows = range(1, 2 * workers * 20 + 1)  # twenty blocks each way
+    shares = [[k for k in rows if campaigns._share_of(k, workers) == j] for j in range(workers)]
+    assert sorted(k for share in shares for k in share) == list(rows)
+    assert len({len(share) for share in shares}) == 1
+    if workers > 1:
+        assert all(sum(k % 2 for k in share) * 2 == len(share) for share in shares)
 
 
 def test_reciprocity_builds_no_fast_sum_fraction(monkeypatch):

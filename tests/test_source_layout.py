@@ -19,7 +19,8 @@ campaign would look them up; each must still be a tracer site.
 
 The package is built from plain stdlib types, so importing it (the cold start
 of every CLI call) loads neither `dataclasses` nor `typing`, nor `inspect`,
-which `dataclasses` pulls in.
+which `dataclasses` pulls in.  Nor does it load a process, pool or pickle
+module: the forked reciprocity pass imports what it needs when it runs.
 """
 
 import ast
@@ -79,17 +80,32 @@ def test_package_all_names_come_from_a_submodule():
     assert [n for n in etaforge.__all__ if n != "__version__" and n not in exported] == []
 
 
-def test_cli_import_loads_no_dataclasses_inspect_or_typing():
-    # -S: the site hook may import typing itself through .pth files
-    code = (
-        "import etaforge.cli, sys; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
-    )
+def modules_loaded_by(statement: str, names: set[str]) -> list[str]:
+    """Which of `names` a fresh interpreter holds after running `statement`."""
+    # -S: the site hook may import typing or threading itself through .pth files
+    code = f"{statement}; import sys; print(sorted({names!r} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert run.stdout.strip() == "[]"
+    return ast.literal_eval(run.stdout.strip())
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    assert modules_loaded_by("import etaforge.cli", {"dataclasses", "inspect", "typing"}) == []
+
+
+# What the forked reciprocity pass needs besides `os` and `marshal`, both
+# loaded by the interpreter itself, is imported inside `campaigns._forked`
+PROCESS_MODULES = {
+    "concurrent.futures", "multiprocessing", "pickle", "selectors", "signal", "subprocess",
+    "threading",
+}
+
+
+def test_package_import_loads_no_process_or_pickle_module():
+    assert modules_loaded_by("import etaforge", PROCESS_MODULES) == []
+    assert modules_loaded_by("import etaforge.cli", PROCESS_MODULES) == []
 
 
 def type_is_not_int_lines(tree: ast.Module) -> list[int]:
