@@ -15,13 +15,14 @@ are deterministic for a given seed and configuration; the JSON form, with one
 "schema" key from `reports_json`, omits wall time so identical runs serialize
 to identical bytes.
 
-The reciprocity campaign, most of `verify all`, runs its pass on every CPU
-this process may run on: from order FORK_MIN_ORDER on, where `os.fork`
-exists and there is more than one CPU, its rows k are dealt into one share
-per CPU, each share runs in a forked child and sends back, for each row,
-each check's input count and first failing input, and the parent merges the
-rows in ascending k.  Its report is therefore the same, byte for byte, as
-that of the one in-process sweep, which it falls back to when a share fails.
+The reciprocity campaign, most of `verify all`, runs its pass on up to
+MAX_SHARES of the CPUs this process may run on: from order FORK_MIN_ORDER
+on, where `os.fork` exists, there is more than one CPU and forking is safe,
+its rows k are dealt into one share per CPU up to that cap, each share runs
+in a forked child and sends back, for each row, each check's input count and
+first failing input, and the parent merges the rows in ascending k.  Its
+report is therefore the same, byte for byte, as that of the one in-process
+sweep, which it falls back to when a share fails.
 
 A `CliConfig` is an immutable named tuple (order, trials, seed).  A
 `VerificationReport` and its `CheckResult`s are filled in place as a campaign
@@ -33,6 +34,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 import time
 from collections import namedtuple
 from collections.abc import Callable, Iterable
@@ -343,15 +345,33 @@ def run_jtp(report: VerificationReport, config: CliConfig) -> None:
 # runs at order 50, 7 at 60, 24 at 70 and 25 at 80.
 FORK_MIN_ORDER = 70
 
+# The most shares the pass forks: the two that FORK_MIN_ORDER and the gain
+# were measured with.  Each more share costs one more fork, reap and set of
+# copied pages for a pass that does not grow, and in a container held to a
+# CPU quota the affinity mask can name far more CPUs than the quota grants;
+# W > 2 has not been measured.
+MAX_SHARES = 2
+
 
 def _reciprocity_workers(limit: int) -> int:
     """W, the number of row shares the reciprocity pass to `limit` splits
-    into: the CPUs this process may run on, or 1 without `os.fork` or below
-    FORK_MIN_ORDER."""
+    into: the CPUs this process may run on, at most MAX_SHARES.  W is 1
+    below FORK_MIN_ORDER, without `os.fork`, while another thread runs (a
+    child could wait forever on a lock that thread held), and when SIGCHLD
+    is not at its default: a host that ignores it or reaps its children
+    itself takes the children's exit status that `_forked` waits for."""
     if limit < FORK_MIN_ORDER or not hasattr(os, "fork"):
         return 1
+    threading = sys.modules.get("threading")
+    if threading and threading.active_count() > 1:
+        return 1
+    import signal
+
+    if signal.getsignal(signal.SIGCHLD) != signal.SIG_DFL:
+        return 1
     affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(cpus, MAX_SHARES)
 
 
 def _share_of(k: int, workers: int) -> int:
@@ -424,7 +444,8 @@ def _forked(tasks: list[Callable[[], object]]) -> list | None:
     deliver, as when its task raises, or when a pipe or fork cannot be made.
     A child leaves through `os._exit`, so no buffer it shares with the
     parent (stdout, an open `verify --out` file) is flushed twice, and every
-    child is reaped before this returns or raises."""
+    child is reaped before this returns or raises, by this function or, where
+    SIGCHLD is ignored, by the kernel."""
     import marshal
     import signal
 
@@ -464,8 +485,11 @@ def _forked(tasks: list[Callable[[], object]]) -> list | None:
         for read_end in pipes:
             os.close(read_end)
         for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # reaped already, as where SIGCHLD is ignored
 
 
 def run_reciprocity(report: VerificationReport, config: CliConfig) -> None:

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import random
+import signal
+import threading
 from fractions import Fraction
 from operator import add
 from pathlib import Path
@@ -348,6 +350,66 @@ def test_reciprocity_shares_deal_every_row_once_and_balance_odd_and_even(workers
     assert len({len(share) for share in shares}) == 1
     if workers > 1:
         assert all(sum(k % 2 for k in share) * 2 == len(share) for share in shares)
+
+
+def test_reciprocity_workers_fork_from_the_threshold_up_to_the_cap(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    order = campaigns.FORK_MIN_ORDER
+    assert campaigns._reciprocity_workers(order - 1) == 1
+    assert campaigns._reciprocity_workers(order) == 2
+    # more CPUs than were measured: still two shares
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert campaigns._reciprocity_workers(500) == campaigns.MAX_SHARES == 2
+    # no affinity mask: the CPU count, which may be unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert campaigns._reciprocity_workers(order) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert campaigns._reciprocity_workers(order) == 1
+
+
+def test_reciprocity_workers_stay_in_process_where_a_fork_is_unsafe(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    order = campaigns.FORK_MIN_ORDER
+    assert campaigns._reciprocity_workers(order) == 2
+    # another live thread
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert campaigns._reciprocity_workers(order) == 1
+    finally:
+        release.set()
+        waiter.join()
+    # SIGCHLD ignored or handled by the host
+    for disposition in (signal.SIG_IGN, lambda signum, frame: None):
+        previous = signal.signal(signal.SIGCHLD, disposition)
+        try:
+            assert campaigns._reciprocity_workers(order) == 1
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+    # no os.fork
+    monkeypatch.delattr(os, "fork")
+    assert campaigns._reciprocity_workers(order) == 1
+
+
+def test_reciprocity_with_sigchld_ignored_leaves_the_in_process_report(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    config = campaigns.CliConfig(order=campaigns.FORK_MIN_ORDER)
+    forked = campaigns._forked
+    (two_shares,) = campaigns.run_campaign("reciprocity", config)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        (report,) = campaigns.run_campaign("reciprocity", config)
+        # the kernel reaps the children, so `_forked` cannot read their
+        # status: it falls back without raising from its cleanup
+        assert forked([lambda: 1, lambda: 2]) is None
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert_no_child_left()
+    _forced_workers(monkeypatch, 1)
+    (in_process,) = campaigns.run_campaign("reciprocity", config)
+    assert report.to_json() == two_shares.to_json() == in_process.to_json()
 
 
 def test_reciprocity_builds_no_fast_sum_fraction(monkeypatch):
