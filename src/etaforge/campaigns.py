@@ -18,11 +18,12 @@ to identical bytes.
 The reciprocity campaign, most of `verify all`, runs its pass on up to
 MAX_SHARES of the CPUs this process may run on: from order FORK_MIN_ORDER
 on, where `os.fork` exists, there is more than one CPU and forking is safe,
-its rows k are dealt into one share per CPU up to that cap, each share runs
-in a forked child and sends back, for each row, each check's input count and
-first failing input, and the parent merges the rows in ascending k.  Its
-report is therefore the same, byte for byte, as that of the one in-process
-sweep, which it falls back to when a share fails.
+its rows k are dealt into one share per CPU up to that cap, and each share
+runs in a forked child that sends back its eight checks' input counts, or
+None if any of its inputs failed.  When every share passed, the parent adds
+the counts; otherwise, or when a share fails to deliver, it replays the
+pass in-process.  The one in-process sweep thus decides every first failure,
+and the report is the same, byte for byte, either way.
 
 A `CliConfig` is an immutable named tuple (order, trials, seed).  A
 `VerificationReport` and its `CheckResult`s are filled in place as a campaign
@@ -118,7 +119,9 @@ class CheckResult:
     `VerificationReport.exact_check` and fed by `add`, fails (residual 1.0,
     worst input = first failing one) on any input that does not hold,
     whatever the tolerance; a numeric check fails on any residual not <= the
-    tolerance.  `failures` keeps at most MAX_RECORDED_FAILURES of its worst."""
+    tolerance.  `failures` keeps at most MAX_RECORDED_FAILURES of its worst.
+    A forked reciprocity share feeds checks of its own and sends back only
+    their counts, which the parent adds to `count` when all of them passed."""
 
     def __init__(self, name: str, exact: bool):
         self.name = name
@@ -136,20 +139,10 @@ class CheckResult:
         """One input `item` of this exact check; only the first that fails is kept."""
         self.count += 1
         if not holds and not self.failures:
-            self._fail(str(item))
-
-    def merge(self, count: int, first_failure: str | None) -> None:
-        """`count` more inputs of this exact check, decided after those it
-        holds, the first that failed given by its text, or None if none did."""
-        self.count += count
-        if first_failure is not None and not self.failures:
-            self._fail(first_failure)
-
-    def _fail(self, text: str) -> None:
-        self.max_residual = 1.0
-        self.worst_input = text
-        suffix = f" (first failure {text})" if text else ""
-        self.failures.append((self.name + suffix, 1.0))
+            self.max_residual = 1.0
+            self.worst_input = text = str(item)
+            suffix = f" (first failure {text})" if text else ""
+            self.failures.append((self.name + suffix, 1.0))
 
 
 def _severity(residual: float) -> float:
@@ -385,22 +378,20 @@ def _share_of(k: int, workers: int) -> int:
     return position if position < workers else 2 * workers - 1 - position
 
 
-def _reciprocity_share(
-    ks: Iterable[int], limits: tuple[int, int], checks_for: Callable[[int], list]
-) -> None:
+def _reciprocity_share(ks: Iterable[int], limits: tuple[int, int], adds: list) -> None:
     """Decide every input of the reciprocity rows k in `ks`, in (k, h) order,
-    feeding each to its check's `add` from `checks_for(k)`: eight, in the
-    order `run_reciprocity` declares them.  `limits` holds the pass's
-    defining-sum and sweep limits.  Row k visits every 0 <= h < k; row 1
-    also holds the closed form's s(1, 1), which is in no coprime pair."""
+    feeding each to its check's `add` in `adds`: eight, in the order
+    `run_reciprocity` declares them.  `limits` holds the pass's defining-sum
+    and sweep limits.  Row k visits every 0 <= h < k; row 1 also holds the
+    closed form's s(1, 1), which is in no coprime pair."""
     naive_limit, sweep_limit = limits
     scaled, naive = dedekind._scaled_dedekind_sum, dedekind_sum_naive
     floor_sum, floor_square_sum = floor_sum_check, floor_square_sum_check
+    (
+        closed_form, reciprocity, defining_sum, periodicity, oddness,
+        floor_identity, floor_square_identity, denominator,
+    ) = adds
     for k in ks:
-        (
-            closed_form, reciprocity, defining_sum, periodicity, oddness,
-            floor_identity, floor_square_identity, denominator,
-        ) = checks_for(k)
         if k == 1:
             closed_form(scaled(1, 1) == 0, 1)
         with_naive, with_sweeps = k <= naive_limit, k <= sweep_limit
@@ -424,18 +415,12 @@ def _reciprocity_share(
                 floor_square_identity(eq(*floor_square_sum(h, k)), pair)
 
 
-def _share_rows(ks: Iterable[int], limits: tuple[int, int]) -> list[list[tuple]]:
-    """`_reciprocity_share` over `ks`, as one row per k of eight (input
-    count, first failing input's text or None) cells, one per check."""
-    rows = []
-
-    def checks_for(k):
-        row = [CheckResult("", exact=True) for _ in range(8)]
-        rows.append(row)
-        return [check.add for check in row]
-
-    _reciprocity_share(ks, limits, checks_for)
-    return [[(c.count, c.worst_input if c.failures else None) for c in row] for row in rows]
+def _share_counts(ks: Iterable[int], limits: tuple[int, int]) -> list[int] | None:
+    """`_reciprocity_share` over `ks` into eight fresh checks: their input
+    counts, or None if any input failed."""
+    checks = [CheckResult("", exact=True) for _ in range(8)]
+    _reciprocity_share(ks, limits, [check.add for check in checks])
+    return None if any(check.failures for check in checks) else [check.count for check in checks]
 
 
 def _forked(tasks: list[Callable[[], object]]) -> list | None:
@@ -517,12 +502,12 @@ def run_reciprocity(report: VerificationReport, config: CliConfig) -> None:
     The rows k split into W = `_reciprocity_workers(order)` shares,
     interleaved as `_share_of` deals them.  With W = 1 the one share feeds
     the report's checks in-process.  With W >= 2 each share runs in a
-    forked child (`_forked`) and sends back, for each of its rows, each
-    check's input count and first failing input; the rows are merged in
-    ascending k.  If any share fails to deliver, as when a kernel raises,
-    the pass is run again in-process, so a raise leaves the counts up to
-    the failing pair.  Either way counts and first failures are those of
-    one sweep per check in (k, h) order.
+    forked child (`_forked`) and sends back its eight input counts, or None
+    if any of its inputs failed; when every share passed, the counts are
+    added to the report's checks.  If any share failed or fails to deliver,
+    as when a kernel raises, the pass is run again in-process, so first
+    failures are those of one sweep per check in (k, h) order, and a raise
+    leaves the counts up to the failing pair.
     """
     limit = config.order or 500
     naive_limit, sweep_limit = min(limit, 300), min(limit, 200)
@@ -546,18 +531,15 @@ def run_reciprocity(report: VerificationReport, config: CliConfig) -> None:
     if workers > 1:
         shares = _forked(
             [
-                partial(_share_rows, [k for k in ks if _share_of(k, workers) == j], limits)
+                partial(_share_counts, [k for k in ks if _share_of(k, workers) == j], limits)
                 for j in range(workers)
             ]
         )
-    if shares is None:
-        adds = [check.add for check in checks]
-        _reciprocity_share(ks, limits, lambda k: adds)
+    if shares is None or None in shares:
+        _reciprocity_share(ks, limits, [check.add for check in checks])
         return
-    rows = [iter(share) for share in shares]
-    for k in ks:
-        for check, cell in zip(checks, next(rows[_share_of(k, workers)])):
-            check.merge(*cell)
+    for check, *counts in zip(checks, *shares):
+        check.count += sum(counts)
 
 
 def _omega_descends(mat: ModularMatrix) -> bool:

@@ -207,10 +207,16 @@ def decompose(mat: ModularMatrix) -> GeneratorWord:
     S T^q off the right and at least halves |c|, and at c = 0 what is left is
     the translation +-T^b.  A plain 4-tuple is checked by `ModularMatrix`
     first (`_as_matrix`); the walk itself runs on plain ints, with no check
-    and no sign rule per step."""
-    a, b, c, d = mat if type(mat) is ModularMatrix else _as_matrix(mat)
+    and no sign rule per step.  As |c| at least halves, the walk takes at
+    most c.bit_length() steps; one still at c != 0 after c.bit_length() + 1
+    steps raises AssertionError, so a broken step fails instead of spinning."""
+    mat = mat if type(mat) is ModularMatrix else _as_matrix(mat)
+    a, b, c, d = mat
+    bound = c.bit_length() + 1
     peeled: list[WordFactor] = []
     while c:
+        if len(peeled) == 2 * bound:
+            raise AssertionError(f"the descent of {mat} did not reach c = 0 in {bound} steps")
         q, a, b, c, d = _descent_step(a, b, c, d)
         peeled += (q, "S")
     # skipping the sign rule changes no q, which reads c and d only through

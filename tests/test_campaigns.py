@@ -10,6 +10,7 @@ import random
 import signal
 import threading
 from fractions import Fraction
+from functools import partial
 from operator import add
 from pathlib import Path
 from types import SimpleNamespace
@@ -239,7 +240,8 @@ def reciprocity_checks(report):
 def _forced_workers(monkeypatch, workers):
     """Split every reciprocity pass into `workers` shares, whatever its size
     and the CPU count, and return the list that collects what each forked
-    pass's `_forked` returns: its shares' rows, or None if one failed."""
+    pass's `_forked` returns: each share's counts, or None where the share
+    failed, or None for the whole pass if a share failed to deliver."""
     forked = campaigns._forked
     returned = []
 
@@ -257,10 +259,19 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-# In-process (W = 1) and in forked shares, two as on a 2-core host and,
-# for the honest campaign, three, more than a 2-core host has
+# A broken variant whose order-201 shares split into one that fails and one
+# that passes: every pair it breaks is in a row of the first of two shares.
+MIXED_SHARES = "defining sum off at (5, 12), (0, 97), (100, 201)"
+
+# Every variant in-process (W = 1); in two forked shares, as on a 2-core
+# host, the honest campaign and MIXED_SHARES; and the honest campaign in
+# three, more than a 2-core host has.  A broken variant's forked pass
+# replays in-process, so the other variants' forked shares are checked
+# directly below.
 RECIPROCITY_PATHS = [
-    *((variant, workers) for variant in RECIPROCITY_VARIANTS for workers in (1, 2)),
+    *((variant, 1) for variant in RECIPROCITY_VARIANTS),
+    ("honest", 2),
+    (MIXED_SHARES, 2),
     ("honest", 3),
 ]
 
@@ -276,12 +287,47 @@ def test_reciprocity_checks_match_the_recorded_campaign(monkeypatch, variant, wo
     if RECIPROCITY_VARIANTS[variant]:
         monkeypatch.setattr(campaigns, *RECIPROCITY_VARIANTS[variant])
     forked = _forced_workers(monkeypatch, workers)
+    # the passes the parent runs itself: with W >= 2, only replays, as a
+    # forked child's calls land in its own copy of this list
+    in_process = []
+    share = campaigns._reciprocity_share
+
+    def spy(ks, *rest):
+        in_process.append(len(ks))
+        share(ks, *rest)
+
+    monkeypatch.setattr(campaigns, "_reciprocity_share", spy)
     for order in RECIPROCITY_ORDERS:
         (report,) = campaigns.run_campaign("reciprocity", campaigns.CliConfig(order=order))
         assert reciprocity_checks(report) == recorded[str(order)], order
-    # every forked pass delivered its shares, none fell back to the in-process one
-    assert len(forked) == (len(RECIPROCITY_ORDERS) if workers > 1 else 0)
-    assert None not in forked
+    assert_no_child_left()
+    if workers == 1:
+        assert forked == [] and in_process == list(RECIPROCITY_ORDERS)
+        return
+    # every forked pass delivered its shares; one that holds a failing share
+    # is replayed in-process, and its report is the replay's
+    assert len(forked) == len(RECIPROCITY_ORDERS) and None not in forked
+    failed = [order for order, shares in zip(RECIPROCITY_ORDERS, forked) if None in shares]
+    assert in_process == failed
+    if variant == "honest":
+        assert failed == []
+    else:
+        assert failed == [40, 201]
+        assert forked[-1][0] is None and len(forked[-1][1]) == 8
+
+
+@pytest.mark.parametrize(
+    "variant", [v for v in RECIPROCITY_VARIANTS if v not in ("honest", MIXED_SHARES)]
+)
+def test_a_forked_share_holding_a_broken_pair_sends_none(monkeypatch, variant):
+    # at order 201 each of the two shares holds a row with a broken pair:
+    # rows 9, 101 and 201 fall in the first share, rows 3 and 199 in the
+    # second, and each variant breaks a pair in one row of each
+    monkeypatch.setattr(campaigns, *RECIPROCITY_VARIANTS[variant])
+    rows, limits = range(1, 202), (201, 200)  # as run_reciprocity at order 201
+    shares = [[k for k in rows if campaigns._share_of(k, 2) == j] for j in range(2)]
+    tasks = [partial(campaigns._share_counts, share, limits) for share in shares]
+    assert campaigns._forked(tasks) == [None, None]
     assert_no_child_left()
 
 

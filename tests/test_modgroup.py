@@ -30,6 +30,7 @@ from etaforge import (
     transform_factor,
 )
 from etaforge import evaluate, modgroup
+from etaforge.cli import main
 from etaforge.modgroup import _descent_step
 
 
@@ -323,6 +324,25 @@ def test_decompose_checks_its_input_once_and_no_step(monkeypatch):
     assert calls == []
     assert decompose(tuple(m)) == decompose(m)
     assert calls == [tuple(m)]
+
+
+def test_decompose_stops_a_descent_that_does_not_shrink_c(monkeypatch, capsys):
+    # a broken step that leaves c as it is fails after c.bit_length() + 1
+    # steps, where the walk would otherwise never end
+    def stalled(a, b, c, d):
+        calls.append(c)
+        return 0, a, b, c, d
+
+    monkeypatch.setattr(modgroup, "_descent_step", stalled)
+    for m in (ModularMatrix(2, 1, 1, 1), fibonacci_matrix(1438)):
+        calls = []
+        with pytest.raises(AssertionError, match="did not reach c = 0"):
+            decompose(m)
+        assert len(calls) == m.c.bit_length() + 1
+    assert main(["decompose", "2", "1", "1", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "internal invariant violated: the descent of [2 1; 1 1] did not reach c = 0 in 2 steps\n"
+    )
 
 
 def test_descent_step_factorization():
