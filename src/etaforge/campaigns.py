@@ -20,10 +20,12 @@ MAX_SHARES of the CPUs this process may run on: from order FORK_MIN_ORDER
 on, where `os.fork` exists, there is more than one CPU and forking is safe,
 its rows k are dealt into one share per CPU up to that cap, and each share
 runs in a forked child that sends back its eight checks' input counts, or
-None if any of its inputs failed.  When every share passed, the parent adds
-the counts; otherwise, or when a share fails to deliver, it replays the
-pass in-process.  The one in-process sweep thus decides every first failure,
-and the report is the same, byte for byte, either way.
+exits at its first input that fails.  `run_campaign` runs the campaigns
+after reciprocity while the shares work, and collects them after the last
+one.  When every share delivered, the parent adds the counts; otherwise it
+kills the shares still running and replays the pass in-process.  The one
+in-process sweep thus decides every first failure, and the report is the
+same, byte for byte, either way.
 
 A `CliConfig` is an immutable named tuple (order, trials, seed).  A
 `VerificationReport` and its `CheckResult`s are filled in place as a campaign
@@ -38,7 +40,7 @@ import random
 import sys
 import time
 from collections import namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Generator, Iterable
 from functools import partial
 from math import gcd, inf, isnan
 from operator import eq
@@ -120,8 +122,8 @@ class CheckResult:
     worst input = first failing one) on any input that does not hold,
     whatever the tolerance; a numeric check fails on any residual not <= the
     tolerance.  `failures` keeps at most MAX_RECORDED_FAILURES of its worst.
-    A forked reciprocity share feeds checks of its own and sends back only
-    their counts, which the parent adds to `count` when all of them passed."""
+    A forked reciprocity share sends back only its input counts, which the
+    parent adds to `count` when every share delivered."""
 
     def __init__(self, name: str, exact: bool):
         self.name = name
@@ -415,22 +417,32 @@ def _reciprocity_share(ks: Iterable[int], limits: tuple[int, int], adds: list) -
                 floor_square_identity(eq(*floor_square_sum(h, k)), pair)
 
 
-def _share_counts(ks: Iterable[int], limits: tuple[int, int]) -> list[int] | None:
-    """`_reciprocity_share` over `ks` into eight fresh checks: their input
-    counts, or None if any input failed."""
-    checks = [CheckResult("", exact=True) for _ in range(8)]
-    _reciprocity_share(ks, limits, [check.add for check in checks])
-    return None if any(check.failures for check in checks) else [check.count for check in checks]
+def _share_counts(ks: Iterable[int], limits: tuple[int, int]) -> list[int]:
+    """`_reciprocity_share` over `ks`: the input count of each of its eight
+    checks.  Raises ValueError at the first input that does not hold, so a
+    forked share stops there and its child exits 1."""
+    counts = [0] * 8
+
+    def add(i: int, holds: bool, item: object = "") -> None:
+        if not holds:
+            raise ValueError(f"check {i} fails at {item}")
+        counts[i] += 1
+
+    _reciprocity_share(ks, limits, [partial(add, i) for i in range(8)])
+    return counts
 
 
-def _forked(tasks: list[Callable[[], object]]) -> list | None:
-    """Each task's result, each task run in a child made by `os.fork` and
-    marshalled back over a pipe of its own; None when a child fails to
-    deliver, as when its task raises, or when a pipe or fork cannot be made.
-    A child leaves through `os._exit`, so no buffer it shares with the
-    parent (stdout, an open `verify --out` file) is flushed twice, and every
-    child is reaped before this returns or raises, by this function or, where
-    SIGCHLD is ignored, by the kernel."""
+def _forked(tasks: list[Callable[[], object]]) -> Generator[None, None, list | None]:
+    """Run each task in a child made by `os.fork`, which marshals its result
+    back over a pipe of its own.  A generator: it forks every child and
+    yields once, so the caller can work while the children run; resumed, it
+    returns each task's result, in order, or None when a child fails to
+    deliver, as when its task raises, or when a pipe or fork cannot be made
+    (then without yielding).  On the first child that fails, those still
+    running are killed.  A child leaves through `os._exit`, so no buffer it
+    shares with the parent (stdout, an open `verify --out` file) is flushed
+    twice, and every child is reaped before this returns, raises or is
+    closed, by this function or, where SIGCHLD is ignored, by the kernel."""
     import marshal
     import signal
 
@@ -454,6 +466,7 @@ def _forked(tasks: list[Callable[[], object]]) -> list | None:
             finally:
                 os.close(write_end)
             pids.append(pid)
+        yield
         results = []
         while pids:
             with open(pipes.pop(0), "rb") as pipe:
@@ -477,7 +490,7 @@ def _forked(tasks: list[Callable[[], object]]) -> list | None:
                 pass  # reaped already, as where SIGCHLD is ignored
 
 
-def run_reciprocity(report: VerificationReport, config: CliConfig) -> None:
+def run_reciprocity(report: VerificationReport, config: CliConfig) -> Generator | None:
     """Exact Dedekind-sum identities, decided in one pass over k <= order.
 
     The eight checks are declared first, so a check with no inputs (at
@@ -501,13 +514,16 @@ def run_reciprocity(report: VerificationReport, config: CliConfig) -> None:
 
     The rows k split into W = `_reciprocity_workers(order)` shares,
     interleaved as `_share_of` deals them.  With W = 1 the one share feeds
-    the report's checks in-process.  With W >= 2 each share runs in a
-    forked child (`_forked`) and sends back its eight input counts, or None
-    if any of its inputs failed; when every share passed, the counts are
-    added to the report's checks.  If any share failed or fails to deliver,
-    as when a kernel raises, the pass is run again in-process, so first
-    failures are those of one sweep per check in (k, h) order, and a raise
-    leaves the counts up to the failing pair.
+    the report's checks in-process, and this returns None.  With W >= 2
+    each share runs in a forked child (`_forked`), which sends back its
+    eight input counts or, at its first input that fails, exits; this then
+    returns the pending pass, a generator that `run_campaign` resumes after
+    its other campaigns.  Resumed, it adds the counts to the report's checks
+    when every share delivered.  If a share failed or fails to deliver, as
+    when a kernel raises, or a share cannot be forked (then before this
+    returns), the pass is run again in-process, so first failures are those
+    of one sweep per check in (k, h) order, and a raise leaves the counts up
+    to the failing pair.
     """
     limit = config.order or 500
     naive_limit, sweep_limit = min(limit, 300), min(limit, 200)
@@ -527,19 +543,26 @@ def run_reciprocity(report: VerificationReport, config: CliConfig) -> None:
     ]
     ks = range(1, limit + 1)
     workers = _reciprocity_workers(limit)
-    shares = None
-    if workers > 1:
-        shares = _forked(
-            [
-                partial(_share_counts, [k for k in ks if _share_of(k, workers) == j], limits)
-                for j in range(workers)
-            ]
-        )
-    if shares is None or None in shares:
-        _reciprocity_share(ks, limits, [check.add for check in checks])
-        return
-    for check, *counts in zip(checks, *shares):
-        check.count += sum(counts)
+
+    def reciprocity_pass():
+        shares = None
+        if workers > 1:
+            shares = yield from _forked(
+                [
+                    partial(_share_counts, [k for k in ks if _share_of(k, workers) == j], limits)
+                    for j in range(workers)
+                ]
+            )
+        if shares is None:
+            _reciprocity_share(ks, limits, [check.add for check in checks])
+            return
+        for check, *counts in zip(checks, *shares):
+            check.count += sum(counts)
+
+    pending = reciprocity_pass()
+    for _ in pending:  # paused at its one yield: the shares are running
+        return pending
+    return None  # the pass ran in-process
 
 
 def _omega_descends(mat: ModularMatrix) -> bool:
@@ -649,7 +672,7 @@ def run_poisson(report: VerificationReport, config: CliConfig) -> None:
     )
 
 
-CAMPAIGNS: dict[str, Callable[[VerificationReport, CliConfig], None]] = {
+CAMPAIGNS: dict[str, Callable[[VerificationReport, CliConfig], Generator | None]] = {
     "jtp": run_jtp,
     "pentagonal": run_pentagonal,
     "reciprocity": run_reciprocity,
@@ -696,24 +719,49 @@ def _selected_campaigns(name: str, config: CliConfig) -> list[str]:
     return keys
 
 
+def _recorded(report: VerificationReport, fn: Callable, *args: object) -> object:
+    """fn(*args), or None once an Exception it raises is recorded in `report`
+    as one failed exact check naming it."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        report.exact_check(f"raised {type(exc).__name__}: {exc}").add(False)
+        return None
+
+
 def run_campaign(name: str, config: CliConfig) -> list[VerificationReport]:
     """Run one named campaign, or every campaign for name == 'all', each into
     a report of its own, and time each.
 
-    A runner that raises an Exception keeps the checks it recorded and gains
-    one failed exact check naming the exception, fed through `exact_check`
-    like any other; the next campaign still runs.  A BaseException such as
-    KeyboardInterrupt propagates.  A name or a knob that _selected_campaigns
-    refuses raises ValueError before any campaign runs.
+    A runner may hand back a pending step, a generator paused while forked
+    children do its work (the reciprocity shares).  The campaigns after it
+    run meanwhile, and each pending step is resumed, in order, after the
+    last campaign; a report's wall time runs from the start of its turn to
+    the end of its pending step, so it overlaps the turns run in between.
+    Report and check order do not depend on this.
+
+    A runner or pending step that raises an Exception keeps the checks it
+    recorded and gains one failed exact check naming the exception, fed
+    through `exact_check` like any other; the next campaign still runs.  A
+    BaseException such as KeyboardInterrupt propagates, after every step
+    still pending is closed, which kills and reaps its children.  A name or
+    a knob that _selected_campaigns refuses raises ValueError before any
+    campaign runs.
     """
-    reports = []
-    for key in _selected_campaigns(name, config):
-        report = VerificationReport(key, TOLERANCES.get(key, 0.0), config.seed)
-        start = time.perf_counter()
-        try:
-            CAMPAIGNS[key](report, config)
-        except Exception as exc:
-            report.exact_check(f"raised {type(exc).__name__}: {exc}").add(False)
-        report.wall_time = time.perf_counter() - start
-        reports.append(report)
+    reports, pending = [], []
+    try:
+        for key in _selected_campaigns(name, config):
+            report = VerificationReport(key, TOLERANCES.get(key, 0.0), config.seed)
+            start = time.perf_counter()
+            step = _recorded(report, CAMPAIGNS[key], report, config)
+            if step is not None:
+                pending.append((report, start, step))
+            report.wall_time = time.perf_counter() - start
+            reports.append(report)
+        for report, start, step in pending:
+            _recorded(report, next, step, None)  # runs the step to its end
+            report.wall_time = time.perf_counter() - start
+    finally:
+        for *_, step in pending:
+            step.close()
     return reports

@@ -9,6 +9,7 @@ import os
 import random
 import signal
 import threading
+import time
 from fractions import Fraction
 from functools import partial
 from operator import add
@@ -240,13 +241,13 @@ def reciprocity_checks(report):
 def _forced_workers(monkeypatch, workers):
     """Split every reciprocity pass into `workers` shares, whatever its size
     and the CPU count, and return the list that collects what each forked
-    pass's `_forked` returns: each share's counts, or None where the share
-    failed, or None for the whole pass if a share failed to deliver."""
+    pass's `_forked` returns when its shares are collected: each share's
+    counts, or None if a share failed or failed to deliver."""
     forked = campaigns._forked
     returned = []
 
     def spy(tasks):
-        returned.append(forked(tasks))
+        returned.append((yield from forked(tasks)))
         return returned[-1]
 
     monkeypatch.setattr(campaigns, "_reciprocity_workers", lambda limit: workers)
@@ -257,6 +258,15 @@ def _forced_workers(monkeypatch, workers):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _collected(forked):
+    """What the `_forked` generator `forked` returns, resumed at once."""
+    try:
+        while True:
+            next(forked)
+    except StopIteration as stop:
+        return stop.value
 
 
 # A broken variant whose order-201 shares split into one that fails and one
@@ -304,16 +314,19 @@ def test_reciprocity_checks_match_the_recorded_campaign(monkeypatch, variant, wo
     if workers == 1:
         assert forked == [] and in_process == list(RECIPROCITY_ORDERS)
         return
-    # every forked pass delivered its shares; one that holds a failing share
-    # is replayed in-process, and its report is the replay's
-    assert len(forked) == len(RECIPROCITY_ORDERS) and None not in forked
-    failed = [order for order, shares in zip(RECIPROCITY_ORDERS, forked) if None in shares]
+    # every forked pass was collected: its shares' counts, or None where a
+    # share failed; such a pass is replayed in-process, and its report is the replay's
+    assert len(forked) == len(RECIPROCITY_ORDERS)
+    failed = [order for order, shares in zip(RECIPROCITY_ORDERS, forked) if shares is None]
     assert in_process == failed
+    assert all(len(shares) == workers for shares in forked if shares is not None)
     if variant == "honest":
         assert failed == []
     else:
         assert failed == [40, 201]
-        assert forked[-1][0] is None and len(forked[-1][1]) == 8
+        # at 201 the first share failed: the second holds no broken pair
+        second = [k for k in range(1, 202) if campaigns._share_of(k, 2) == 1]
+        assert len(campaigns._share_counts(second, (201, 200))) == 8
 
 
 @pytest.mark.parametrize(
@@ -322,13 +335,31 @@ def test_reciprocity_checks_match_the_recorded_campaign(monkeypatch, variant, wo
 def test_a_forked_share_holding_a_broken_pair_sends_none(monkeypatch, variant):
     # at order 201 each of the two shares holds a row with a broken pair:
     # rows 9, 101 and 201 fall in the first share, rows 3 and 199 in the
-    # second, and each variant breaks a pair in one row of each
+    # second, and each variant breaks a pair in one row of each; each share,
+    # forked alone, stops at its first failing input and its child exits 1
     monkeypatch.setattr(campaigns, *RECIPROCITY_VARIANTS[variant])
     rows, limits = range(1, 202), (201, 200)  # as run_reciprocity at order 201
     shares = [[k for k in rows if campaigns._share_of(k, 2) == j] for j in range(2)]
-    tasks = [partial(campaigns._share_counts, share, limits) for share in shares]
-    assert campaigns._forked(tasks) == [None, None]
+    for share in shares:
+        task = partial(campaigns._share_counts, share, limits)
+        assert _collected(campaigns._forked([task])) is None
     assert_no_child_left()
+
+
+def test_a_share_stops_at_its_first_failing_input(monkeypatch):
+    # MIXED_SHARES breaks pairs in rows 12, 97 and 201 of the first share
+    monkeypatch.setattr(campaigns, *RECIPROCITY_VARIANTS[MIXED_SHARES])
+    share = [k for k in range(1, 202) if campaigns._share_of(k, 2) == 0]
+    broken, decided = campaigns.dedekind_sum_naive, []
+
+    def spy(h, k):
+        decided.append((h, k))
+        return broken(h, k)
+
+    monkeypatch.setattr(campaigns, "dedekind_sum_naive", spy)
+    with pytest.raises(ValueError, match=r"at \(5, 12\)$"):
+        campaigns._share_counts(share, (201, 200))
+    assert decided[-1] == (5, 12)
 
 
 def test_a_raise_in_a_forked_share_leaves_the_in_process_report(monkeypatch):
@@ -356,6 +387,18 @@ def test_a_raise_in_a_forked_share_leaves_the_in_process_report(monkeypatch):
     before = sum(math.gcd(h, k) == 1 for k in range(2, 79) for h in range(1, k))
     before += sum(math.gcd(h, 79) == 1 for h in range(1, 45))
     assert report.checks["reciprocity on coprime pairs <= 100"].count == before
+
+
+def test_a_failing_share_kills_the_shares_still_running(tmp_path):
+    finished = tmp_path / "finished"
+
+    def slow():
+        time.sleep(5)
+        finished.touch()
+
+    assert _collected(campaigns._forked([partial(divmod, 1, 0), slow])) is None
+    assert_no_child_left()
+    assert not finished.exists()
 
 
 def test_reciprocity_runs_in_process_when_a_share_cannot_be_forked(monkeypatch):
@@ -449,13 +492,90 @@ def test_reciprocity_with_sigchld_ignored_leaves_the_in_process_report(monkeypat
         (report,) = campaigns.run_campaign("reciprocity", config)
         # the kernel reaps the children, so `_forked` cannot read their
         # status: it falls back without raising from its cleanup
-        assert forked([lambda: 1, lambda: 2]) is None
+        assert _collected(forked([lambda: 1, lambda: 2])) is None
     finally:
         signal.signal(signal.SIGCHLD, previous)
     assert_no_child_left()
     _forced_workers(monkeypatch, 1)
     (in_process,) = campaigns.run_campaign("reciprocity", config)
     assert report.to_json() == two_shares.to_json() == in_process.to_json()
+
+
+# `verify all` small enough to run often, its reciprocity pass forked when W >= 2
+ALL_SMALL = campaigns.CliConfig(order=80, trials=50)
+
+
+def test_verify_all_runs_the_later_campaigns_while_the_shares_work(monkeypatch):
+    _forced_workers(monkeypatch, 1)
+    in_process = campaigns.run_campaign("all", ALL_SMALL)
+    forked = _forced_workers(monkeypatch, 2)
+    omega_runner, collected_at_omega = campaigns.CAMPAIGNS["omega"], []
+
+    def omega_spy(report, config):
+        collected_at_omega.append(list(forked))
+        omega_runner(report, config)
+
+    monkeypatch.setitem(campaigns.CAMPAIGNS, "omega", omega_spy)
+    reports = campaigns.run_campaign("all", ALL_SMALL)
+    assert_no_child_left()
+    # omega, the last campaign, started before the shares were collected
+    assert collected_at_omega == [[]]
+    assert len(forked) == 1 and [len(counts) for counts in forked[0]] == [8, 8]
+    assert campaigns.reports_json(reports) == campaigns.reports_json(in_process)
+
+
+def test_an_interrupt_in_a_later_campaign_kills_and_reaps_the_shares(monkeypatch):
+    def interrupted(report, config):
+        raise KeyboardInterrupt
+
+    forked = _forced_workers(monkeypatch, 2)
+    monkeypatch.setitem(campaigns.CAMPAIGNS, "omega", interrupted)
+    with pytest.raises(KeyboardInterrupt) as interrupt:
+        campaigns.run_campaign("all", ALL_SMALL)
+    assert forked == []  # the shares were forked but never collected
+    # `interrupt` holds run_campaign's frame, and so its pending pass: the
+    # children were reaped by run_campaign itself, not by the collector
+    assert isinstance(interrupt.value, KeyboardInterrupt)
+    assert_no_child_left()
+
+
+def test_a_raise_in_a_later_campaign_leaves_the_forked_report(monkeypatch):
+    def failing(report, config):
+        raise RuntimeError("omega failed")
+
+    _forced_workers(monkeypatch, 1)
+    in_process = campaigns.run_campaign("all", ALL_SMALL)
+    forked = _forced_workers(monkeypatch, 2)
+    monkeypatch.setitem(campaigns.CAMPAIGNS, "omega", failing)
+    reports = campaigns.run_campaign("all", ALL_SMALL)
+    assert_no_child_left()
+    assert len(forked) == 1 and forked[0] is not None
+    assert [r.campaign for r in reports] == list(campaigns.CAMPAIGNS)
+    *rest, omega_report = reports
+    assert [(c.name, c.passed) for c in omega_report.checks.values()] == [
+        ("raised RuntimeError: omega failed", False)
+    ]
+    assert [r.to_json() for r in rest] == [r.to_json() for r in in_process[:-1]]
+
+
+def test_a_raise_while_the_shares_are_collected_stays_in_the_reciprocity_report(monkeypatch):
+    # (45, 79) falls in the second share, whose child exits; the replay that
+    # follows the last campaign raises there
+    def raising(h, k):
+        if (h, k) == (45, 79):
+            raise ZeroDivisionError("kernel failed at (45, 79)")
+        return scaled(h, k)
+
+    scaled = dedekind._scaled_dedekind_sum
+    monkeypatch.setattr(campaigns, "dedekind", SimpleNamespace(_scaled_dedekind_sum=raising))
+    _forced_workers(monkeypatch, 1)
+    in_process = campaigns.run_campaign("all", ALL_SMALL)
+    forked = _forced_workers(monkeypatch, 2)
+    reports = campaigns.run_campaign("all", ALL_SMALL)
+    assert_no_child_left()
+    assert forked == [None]
+    assert campaigns.reports_json(reports) == campaigns.reports_json(in_process)
+    assert [r.campaign for r in reports if not r.passed] == ["reciprocity"]
 
 
 def test_reciprocity_builds_no_fast_sum_fraction(monkeypatch):
