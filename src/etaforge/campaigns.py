@@ -19,13 +19,14 @@ The reciprocity campaign, most of `verify all`, runs its pass on up to
 MAX_SHARES of the CPUs this process may run on: from order FORK_MIN_ORDER
 on, where `os.fork` exists, there is more than one CPU and forking is safe,
 its rows k are dealt into one share per CPU up to that cap, and each share
-runs in a forked child that sends back its eight checks' input counts, or
-exits at its first input that fails.  `run_campaign` runs the campaigns
-after reciprocity while the shares work, and collects them after the last
-one.  When every share delivered, the parent adds the counts; otherwise it
-kills the shares still running and replays the pass in-process.  The one
-in-process sweep thus decides every first failure, and the report is the
-same, byte for byte, either way.
+runs in a forked child that sends back, over one pipe that all the shares
+write to, its eight checks' input counts, or None at its first input that
+fails.  `run_campaign` runs the campaigns after reciprocity while the shares
+work, and collects them, in the order they finish, after the last one.  When
+every share delivered, the parent adds the counts; at the first share that
+did not, it kills the shares still running and replays the pass in-process.
+The one in-process sweep thus decides every first failure, and the report
+is the same, byte for byte, either way.
 
 A `CliConfig` is an immutable named tuple (order, trials, seed).  A
 `VerificationReport` and its `CheckResult`s are filled in place as a campaign
@@ -353,8 +354,9 @@ def _reciprocity_workers(limit: int) -> int:
     into: the CPUs this process may run on, at most MAX_SHARES.  W is 1
     below FORK_MIN_ORDER, without `os.fork`, while another thread runs (a
     child could wait forever on a lock that thread held), and when SIGCHLD
-    is not at its default: a host that ignores it or reaps its children
-    itself takes the children's exit status that `_forked` waits for."""
+    is not at its default: where the kernel or a host's handler reaps a
+    child that has exited, its pid may be reused, and `_forked`'s cleanup
+    would then kill some other process."""
     if limit < FORK_MIN_ORDER or not hasattr(os, "fork"):
         return 1
     threading = sys.modules.get("threading")
@@ -420,7 +422,7 @@ def _reciprocity_share(ks: Iterable[int], limits: tuple[int, int], adds: list) -
 def _share_counts(ks: Iterable[int], limits: tuple[int, int]) -> list[int]:
     """`_reciprocity_share` over `ks`: the input count of each of its eight
     checks.  Raises ValueError at the first input that does not hold, so a
-    forked share stops there and its child exits 1."""
+    forked share stops there and its child sends None."""
     counts = [0] * 8
 
     def add(i: int, holds: bool, item: object = "") -> None:
@@ -433,55 +435,55 @@ def _share_counts(ks: Iterable[int], limits: tuple[int, int]) -> list[int]:
 
 
 def _forked(tasks: list[Callable[[], object]]) -> Generator[None, None, list | None]:
-    """Run each task in a child made by `os.fork`, which marshals its result
-    back over a pipe of its own.  A generator: it forks every child and
-    yields once, so the caller can work while the children run; resumed, it
-    returns each task's result, in order, or None when a child fails to
-    deliver, as when its task raises, or when a pipe or fork cannot be made
-    (then without yielding).  On the first child that fails, those still
-    running are killed.  A child leaves through `os._exit`, so no buffer it
-    shares with the parent (stdout, an open `verify --out` file) is flushed
-    twice, and every child is reaped before this returns, raises or is
-    closed, by this function or, where SIGCHLD is ignored, by the kernel."""
+    """Run each task in a child made by `os.fork`, on one pipe that every
+    child shares.  A generator: it forks every child and yields once, so the
+    caller can work while the children run; resumed, it returns the tasks'
+    results in the order the children finish, or None as soon as one child
+    fails to deliver, or when the pipe or a fork cannot be made (then
+    without yielding).  A task's result must not be None.
+
+    Each child sends one record, its task's result marshalled, in a single
+    `os.write`, and a write is atomic only up to PIPE_BUF, which POSIX puts
+    at 512 bytes or more: so a child whose task raises, or whose result
+    does not marshal into 512 bytes, sends None instead.  A child that dies
+    before it writes leaves the pipe at EOF once the others have exited,
+    which also reads as None.  No exit status is read.  A child leaves
+    through `os._exit`, so no buffer it shares with the parent (stdout, an
+    open `verify --out` file) is flushed twice, and every child is killed
+    and reaped before this returns, raises or is closed, by this function
+    or, where SIGCHLD is ignored, by the kernel."""
     import marshal
     import signal
 
-    pids, pipes = [], []  # the children not yet reaped, the read ends not yet closed
+    none = marshal.dumps(None)
+    pids, ends = [], []  # the children not yet reaped, the pipe's ends not yet closed
     try:
+        ends.extend(os.pipe())
         for task in tasks:
-            read_end, write_end = os.pipe()
-            pipes.append(read_end)
-            try:
-                pid = os.fork()
-                if not pid:
-                    code = 1
+            pid = os.fork()
+            if not pid:
+                record = none
+                try:
+                    record = marshal.dumps(task())
+                finally:
                     try:
-                        for fd in pipes:
-                            os.close(fd)
-                        with open(write_end, "wb") as pipe:
-                            marshal.dump(task(), pipe)
-                        code = 0
+                        os.write(ends[1], record if len(record) <= 512 else none)
                     finally:
-                        os._exit(code)
-            finally:
-                os.close(write_end)
+                        os._exit(0)
             pids.append(pid)
+        os.close(ends.pop())  # the write end: EOF once every child has exited
         yield
-        results = []
-        while pids:
-            with open(pipes.pop(0), "rb") as pipe:
-                payload = pipe.read()
-            _, status = os.waitpid(pids[0], 0)
-            del pids[0]
-            if status:
+        pipe, results = open(ends[0], "rb", closefd=False), []
+        for _ in tasks:
+            results.append(marshal.load(pipe))  # EOFError if a child died unheard
+            if results[-1] is None:
                 return None
-            results.append(marshal.loads(payload))
         return results
-    except OSError:
+    except (OSError, EOFError):
         return None
     finally:
-        for read_end in pipes:
-            os.close(read_end)
+        for fd in ends:
+            os.close(fd)
         for pid in pids:
             try:
                 os.kill(pid, signal.SIGKILL)
@@ -516,14 +518,15 @@ def run_reciprocity(report: VerificationReport, config: CliConfig) -> Generator 
     interleaved as `_share_of` deals them.  With W = 1 the one share feeds
     the report's checks in-process, and this returns None.  With W >= 2
     each share runs in a forked child (`_forked`), which sends back its
-    eight input counts or, at its first input that fails, exits; this then
+    eight input counts or, at its first input that fails, None; this then
     returns the pending pass, a generator that `run_campaign` resumes after
-    its other campaigns.  Resumed, it adds the counts to the report's checks
-    when every share delivered.  If a share failed or fails to deliver, as
-    when a kernel raises, or a share cannot be forked (then before this
-    returns), the pass is run again in-process, so first failures are those
-    of one sweep per check in (k, h) order, and a raise leaves the counts up
-    to the failing pair.
+    its other campaigns.  Resumed, it takes the shares' counts in the order
+    the shares finish and adds them to the report's checks when every share
+    delivered.  At the first share that fails to deliver, as when a kernel
+    raises, or if a share cannot be forked (then before this returns), the
+    pass is run again in-process, so first failures are those of one sweep
+    per check in (k, h) order, and a raise leaves the counts up to the
+    failing pair.
     """
     limit = config.order or 500
     naive_limit, sweep_limit = min(limit, 300), min(limit, 200)

@@ -242,7 +242,8 @@ def _forced_workers(monkeypatch, workers):
     """Split every reciprocity pass into `workers` shares, whatever its size
     and the CPU count, and return the list that collects what each forked
     pass's `_forked` returns when its shares are collected: each share's
-    counts, or None if a share failed or failed to deliver."""
+    counts, in the order the shares finish, or None if a share failed or
+    failed to deliver."""
     forked = campaigns._forked
     returned = []
 
@@ -336,7 +337,7 @@ def test_a_forked_share_holding_a_broken_pair_sends_none(monkeypatch, variant):
     # at order 201 each of the two shares holds a row with a broken pair:
     # rows 9, 101 and 201 fall in the first share, rows 3 and 199 in the
     # second, and each variant breaks a pair in one row of each; each share,
-    # forked alone, stops at its first failing input and its child exits 1
+    # forked alone, stops at its first failing input and its child sends None
     monkeypatch.setattr(campaigns, *RECIPROCITY_VARIANTS[variant])
     rows, limits = range(1, 202), (201, 200)  # as run_reciprocity at order 201
     shares = [[k for k in rows if campaigns._share_of(k, 2) == j] for j in range(2)]
@@ -389,20 +390,10 @@ def test_a_raise_in_a_forked_share_leaves_the_in_process_report(monkeypatch):
     assert report.checks["reciprocity on coprime pairs <= 100"].count == before
 
 
-def test_a_failing_share_kills_the_shares_still_running(tmp_path):
-    finished = tmp_path / "finished"
+def _fail_the_second_fork(monkeypatch):
+    """Let the first `os.fork` start its child and fail every later one, as
+    at a process limit; return the list of the pids forked."""
 
-    def slow():
-        time.sleep(5)
-        finished.touch()
-
-    assert _collected(campaigns._forked([partial(divmod, 1, 0), slow])) is None
-    assert_no_child_left()
-    assert not finished.exists()
-
-
-def test_reciprocity_runs_in_process_when_a_share_cannot_be_forked(monkeypatch):
-    # the first share's child starts, the second fork fails as at a process limit
     def second_fork_fails():
         if forks:
             raise BlockingIOError(11, "Resource temporarily unavailable")
@@ -410,11 +401,81 @@ def test_reciprocity_runs_in_process_when_a_share_cannot_be_forked(monkeypatch):
         return forks[-1]
 
     fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    return forks
+
+
+# Tasks whose child sends None: one raises, the other's result marshals
+# past the 512 bytes that one write to a pipe is sure to deliver whole
+FAILING_TASKS = {"raises": partial(divmod, 1, 0), "too long a record": lambda: list(range(200))}
+
+
+@pytest.mark.parametrize("position", ["first", "after the slow one"])
+@pytest.mark.parametrize("failing", FAILING_TASKS)
+def test_a_failing_share_kills_the_shares_still_running(tmp_path, failing, position):
+    finished = tmp_path / "finished"
+
+    def slow():
+        time.sleep(5)
+        finished.touch()
+        return 1
+
+    tasks = [FAILING_TASKS[failing], slow]
+    if position != "first":
+        tasks.reverse()
+    # the parent returns at the failing share's record, whichever child sent it first
+    assert _collected(campaigns._forked(tasks)) is None
+    assert_no_child_left()
+    assert not finished.exists()
+
+
+def test_a_child_that_dies_before_it_writes_sends_none():
+    def killed():
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    # its sibling's record arrives, then the pipe reads EOF
+    assert _collected(campaigns._forked([lambda: 1, killed])) is None
+    assert_no_child_left()
+
+
+def test_forked_results_come_in_the_order_the_children_finish():
+    def slow():
+        time.sleep(0.5)
+        return "slow"
+
+    assert _collected(campaigns._forked([slow, lambda: "fast"])) == ["fast", "slow"]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "path", ["delivered", "a share fails", "a fork fails", "closed before collection"]
+)
+def test_forked_leaves_no_file_descriptor_open(monkeypatch, path):
+    fd_dir = "/proc/self/fd"
+    if not os.path.isdir(fd_dir):
+        pytest.skip(f"no {fd_dir} to list the open descriptors")
+    before = sorted(os.listdir(fd_dir))
+    second = partial(divmod, 1, 0) if path == "a share fails" else lambda: 2
+    if path == "a fork fails":
+        _fail_the_second_fork(monkeypatch)
+    forked = campaigns._forked([lambda: 1, second])
+    if path == "closed before collection":
+        next(forked)
+        forked.close()
+    else:
+        expected = [1, 2] if path == "delivered" else None
+        result = _collected(forked)
+        assert (sorted(result) if result else result) == expected
+    assert_no_child_left()
+    assert sorted(os.listdir(fd_dir)) == before
+
+
+def test_reciprocity_runs_in_process_when_a_share_cannot_be_forked(monkeypatch):
     config = campaigns.CliConfig(order=40)
     _forced_workers(monkeypatch, 1)
     (in_process,) = campaigns.run_campaign("reciprocity", config)
     forked = _forced_workers(monkeypatch, 2)
-    monkeypatch.setattr(os, "fork", second_fork_fails)
+    forks = _fail_the_second_fork(monkeypatch)
     (report,) = campaigns.run_campaign("reciprocity", config)
     assert len(forks) == 1 and forked == [None]
     assert_no_child_left()
@@ -490,9 +551,9 @@ def test_reciprocity_with_sigchld_ignored_leaves_the_in_process_report(monkeypat
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
         (report,) = campaigns.run_campaign("reciprocity", config)
-        # the kernel reaps the children, so `_forked` cannot read their
-        # status: it falls back without raising from its cleanup
-        assert _collected(forked([lambda: 1, lambda: 2])) is None
+        # the kernel reaps the children, and their records still arrive;
+        # the cleanup, which finds them reaped, does not raise
+        assert sorted(_collected(forked([lambda: 1, lambda: 2]))) == [1, 2]
     finally:
         signal.signal(signal.SIGCHLD, previous)
     assert_no_child_left()
@@ -559,7 +620,7 @@ def test_a_raise_in_a_later_campaign_leaves_the_forked_report(monkeypatch):
 
 
 def test_a_raise_while_the_shares_are_collected_stays_in_the_reciprocity_report(monkeypatch):
-    # (45, 79) falls in the second share, whose child exits; the replay that
+    # (45, 79) falls in the second share, whose child sends None; the replay that
     # follows the last campaign raises there
     def raising(h, k):
         if (h, k) == (45, 79):
