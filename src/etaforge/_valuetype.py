@@ -9,9 +9,7 @@ def check_int(name: str, value: object) -> None:
     Every integer argument of the package is checked here, one call per
     argument.  Only `modgroup._check_unimodular`, run several times per eta
     evaluation, tests its four entries in one inline `type(...) is ... is
-    int` chain and calls this only to name the bad entry.  `qseries.chi12` is
-    exempt: it runs once per term of the character series, whose callers
-    pass it range indices.
+    int` chain and calls this only to name the bad entry.
     """
     if type(value) is not int:
         raise ValueError(f"{name} must be of type int, got {value!r}")

@@ -1,17 +1,18 @@
 """Floating-point evaluation of the Dedekind eta function and the theta-type
 identities, with explicit truncation-error control.
 
-Three independent series routes to eta are provided (infinite product,
-pentagonal-exponent sum, character-weighted theta sum), each summed at
-tau - round(Re tau) behind one front end that restores the exact phase, plus a
-fourth that reduces the argument to the fundamental domain (exactly, rounding
-the reduced point once) and transports the value back through the
-transformation law.  Every evaluator reports a rigorous bound on its
-truncation error; double-precision rounding is outside that bound and is
-documented instead.  All tolerances here are meaningful down to ~1e-13 away
-from the real axis; near it a direct sum cancels many terms of modulus near
-1 (at 0.3+1e-4i the pentagonal sum is 6.4e-3 off with bound 2.2e-45), which
-`auto` avoids below Im tau = SMALL_IM and a direct route by name does not.
+Two independent series routes to eta are provided (infinite product and
+pentagonal-exponent sum), each summed at tau - round(Re tau) behind one front
+end that restores the exact phase, plus a third that reduces the argument to
+the fundamental domain (exactly, rounding the reduced point once) and
+transports the value back through the transformation law.  The chi12 theta
+sum is the pentagonal sum re-indexed, so it is not a separate route.  Every
+evaluator reports a rigorous bound on its truncation error; double-precision
+rounding is outside that bound and is documented instead.  All tolerances
+here are meaningful down to ~1e-13 away from the real axis; near it a
+direct sum cancels many terms of modulus near 1 (at 0.3+1e-4i the pentagonal
+sum is 6.4e-3 off with bound 2.2e-45), which `auto` avoids below
+Im tau = SMALL_IM and a direct route by name does not.
 
 Truncation policy: each series is cut where a geometric majorant of the tail,
 taken with an explicit safety factor 2, drops below the requested tolerance.
@@ -59,14 +60,12 @@ from .modgroup import (
     apply_mobius,
     reduce_to_fundamental_domain,
 )
-from .qseries import chi12
 
 __all__ = [
     "EvalResult",
     "ConvergenceBudgetError",
     "eta_product_eval",
     "eta_pentagonal_eval",
-    "eta_char_eval",
     "transform_factor",
     "eta_transformed_eval",
     "eta_eval",
@@ -199,44 +198,11 @@ def _pentagonal_series(z: complex, tol: float) -> tuple[complex, float, int]:
             raise _over_budget(f"pentagonal evaluation at im(tau) = {t}")
 
 
-def eta_char_eval(tau: complex, tol: float = DEFAULT_TOL) -> EvalResult:
-    """eta(tau) as the character-weighted theta sum over n >= 1 of
-    chi12(n) e^(pi i tau n^2 / 12).
-
-    The character is even, so the bilateral half-weighted form collapses to a
-    one-sided sum.  The tail majorant treats every n as potentially
-    contributing, which over-counts the zero-character terms and is therefore
-    safe.  Every n prime to 6 has n^2 = 1 mod 24, so the integer translation
-    is the phase e^(pi i m/12).  The budget counts summed terms, n prime to 6.
-    Only an index n >= 6 ln 2/(pi t) - 3/2 can end the sum, and at least n/3 - 1
-    integers up to n are prime to 6, so past the budget that bound fails first.
-    """
-    return _translated(_char_series, tau, tol)
-
-
-def _char_series(z: complex, tol: float) -> tuple[complex, float, int]:
-    t = z.imag
-    c = math.pi / 12.0
-    min_index = math.log(2.0) / (2.0 * c * t) - 1.5
-    if min_index / 3.0 - 1.0 > MAX_SERIES_TERMS:
-        raise _over_budget(f"character evaluation at im(tau) = {t}")
-    value = complex(0.0)
-    n = 0
-    terms = 0
-    while True:
-        if n >= 1:
-            ratio = math.exp(-c * t * (2 * n + 3))
-            if ratio <= 0.5:
-                bound = 2.0 * math.exp(-c * t * (n + 1) ** 2) / (1.0 - ratio)
-                if bound <= tol * abs(value):
-                    return value, bound / abs(value) if value else 0.0, terms
-        n += 1
-        chi = chi12(n)
-        if chi:
-            value += chi * cmath.exp(c * 1j * z * n * n)
-            terms += 1
-            if terms > MAX_SERIES_TERMS:
-                raise _over_budget(f"character evaluation at im(tau) = {t}")
+# The chi12 theta sum over n >= 1 of chi12(n) e^(pi i tau n^2 / 12) is the
+# pentagonal series re-indexed by n = |6k + 1|, so it has no kernel of its own.
+# `benchmarks/` still names this evaluator `eta_char_eval` (its eta-eval routes
+# and tracer sites); the name goes when they stop using it.
+eta_char_eval = eta_pentagonal_eval
 
 
 def transform_factor(mat: ModularMatrix, tau: complex) -> complex:
@@ -323,7 +289,6 @@ def eta_transformed_eval(tau: complex, tol: float = DEFAULT_TOL) -> EvalResult:
 _ROUTES = {
     "product": eta_product_eval,
     "pentagonal": eta_pentagonal_eval,
-    "character": eta_char_eval,
     "transformed": eta_transformed_eval,
 }
 

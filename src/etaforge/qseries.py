@@ -68,6 +68,7 @@ def _expansion_order(n_order: int) -> int:
 
 def chi12(n: int) -> int:
     """Dirichlet character mod 12 (+1 on 1, 11; -1 on 5, 7; else 0)."""
+    check_int("n", n)
     return _CHI12_TABLE[n % 12]
 
 

@@ -22,9 +22,9 @@ from etaforge import (
     GeneratorWord,
     dedekind_sum_fast,
     decompose,
-    eta_char_eval,
     eta_pentagonal_eval,
     eta_product_eval,
+    eta_transformed_eval,
     evaluate_word,
     reduce_to_fundamental_domain,
     run_campaign,
@@ -146,8 +146,8 @@ def test_09_cross_representation_grid():
             tau = complex(re, im)
             product = eta_product_eval(tau, 1e-13).value
             pentagonal = eta_pentagonal_eval(tau, 1e-13).value
-            character = eta_char_eval(tau, 1e-13).value
-            for a, b in ((product, pentagonal), (product, character), (pentagonal, character)):
+            transformed = eta_transformed_eval(tau, 1e-13).value
+            for a, b in ((product, pentagonal), (product, transformed), (pentagonal, transformed)):
                 worst = max(worst, abs(a - b) / abs(a))
     assert worst < 1e-12, f"max pairwise disagreement {worst:.3e}"
 

@@ -130,13 +130,20 @@ EVAL_GOLDEN = Path(__file__).resolve().parent / "golden" / "eval_json.json"
 
 def test_eval_json_matches_the_golden_file(capsys):
     recorded = json.loads(EVAL_GOLDEN.read_text())
-    assert len(recorded) == 50
-    assert sum(entry["exit"] == 2 for entry in recorded) == 3
+    assert len(recorded) == 40
+    assert sum(entry["exit"] == 2 for entry in recorded) == 2
     for entry in recorded:
         tau, method = entry["tau"], entry["method"]
         argv = ("eval", "--tau", tau, "--method", method, "--format", "json")
         got = run(capsys, *argv)
         assert got == (entry["exit"], entry["stdout"], entry["stderr"]), (tau, method)
+
+
+def test_eval_character_method_is_refused():
+    # the character theta sum is the pentagonal sum, not a route of its own
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--tau", "0+1i", "--method", "character"])
+    assert exc.value.code == 2
 
 
 def test_eval_bad_literal_exits_2(capsys):

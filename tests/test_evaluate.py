@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+import etaforge
 from etaforge import dedekind, evaluate
 from etaforge import (
     ConvergenceBudgetError,
@@ -20,7 +21,6 @@ from etaforge import (
     S,
     apply_mobius,
     chi12,
-    eta_char_eval,
     eta_pentagonal_eval,
     eta_product_eval,
     eta_transformed_eval,
@@ -38,7 +38,7 @@ ETA_HALF_I = 0.837755763476598057912366
 ETA_03_02I = complex(1.106216548444957774733147, -0.1251970021575189068786067)
 ETA_1_PLUS_I = complex(0.7420487758365647263392722, 0.1988313702299107190516142)
 
-ALL_EVALUATORS = (eta_product_eval, eta_pentagonal_eval, eta_char_eval, eta_transformed_eval)
+ALL_EVALUATORS = (eta_product_eval, eta_pentagonal_eval, eta_transformed_eval)
 
 
 def rel(a: complex, b: complex) -> float:
@@ -126,6 +126,14 @@ def test_eta_eval_rejects_unknown_method(tau):
     assert all(method in str(info.value) for method in evaluate.EVAL_METHODS)
 
 
+def test_character_sum_is_the_pentagonal_evaluator():
+    # the chi12 theta sum is the pentagonal series re-indexed: one kernel, and
+    # eta_char_eval is only the name the benchmarks still use for it
+    assert evaluate.eta_char_eval is evaluate.eta_pentagonal_eval
+    assert "eta_char_eval" not in etaforge.__all__
+    assert "character" not in evaluate.EVAL_METHODS
+
+
 def non_finite_calls():
     """(entry point, args) with inf or nan in each tau, tol, z, w, u, a, b slot."""
     tau_routes = (*ALL_EVALUATORS, evaluate.eta_eval)
@@ -161,7 +169,7 @@ def test_non_finite_input_raises_value_error(fn, args):
 )
 def test_direct_series_split_off_large_real_part(tau):
     reference = eta_transformed_eval(tau).value
-    for evaluator in (eta_product_eval, eta_pentagonal_eval, eta_char_eval):
+    for evaluator in (eta_product_eval, eta_pentagonal_eval):
         assert rel(evaluator(tau).value, reference) <= 1e-11, evaluator.__name__
 
 
@@ -172,7 +180,6 @@ def test_direct_series_split_off_large_real_part(tau):
         # 1 - |q| rounds to 0 here
         pytest.param(lambda: eta_product_eval(0.3 + 1e-300j), id="product-1e-300"),
         pytest.param(lambda: eta_pentagonal_eval(0.5 + 1e-12j), id="pentagonal"),
-        pytest.param(lambda: eta_char_eval(0.5 + 1e-12j), id="character"),
         pytest.param(lambda: theta_identity_residual(1e-14j, 0, 0), id="theta"),
     ],
 )
@@ -194,11 +201,10 @@ def test_product_just_inside_budget_still_sums(monkeypatch):
         eta_product_eval(0.3 + 1e-4j)
 
 
-@pytest.mark.parametrize("evaluator", [eta_pentagonal_eval, eta_char_eval])
-def test_direct_series_budget_error_near_real_axis_is_fast(evaluator):
+def test_direct_series_budget_error_near_real_axis_is_fast():
     start = time.perf_counter()
     with pytest.raises(ConvergenceBudgetError):
-        evaluator(0.5 + 1e-12j)
+        eta_pentagonal_eval(0.5 + 1e-12j)
     # the term count is predicted from the tail ratio, not summed up to the budget
     assert time.perf_counter() - start < 1.0
 
@@ -215,32 +221,19 @@ def test_pentagonal_just_inside_budget_still_sums(monkeypatch):
         eta_pentagonal_eval(0.3 + 1e-4j)
 
 
-@pytest.mark.parametrize("tau", [0.3 + 1e-4j, 0.1 + 1e-3j, 0.7 + 3e-5j])
-def test_character_just_inside_budget_still_sums(monkeypatch, tau):
-    # the budget counts the summed terms that terms_used reports
-    result = eta_char_eval(tau)
-    assert result.terms_used > 100
-    monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", result.terms_used)
-    assert eta_char_eval(tau) == result
-    monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", result.terms_used - 1)
-    with pytest.raises(ConvergenceBudgetError):
-        eta_char_eval(tau)
-
-
 def test_extreme_height_underflows_cleanly():
     # representable: eta(300i) = e^(-25 pi) up to an invisible correction
-    for evaluator in (eta_pentagonal_eval, eta_char_eval):
-        assert rel(evaluator(300j).value, math.exp(-300 * math.pi / 12)) < 1e-13
-        # below double range the value and its bound underflow to exact zero
-        result = evaluator(4000j)
-        assert result.value == 0.0
-        assert result.tail_bound == 0.0
+    assert rel(eta_pentagonal_eval(300j).value, math.exp(-300 * math.pi / 12)) < 1e-13
+    # below double range the value and its bound underflow to exact zero
+    result = eta_pentagonal_eval(4000j)
+    assert result.value == 0.0
+    assert result.tail_bound == 0.0
 
 
 def test_tail_bound_honesty():
     # halving the tolerance moves the value by at most the reported bound
     for tau in (1j, 0.3 + 0.2j, 0.1 + 0.5j):
-        for evaluator in (eta_product_eval, eta_pentagonal_eval, eta_char_eval):
+        for evaluator in (eta_product_eval, eta_pentagonal_eval):
             coarse = evaluator(tau, 1e-8)
             fine = evaluator(tau, 5e-9)
             assert abs(coarse.value - fine.value) <= coarse.tail_bound * abs(coarse.value) + 1e-15

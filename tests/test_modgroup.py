@@ -18,7 +18,6 @@ from etaforge import (
     ModularMatrix,
     apply_mobius,
     decompose,
-    eta_char_eval,
     eta_eval,
     eta_pentagonal_eval,
     eta_product_eval,
@@ -128,7 +127,6 @@ ENTRY_POINTS = (
     lambda tau: apply_mobius(S, tau),
     eta_product_eval,
     eta_pentagonal_eval,
-    eta_char_eval,
     eta_transformed_eval,
     eta_eval,
     lambda tau: transform_factor(S, tau),

@@ -28,6 +28,7 @@ from etaforge import (
     GeneratorWord,
     ModularMatrix,
     QSeries,
+    chi12,
     dedekind_sum_fast,
     dedekind_sum_naive,
     decompose,
@@ -246,6 +247,7 @@ INT_ARGUMENTS = {
         (2,),
         ("min_c",),
     ),
+    "chi12": (chi12, (5,), ("n",)),
 }
 NOT_INTS = (True, False, 2.0, 2.5, Fraction(2))
 
