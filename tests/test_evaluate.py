@@ -201,24 +201,28 @@ def test_product_just_inside_budget_still_sums(monkeypatch):
         eta_product_eval(0.3 + 1e-4j)
 
 
-def test_direct_series_budget_error_near_real_axis_is_fast():
+@pytest.mark.parametrize("evaluator", [eta_product_eval, eta_pentagonal_eval])
+def test_direct_series_budget_error_near_real_axis_is_fast(evaluator):
     start = time.perf_counter()
     with pytest.raises(ConvergenceBudgetError):
-        eta_pentagonal_eval(0.5 + 1e-12j)
+        evaluator(0.5 + 1e-12j)
     # the term count is predicted from the tail ratio, not summed up to the budget
     assert time.perf_counter() - start < 1.0
 
 
-def test_pentagonal_just_inside_budget_still_sums(monkeypatch):
-    # at this height the tail-ratio condition, which the budget check predicts,
+@pytest.mark.parametrize(
+    "tau, min_terms", [(0.3 + 1e-4j, 700), (0.1 + 1e-3j, 100), (0.7 + 3e-5j, 2000)]
+)
+def test_pentagonal_just_inside_budget_still_sums(monkeypatch, tau, min_terms):
+    # at these heights the tail-ratio condition, which the budget check predicts,
     # is what ends the sum
-    terms = eta_pentagonal_eval(0.3 + 1e-4j).terms_used
-    assert terms > 700
+    terms = eta_pentagonal_eval(tau).terms_used
+    assert terms > min_terms
     monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", terms)
-    assert eta_pentagonal_eval(0.3 + 1e-4j).terms_used == terms
+    assert eta_pentagonal_eval(tau).terms_used == terms
     monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", terms - 1)
     with pytest.raises(ConvergenceBudgetError):
-        eta_pentagonal_eval(0.3 + 1e-4j)
+        eta_pentagonal_eval(tau)
 
 
 def test_extreme_height_underflows_cleanly():
@@ -237,6 +241,18 @@ def test_tail_bound_honesty():
             coarse = evaluator(tau, 1e-8)
             fine = evaluator(tau, 5e-9)
             assert abs(coarse.value - fine.value) <= coarse.tail_bound * abs(coarse.value) + 1e-15
+
+
+@pytest.mark.parametrize("tau", [1j, 0.5j, 0.3 + 0.2j, 1 + 1j, -0.4 + 1.3j, 0.1 + 0.02j])
+def test_character_theta_form_is_the_pentagonal_series(tau):
+    # eta(tau) = sum_{m >= 1} chi12(m) e^(pi i tau m^2 / 12), summed here term by
+    # term: the sum eta_char_eval names, checked against two evaluators
+    total, m = 0j, 1
+    while (m - 1) ** 2 * tau.imag * math.pi / 12 < 45:
+        total += chi12(m) * cmath.exp(1j * math.pi * tau * m * m / 12)
+        m += 1
+    assert rel(total, eta_pentagonal_eval(tau, 1e-14).value) < 1e-12
+    assert rel(total, eta_product_eval(tau, 1e-14).value) < 1e-12
 
 
 def test_char_eval_gauss_sum_identity():
