@@ -15,18 +15,18 @@ are deterministic for a given seed and configuration; the JSON form, with one
 "schema" key from `reports_json`, omits wall time so identical runs serialize
 to identical bytes.
 
-The reciprocity campaign, most of `verify all`, runs its pass on up to
-MAX_SHARES of the CPUs this process may run on: from order FORK_MIN_ORDER
-on, where `os.fork` exists, there is more than one CPU and forking is safe,
-its rows k are dealt into one share per CPU up to that cap, and each share
-runs in a forked child that sends back, over one pipe that all the shares
-write to, its eight checks' input counts, or None at its first input that
-fails.  `run_campaign` runs the campaigns after reciprocity while the shares
-work, and collects them, in the order they finish, after the last one.  When
-every share delivered, the parent adds the counts; at the first share that
-did not, it kills the shares still running and replays the pass in-process.
-The one in-process sweep thus decides every first failure, and the report
-is the same, byte for byte, either way.
+The reciprocity campaign, most of `verify all`, runs its pass in one
+process or in two forked shares: from order FORK_MIN_ORDER on, where
+`os.fork` exists, this process may run on more than one CPU and forking is
+safe, its rows k are dealt into two shares, and each share runs in a forked
+child that sends back, over one pipe that both shares write to, its eight
+checks' input counts, or None at its first input that fails.  `run_campaign`
+runs the campaigns after reciprocity while the shares work, and collects
+them, in the order they finish, after the last one.  When both shares
+delivered, the parent adds the counts; at the first share that did not, it
+kills the share still running and replays the pass in-process.  The one
+in-process sweep thus decides every first failure, and the report is the
+same, byte for byte, either way.
 
 A `CliConfig` is an immutable named tuple (order, trials, seed).  A
 `VerificationReport` and its `CheckResult`s are filled in place as a campaign
@@ -124,7 +124,7 @@ class CheckResult:
     whatever the tolerance; a numeric check fails on any residual not <= the
     tolerance.  `failures` keeps at most MAX_RECORDED_FAILURES of its worst.
     A forked reciprocity share sends back only its input counts, which the
-    parent adds to `count` when every share delivered."""
+    parent adds to `count` when both shares delivered."""
 
     def __init__(self, name: str, exact: bool):
         self.name = name
@@ -341,45 +341,35 @@ def run_jtp(report: VerificationReport, config: CliConfig) -> None:
 # runs at order 50, 7 at 60, 24 at 70 and 25 at 80.
 FORK_MIN_ORDER = 70
 
-# The most shares the pass forks: the two that FORK_MIN_ORDER and the gain
-# were measured with.  Each more share costs one more fork, reap and set of
-# copied pages for a pass that does not grow, and in a container held to a
-# CPU quota the affinity mask can name far more CPUs than the quota grants;
-# W > 2 has not been measured.
-MAX_SHARES = 2
-
-
-def _reciprocity_workers(limit: int) -> int:
-    """W, the number of row shares the reciprocity pass to `limit` splits
-    into: the CPUs this process may run on, at most MAX_SHARES.  W is 1
-    below FORK_MIN_ORDER, without `os.fork`, while another thread runs (a
-    child could wait forever on a lock that thread held), and when SIGCHLD
-    is not at its default: where the kernel or a host's handler reaps a
-    child that has exited, its pid may be reused, and `_forked`'s cleanup
-    would then kill some other process."""
+def _forks_shares(limit: int) -> bool:
+    """Whether the reciprocity pass to `limit` runs in two forked shares:
+    where this process may run on more than one CPU, but not below
+    FORK_MIN_ORDER, without `os.fork`, while another thread runs (a child
+    could wait forever on a lock that thread held), or when SIGCHLD is not
+    at its default: where the kernel or a host's handler reaps a child that
+    has exited, its pid may be reused, and `_forked`'s cleanup would then
+    kill some other process."""
     if limit < FORK_MIN_ORDER or not hasattr(os, "fork"):
-        return 1
+        return False
     threading = sys.modules.get("threading")
     if threading and threading.active_count() > 1:
-        return 1
+        return False
     import signal
 
     if signal.getsignal(signal.SIGCHLD) != signal.SIG_DFL:
-        return 1
+        return False
     affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return min(cpus, MAX_SHARES)
+    return (len(affinity(0)) if affinity else os.cpu_count() or 1) > 1
 
 
-def _share_of(k: int, workers: int) -> int:
-    """The share that row k of the reciprocity pass falls in: rows are dealt
-    out to the `workers` shares in blocks of `workers`, every other block in
-    reverse, so that each share holds as many odd k as even ones.  An odd k
-    has more coprime pairs, each with its two O(k) floor sums: at order 500
-    the two shares k mod 2 took 688 and 525 ms in-process, these two 600
-    and 598 ms."""
-    position = (k - 1) % (2 * workers)
-    return position if position < workers else 2 * workers - 1 - position
+def _share_of(k: int) -> int:
+    """The share, 0 or 1, that row k of the reciprocity pass falls in: rows
+    k = 1, 0 (mod 4) go to the first and k = 2, 3 (mod 4) to the second, so
+    that each share holds as many odd k as even ones.  An odd k has more
+    coprime pairs, each with its two O(k) floor sums: at order 500 the two
+    shares k mod 2 took 688 and 525 ms in-process, these two 600 and
+    598 ms."""
+    return k % 4 // 2
 
 
 def _reciprocity_share(ks: Iterable[int], limits: tuple[int, int], adds: list) -> None:
@@ -514,19 +504,18 @@ def run_reciprocity(report: VerificationReport, config: CliConfig) -> Generator 
     oddness as N(-h, k) == -N(h, k).  The only Fractions are the defining
     sums and the floor-square sums.
 
-    The rows k split into W = `_reciprocity_workers(order)` shares,
-    interleaved as `_share_of` deals them.  With W = 1 the one share feeds
-    the report's checks in-process, and this returns None.  With W >= 2
-    each share runs in a forked child (`_forked`), which sends back its
-    eight input counts or, at its first input that fails, None; this then
-    returns the pending pass, a generator that `run_campaign` resumes after
-    its other campaigns.  Resumed, it takes the shares' counts in the order
-    the shares finish and adds them to the report's checks when every share
-    delivered.  At the first share that fails to deliver, as when a kernel
-    raises, or if a share cannot be forked (then before this returns), the
-    pass is run again in-process, so first failures are those of one sweep
-    per check in (k, h) order, and a raise leaves the counts up to the
-    failing pair.
+    Unless `_forks_shares(order)`, the pass feeds the report's checks
+    in-process, and this returns None.  Otherwise the rows k split into the
+    two shares `_share_of` deals, each run in a forked child (`_forked`),
+    which sends back its eight input counts or, at its first input that
+    fails, None; this then returns the pending pass, a generator that
+    `run_campaign` resumes after its other campaigns.  Resumed, it takes the
+    shares' counts in the order the shares finish and adds them to the
+    report's checks when both delivered.  At the first share that fails to
+    deliver, as when a kernel raises, or if a share cannot be forked (then
+    before this returns), the pass is run again in-process, so first
+    failures are those of one sweep per check in (k, h) order, and a raise
+    leaves the counts up to the failing pair.
     """
     limit = config.order or 500
     naive_limit, sweep_limit = min(limit, 300), min(limit, 200)
@@ -545,17 +534,12 @@ def run_reciprocity(report: VerificationReport, config: CliConfig) -> Generator 
         )
     ]
     ks = range(1, limit + 1)
-    workers = _reciprocity_workers(limit)
 
     def reciprocity_pass():
         shares = None
-        if workers > 1:
-            shares = yield from _forked(
-                [
-                    partial(_share_counts, [k for k in ks if _share_of(k, workers) == j], limits)
-                    for j in range(workers)
-                ]
-            )
+        if _forks_shares(limit):
+            rows = ([k for k in ks if _share_of(k) == j] for j in (0, 1))
+            shares = yield from _forked([partial(_share_counts, share, limits) for share in rows])
         if shares is None:
             _reciprocity_share(ks, limits, [check.add for check in checks])
             return

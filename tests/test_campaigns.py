@@ -238,12 +238,12 @@ def reciprocity_checks(report):
     ]
 
 
-def _forced_workers(monkeypatch, workers):
-    """Split every reciprocity pass into `workers` shares, whatever its size
-    and the CPU count, and return the list that collects what each forked
-    pass's `_forked` returns when its shares are collected: each share's
-    counts, in the order the shares finish, or None if a share failed or
-    failed to deliver."""
+def _forced_shares(monkeypatch, forks):
+    """Run every reciprocity pass in two forked shares if `forks`, else
+    in-process, whatever its size and the CPU count, and return the list
+    that collects what each forked pass's `_forked` returns when its shares
+    are collected: each share's counts, in the order the shares finish, or
+    None if a share failed or failed to deliver."""
     forked = campaigns._forked
     returned = []
 
@@ -251,7 +251,7 @@ def _forced_workers(monkeypatch, workers):
         returned.append((yield from forked(tasks)))
         return returned[-1]
 
-    monkeypatch.setattr(campaigns, "_reciprocity_workers", lambda limit: workers)
+    monkeypatch.setattr(campaigns, "_forks_shares", lambda limit: forks)
     monkeypatch.setattr(campaigns, "_forked", spy)
     return returned
 
@@ -274,31 +274,29 @@ def _collected(forked):
 # that passes: every pair it breaks is in a row of the first of two shares.
 MIXED_SHARES = "defining sum off at (5, 12), (0, 97), (100, 201)"
 
-# Every variant in-process (W = 1); in two forked shares, as on a 2-core
-# host, the honest campaign and MIXED_SHARES; and the honest campaign in
-# three, more than a 2-core host has.  A broken variant's forked pass
-# replays in-process, so the other variants' forked shares are checked
-# directly below.
+# Every variant in-process; in two forked shares, as on a 2-core host, the
+# honest campaign and MIXED_SHARES.  A broken variant's forked pass replays
+# in-process, so the other variants' forked shares are checked directly
+# below.
 RECIPROCITY_PATHS = [
-    *((variant, 1) for variant in RECIPROCITY_VARIANTS),
-    ("honest", 2),
-    (MIXED_SHARES, 2),
-    ("honest", 3),
+    *((variant, False) for variant in RECIPROCITY_VARIANTS),
+    ("honest", True),
+    (MIXED_SHARES, True),
 ]
 
 
 @pytest.mark.parametrize(
-    "variant, workers",
+    "variant, forks",
     RECIPROCITY_PATHS,
-    ids=[v if w == 1 else f"{v}, {w} forked shares" for v, w in RECIPROCITY_PATHS],
+    ids=[f"{v}, 2 forked shares" if f else v for v, f in RECIPROCITY_PATHS],
 )
-def test_reciprocity_checks_match_the_recorded_campaign(monkeypatch, variant, workers):
+def test_reciprocity_checks_match_the_recorded_campaign(monkeypatch, variant, forks):
     # recorded from one sweep per check; keys are --order values
     recorded = json.loads(RECIPROCITY_GOLDEN.read_text())[variant]
     if RECIPROCITY_VARIANTS[variant]:
         monkeypatch.setattr(campaigns, *RECIPROCITY_VARIANTS[variant])
-    forked = _forced_workers(monkeypatch, workers)
-    # the passes the parent runs itself: with W >= 2, only replays, as a
+    forked = _forced_shares(monkeypatch, forks)
+    # the passes the parent runs itself: when forked, only replays, as a
     # forked child's calls land in its own copy of this list
     in_process = []
     share = campaigns._reciprocity_share
@@ -312,7 +310,7 @@ def test_reciprocity_checks_match_the_recorded_campaign(monkeypatch, variant, wo
         (report,) = campaigns.run_campaign("reciprocity", campaigns.CliConfig(order=order))
         assert reciprocity_checks(report) == recorded[str(order)], order
     assert_no_child_left()
-    if workers == 1:
+    if not forks:
         assert forked == [] and in_process == list(RECIPROCITY_ORDERS)
         return
     # every forked pass was collected: its shares' counts, or None where a
@@ -320,13 +318,13 @@ def test_reciprocity_checks_match_the_recorded_campaign(monkeypatch, variant, wo
     assert len(forked) == len(RECIPROCITY_ORDERS)
     failed = [order for order, shares in zip(RECIPROCITY_ORDERS, forked) if shares is None]
     assert in_process == failed
-    assert all(len(shares) == workers for shares in forked if shares is not None)
+    assert all(len(shares) == 2 for shares in forked if shares is not None)
     if variant == "honest":
         assert failed == []
     else:
         assert failed == [40, 201]
         # at 201 the first share failed: the second holds no broken pair
-        second = [k for k in range(1, 202) if campaigns._share_of(k, 2) == 1]
+        second = [k for k in range(1, 202) if campaigns._share_of(k) == 1]
         assert len(campaigns._share_counts(second, (201, 200))) == 8
 
 
@@ -340,7 +338,7 @@ def test_a_forked_share_holding_a_broken_pair_sends_none(monkeypatch, variant):
     # forked alone, stops at its first failing input and its child sends None
     monkeypatch.setattr(campaigns, *RECIPROCITY_VARIANTS[variant])
     rows, limits = range(1, 202), (201, 200)  # as run_reciprocity at order 201
-    shares = [[k for k in rows if campaigns._share_of(k, 2) == j] for j in range(2)]
+    shares = [[k for k in rows if campaigns._share_of(k) == j] for j in range(2)]
     for share in shares:
         task = partial(campaigns._share_counts, share, limits)
         assert _collected(campaigns._forked([task])) is None
@@ -350,7 +348,7 @@ def test_a_forked_share_holding_a_broken_pair_sends_none(monkeypatch, variant):
 def test_a_share_stops_at_its_first_failing_input(monkeypatch):
     # MIXED_SHARES breaks pairs in rows 12, 97 and 201 of the first share
     monkeypatch.setattr(campaigns, *RECIPROCITY_VARIANTS[MIXED_SHARES])
-    share = [k for k in range(1, 202) if campaigns._share_of(k, 2) == 0]
+    share = [k for k in range(1, 202) if campaigns._share_of(k) == 0]
     broken, decided = campaigns.dedekind_sum_naive, []
 
     def spy(h, k):
@@ -372,11 +370,11 @@ def test_a_raise_in_a_forked_share_leaves_the_in_process_report(monkeypatch):
 
     scaled = dedekind._scaled_dedekind_sum
     monkeypatch.setattr(campaigns, "dedekind", SimpleNamespace(_scaled_dedekind_sum=raising))
-    assert campaigns._share_of(79, 2) == 1
+    assert campaigns._share_of(79) == 1
     config = campaigns.CliConfig(order=100)
-    _forced_workers(monkeypatch, 1)
+    _forced_shares(monkeypatch, False)
     (in_process,) = campaigns.run_campaign("reciprocity", config)
-    forked = _forced_workers(monkeypatch, 2)
+    forked = _forced_shares(monkeypatch, True)
     (report,) = campaigns.run_campaign("reciprocity", config)
     assert forked == [None]  # the forked pass failed and was replayed in-process
     assert_no_child_left()
@@ -472,9 +470,9 @@ def test_forked_leaves_no_file_descriptor_open(monkeypatch, path):
 
 def test_reciprocity_runs_in_process_when_a_share_cannot_be_forked(monkeypatch):
     config = campaigns.CliConfig(order=40)
-    _forced_workers(monkeypatch, 1)
+    _forced_shares(monkeypatch, False)
     (in_process,) = campaigns.run_campaign("reciprocity", config)
-    forked = _forced_workers(monkeypatch, 2)
+    forked = _forced_shares(monkeypatch, True)
     forks = _fail_the_second_fork(monkeypatch)
     (report,) = campaigns.run_campaign("reciprocity", config)
     assert len(forks) == 1 and forked == [None]
@@ -484,7 +482,7 @@ def test_reciprocity_runs_in_process_when_a_share_cannot_be_forked(monkeypatch):
 
 def test_forked_shares_flush_no_buffer_of_the_parent(monkeypatch, tmp_path):
     # as `verify --out` holds its file open while the campaigns run
-    _forced_workers(monkeypatch, 2)
+    _forced_shares(monkeypatch, True)
     path = tmp_path / "report.txt"
     with open(path, "w") as out:
         out.write("written once\n")  # still buffered when the shares fork
@@ -492,42 +490,40 @@ def test_forked_shares_flush_no_buffer_of_the_parent(monkeypatch, tmp_path):
     assert path.read_text() == "written once\n"
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 5])
-def test_reciprocity_shares_deal_every_row_once_and_balance_odd_and_even(workers):
-    rows = range(1, 2 * workers * 20 + 1)  # twenty blocks each way
-    shares = [[k for k in rows if campaigns._share_of(k, workers) == j] for j in range(workers)]
+def test_reciprocity_shares_deal_every_row_once_and_balance_odd_and_even():
+    rows = range(1, 81)  # twenty blocks of four rows
+    shares = [[k for k in rows if campaigns._share_of(k) == j] for j in range(2)]
     assert sorted(k for share in shares for k in share) == list(rows)
     assert len({len(share) for share in shares}) == 1
-    if workers > 1:
-        assert all(sum(k % 2 for k in share) * 2 == len(share) for share in shares)
+    assert all(sum(k % 2 for k in share) * 2 == len(share) for share in shares)
 
 
 def test_reciprocity_workers_fork_from_the_threshold_up_to_the_cap(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     order = campaigns.FORK_MIN_ORDER
-    assert campaigns._reciprocity_workers(order - 1) == 1
-    assert campaigns._reciprocity_workers(order) == 2
+    assert campaigns._forks_shares(order - 1) is False
+    assert campaigns._forks_shares(order) is True
     # more CPUs than were measured: still two shares
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-    assert campaigns._reciprocity_workers(500) == campaigns.MAX_SHARES == 2
+    assert campaigns._forks_shares(500) is True
     # no affinity mask: the CPU count, which may be unknown
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert campaigns._reciprocity_workers(order) == 2
+    assert campaigns._forks_shares(order) is True
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert campaigns._reciprocity_workers(order) == 1
+    assert campaigns._forks_shares(order) is False
 
 
 def test_reciprocity_workers_stay_in_process_where_a_fork_is_unsafe(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     order = campaigns.FORK_MIN_ORDER
-    assert campaigns._reciprocity_workers(order) == 2
+    assert campaigns._forks_shares(order) is True
     # another live thread
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        assert campaigns._reciprocity_workers(order) == 1
+        assert campaigns._forks_shares(order) is False
     finally:
         release.set()
         waiter.join()
@@ -535,12 +531,12 @@ def test_reciprocity_workers_stay_in_process_where_a_fork_is_unsafe(monkeypatch)
     for disposition in (signal.SIG_IGN, lambda signum, frame: None):
         previous = signal.signal(signal.SIGCHLD, disposition)
         try:
-            assert campaigns._reciprocity_workers(order) == 1
+            assert campaigns._forks_shares(order) is False
         finally:
             signal.signal(signal.SIGCHLD, previous)
     # no os.fork
     monkeypatch.delattr(os, "fork")
-    assert campaigns._reciprocity_workers(order) == 1
+    assert campaigns._forks_shares(order) is False
 
 
 def test_reciprocity_with_sigchld_ignored_leaves_the_in_process_report(monkeypatch):
@@ -557,19 +553,19 @@ def test_reciprocity_with_sigchld_ignored_leaves_the_in_process_report(monkeypat
     finally:
         signal.signal(signal.SIGCHLD, previous)
     assert_no_child_left()
-    _forced_workers(monkeypatch, 1)
+    _forced_shares(monkeypatch, False)
     (in_process,) = campaigns.run_campaign("reciprocity", config)
     assert report.to_json() == two_shares.to_json() == in_process.to_json()
 
 
-# `verify all` small enough to run often, its reciprocity pass forked when W >= 2
+# `verify all` small enough to run often, its reciprocity pass forked in two shares
 ALL_SMALL = campaigns.CliConfig(order=80, trials=50)
 
 
 def test_verify_all_runs_the_later_campaigns_while_the_shares_work(monkeypatch):
-    _forced_workers(monkeypatch, 1)
+    _forced_shares(monkeypatch, False)
     in_process = campaigns.run_campaign("all", ALL_SMALL)
-    forked = _forced_workers(monkeypatch, 2)
+    forked = _forced_shares(monkeypatch, True)
     omega_runner, collected_at_omega = campaigns.CAMPAIGNS["omega"], []
 
     def omega_spy(report, config):
@@ -589,7 +585,7 @@ def test_an_interrupt_in_a_later_campaign_kills_and_reaps_the_shares(monkeypatch
     def interrupted(report, config):
         raise KeyboardInterrupt
 
-    forked = _forced_workers(monkeypatch, 2)
+    forked = _forced_shares(monkeypatch, True)
     monkeypatch.setitem(campaigns.CAMPAIGNS, "omega", interrupted)
     with pytest.raises(KeyboardInterrupt) as interrupt:
         campaigns.run_campaign("all", ALL_SMALL)
@@ -604,9 +600,9 @@ def test_a_raise_in_a_later_campaign_leaves_the_forked_report(monkeypatch):
     def failing(report, config):
         raise RuntimeError("omega failed")
 
-    _forced_workers(monkeypatch, 1)
+    _forced_shares(monkeypatch, False)
     in_process = campaigns.run_campaign("all", ALL_SMALL)
-    forked = _forced_workers(monkeypatch, 2)
+    forked = _forced_shares(monkeypatch, True)
     monkeypatch.setitem(campaigns.CAMPAIGNS, "omega", failing)
     reports = campaigns.run_campaign("all", ALL_SMALL)
     assert_no_child_left()
@@ -629,9 +625,9 @@ def test_a_raise_while_the_shares_are_collected_stays_in_the_reciprocity_report(
 
     scaled = dedekind._scaled_dedekind_sum
     monkeypatch.setattr(campaigns, "dedekind", SimpleNamespace(_scaled_dedekind_sum=raising))
-    _forced_workers(monkeypatch, 1)
+    _forced_shares(monkeypatch, False)
     in_process = campaigns.run_campaign("all", ALL_SMALL)
-    forked = _forced_workers(monkeypatch, 2)
+    forked = _forced_shares(monkeypatch, True)
     reports = campaigns.run_campaign("all", ALL_SMALL)
     assert_no_child_left()
     assert forked == [None]
