@@ -498,6 +498,29 @@ def test_reciprocity_shares_deal_every_row_once_and_balance_odd_and_even():
     assert all(sum(k % 2 for k in share) * 2 == len(share) for share in shares)
 
 
+def test_reciprocity_shares_hold_rows_one_and_zero_then_two_and_three_mod_4():
+    # the dealing the 600/598 ms split in `_share_of` was measured with
+    assert [campaigns._share_of(k) for k in range(1, 13)] == [0, 1, 1, 0] * 3
+
+
+def test_forked_reciprocity_runs_each_share_of_rows_with_the_pass_limits(monkeypatch):
+    _forced_shares(monkeypatch, True)
+    tasks = []
+
+    def spy(shares):  # takes the shares and runs none of them
+        tasks.extend(shares)
+        return [[0] * 8 for _ in shares]
+        yield  # a generator, as `_forked` is
+
+    monkeypatch.setattr(campaigns, "_forked", spy)
+    # order 201 passes the sweep limit: the pass limits are (201, 200)
+    campaigns.run_campaign("reciprocity", campaigns.CliConfig(order=201))
+    assert [(task.func, task.args) for task in tasks] == [
+        (campaigns._share_counts, ([k for k in range(1, 202) if k % 4 in (0, 1)], (201, 200))),
+        (campaigns._share_counts, ([k for k in range(1, 202) if k % 4 in (2, 3)], (201, 200))),
+    ]
+
+
 def test_reciprocity_workers_fork_from_the_threshold_up_to_the_cap(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     order = campaigns.FORK_MIN_ORDER
