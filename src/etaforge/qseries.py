@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import inf, isqrt
 from operator import add
+from struct import pack, unpack
 
 from ._valuetype import ValueTuple, check_int
 
@@ -45,7 +46,7 @@ _CHI12_TABLE = (0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)
 # The largest truncation order the producers accept, checked before anything
 # is allocated, so an order past it raises ValueError at once.  Sized by
 # measurement on a 2-core host (Python 3.11): euler_product_series(MAX_ORDER)
-# takes about 0.16 s, and jtp_shift_residual(MAX_W_ORDER), which expands the
+# takes about 0.03 s, and jtp_shift_residual(MAX_W_ORDER), which expands the
 # triple product to w-order (isqrt(MAX_W_ORDER) + 2)^2, about 0.05 s.  The
 # one-variable series take MAX_ORDER, the two-variable ones MAX_W_ORDER.
 MAX_ORDER = 20_000
@@ -188,38 +189,78 @@ def euler_product_series(n_order: int) -> QSeries:
     is fixed by that equation, one coefficient at a time, and P is such a
     series, so every division by m leaves no remainder.
 
-    The sums are built forward: `acc[k]` holds sigma(k - i) p(i) summed over
+    The sums are built forward: acc[k] holds sigma(k - i) p(i) summed over
     the nonzero p(i) found so far, so it is complete when the loop reaches
     k, and each new nonzero p(m) goes straight into the result and adds its
-    row p(m) sigma(k - m) to `acc[m+1:]` in one slice update.  The rows are
-    kept shifted by one, starting at sigma(1), so every p(m) reads its row
-    from the start and `map` stops where `acc` ends; no row is cut per
-    coefficient.  The rows for p(m) = +-1 are built once; any other value
-    scales sigma afresh.  The work is N times the number of nonzero
-    coefficients, since a zero p(i) drops out.  A division with a remainder
-    can only come from a broken sigma table, never from the input, and
-    raises ArithmeticError.
+    row p(m) sigma(k - m) to every acc[k] with k > m.  The work is N times
+    the number of nonzero coefficients, since a zero p(i) drops out.  A
+    division with a remainder can only come from a broken sigma table,
+    never from the input, and raises ArithmeticError.
 
-    No sparsity is assumed: the nonzero positions are read from the
-    coefficients already computed, not from the pentagonal-number theorem,
-    so a dense result would be as correct, only slower.  The tests hold the
-    product to the plain loop over every factor.  Orders above MAX_ORDER
-    raise ValueError before anything is allocated.
+    The rows are added in C, on packed fields.  The sums live in one int,
+    `acc`, whose 32-bit field j holds acc[m0 + j] + 2^30, m0 being the
+    first exponent of the current block, and the row sigma(1), sigma(2), ...
+    is packed once as the exact signed integer sum_t sigma(t + 1) 2^(32t).
+    The loop decodes the fields of a block of 256 exponents at a time,
+    unsigned.  A nonzero p(m) adds its row to the rest of the block in the
+    decoded list, in one slice update, and to every field past the block in
+    one big-int addition of p(m) times the packed row, shifted so that
+    sigma(1) lands on exponent m + 1; the fields of the block that addition
+    also touches are dropped with the block.  The rows for p(m) = +-1 are
+    built once; any other value scales them afresh.
+
+    A field holds its value with no carry while it stays in [0, 2^31), that
+    is while |acc[k]| < 2^30, and |acc[k]| <= (1 + sum |p(i)|) max |sigma|.
+    So before a row would take that product to 2^30 or past, the loop
+    raises ArithmeticError("packed field overflow at exponent m"), at m = 0
+    for a sigma table past the bound on its own.  For the true sigma the
+    product is about 1.7 10^7 at MAX_ORDER.  A dense result raises instead
+    of coming out wrong: the partition numbers, which -sigma gives, hold to
+    order 59.  No sparsity is assumed: the nonzero positions are read from
+    the coefficients already computed, not from the pentagonal-number
+    theorem.  The tests hold the product to the plain loop over every
+    factor.  Orders above MAX_ORDER raise ValueError before anything is
+    allocated.
     """
     _check_order(n_order, MAX_ORDER)
     sig = _divisor_sums(n_order)
     tail = sig[1:]  # sigma(1), sigma(2), ...: the row of p(m) from exponent m + 1
-    rows = {1: tail, -1: [-s for s in tail]}
+    bias = 1 << 30
+    top = max(map(abs, sig))
+    if top >= bias:
+        raise ArithmeticError("packed field overflow at exponent 0")
+    # flipping the top bit of each two's-complement field gives sigma + 2^31
+    # there, with no borrow between fields; taking 2^31 off each field
+    # leaves the signed sum, and half of that offset is the bias of `acc`
+    offset = int.from_bytes(b"\0\0\0\x80" * n_order, "little")
+    packed = (int.from_bytes(pack(f"<{n_order}i", *tail), "little") ^ offset) - offset
+    acc = packed + (offset >> 1)
+    # the row of p(m) reaches N fields past exponent m, so past exponent N,
+    # where the fields hold no bias and may borrow; a borrow only moves up,
+    # so the fields up to N, the only ones decoded, never see it
+    block = 256
+    head = tail[:block]
+    rows = {1: (head, packed), -1: ([-s for s in head], -packed)}
     coeffs = {0: 1}
-    acc = sig
-    for m in range(1, n_order + 1):
-        c, r = divmod(-acc[m], m)
-        if r:
-            raise ArithmeticError(f"inexact division at exponent {m}")
-        if c:
-            coeffs[m] = c
-            row = rows[c] if c in rows else [c * s for s in tail]
-            acc[m + 1:] = map(add, acc[m + 1:], row)
+    total = 1
+    for m0 in range(1, n_order + 1, block):
+        size = min(block, n_order + 1 - m0)
+        raw = (acc & ((1 << 32 * size) - 1)).to_bytes(4 * size, "little")
+        fields = list(unpack(f"<{size}I", raw))
+        for j in range(size):
+            m = m0 + j
+            c, r = divmod(bias - fields[j], m)
+            if r:
+                raise ArithmeticError(f"inexact division at exponent {m}")
+            if c:
+                coeffs[m] = c
+                total += abs(c)
+                if total * top >= bias:
+                    raise ArithmeticError(f"packed field overflow at exponent {m}")
+                row, packed_row = rows[c] if c in rows else ([c * s for s in head], c * packed)
+                fields[j + 1:] = map(add, fields[j + 1:], row)
+                acc += packed_row << 32 * (j + 1)
+        acc >>= 32 * size
     return QSeries(coeffs, n_order)
 
 

@@ -6,6 +6,7 @@ the fast products must reproduce exactly.
 """
 
 import random
+from itertools import accumulate
 from math import isqrt
 from operator import add, sub
 
@@ -47,6 +48,15 @@ def brute_euler(order: int) -> list[int]:
         factor[n] = -1
         acc = poly_mul(acc, factor, order)
     return acc
+
+
+def partition_numbers(order: int) -> list[int]:
+    """p(0..order), the partitions of each n, counted part size by part size."""
+    counts = [1] + [0] * order
+    for part in range(1, order + 1):
+        for n in range(part, order + 1):
+            counts[n] += counts[n - part]
+    return counts
 
 
 def as_qseries(dense: list[int], order: int) -> QSeries:
@@ -221,7 +231,9 @@ def test_euler_product_matches_the_descending_loop():
     # sigma(m) p(0), so the sweep reaches each m <= 512 where the division
     # first becomes inexact, also as the last exponent of a run; below 512
     # the reference is its order-512 table cut at each order, which factors
-    # past that order do not touch
+    # past that order do not touch.  The kernel decodes its packed sums 256
+    # exponents at a time, so the sweep ends a run on either side of the
+    # block edges at 256 and 512, in a block of one and of 256 exponents
     reference = reference_euler(512).coeffs
     for order in range(513):
         expected = QSeries({e: c for e, c in reference.items() if e <= order}, order)
@@ -236,12 +248,43 @@ def test_euler_coefficients_are_signs():
 
 def test_euler_kernel_takes_any_coefficient_value(monkeypatch):
     # 3 sigma is q P'/P for P the cube of the Euler product, whose coefficient
-    # at n(n+1)/2 is (-1)^n (2n + 1) (Jacobi); values past +-1 take the
-    # kernel's general row
+    # at n(n+1)/2 is (-1)^n (2n + 1) (Jacobi); values past +-1 scale the
+    # kernel's rows afresh, both the decoded one inside a block and the packed
+    # one past it, and order 300 runs past the first block of 256 exponents
     sigma = qseries._divisor_sums
     monkeypatch.setattr(qseries, "_divisor_sums", lambda n: [3 * s for s in sigma(n)])
     expected = {n * (n + 1) // 2: (-1) ** n * (2 * n + 1) for n in range(25)}
     assert euler_product_series(300) == QSeries(expected, 300)
+
+
+def test_euler_kernel_is_exact_or_raises_up_to_its_field_bound(monkeypatch):
+    # -sigma is q Q'/Q for Q = 1 / prod (1 - q^n), whose coefficients are the
+    # partition numbers, so every one is positive and their running sum
+    # grows fast.  The packed sums hold while (1 + sum p(i)) max sigma stays
+    # below 2^30: up to order 59 every coefficient is exact, and from order 60
+    # on each run raises at the first exponent past the bound, never
+    # returning a wrong coefficient
+    sigma = qseries._divisor_sums
+    monkeypatch.setattr(qseries, "_divisor_sums", lambda n: [-s for s in sigma(n)])
+    counts = partition_numbers(300)
+    running = list(accumulate(counts))
+    table = sigma(300)
+    last = max(n for n in range(301) if running[n] * max(table[:n + 1]) < 2**30)
+    assert last == 59
+    for order in range(last + 1):
+        assert euler_product_series(order) == as_qseries(counts[:order + 1], order), order
+    for order in range(last + 1, 301):
+        top = max(table[:order + 1])
+        first = min(m for m in range(order + 1) if running[m] * top >= 2**30)
+        with pytest.raises(ArithmeticError, match=rf"^packed field overflow at exponent {first}$"):
+            euler_product_series(order)
+
+
+def test_euler_kernel_rejects_a_sigma_table_past_the_field_bound(monkeypatch):
+    # a table entry of 2^30 overflows the packed sums before any row is added
+    monkeypatch.setattr(qseries, "_divisor_sums", lambda n: [0] * n + [2**30])
+    with pytest.raises(ArithmeticError, match="^packed field overflow at exponent 0$"):
+        euler_product_series(3)
 
 
 # --- Pentagonal series ------------------------------------------------------
@@ -261,7 +304,7 @@ def test_pentagonal_order_twelve():
 
 def test_pentagonal_equals_euler_product():
     rng = random.Random(7)
-    orders = [0, 1, 2, 3, 500] + [rng.randint(4, 400) for _ in range(8)]
+    orders = [0, 1, 2, 3, 500, qseries.MAX_ORDER] + [rng.randint(4, 400) for _ in range(8)]
     for order in orders:
         assert euler_product_series(order) == pentagonal_series(order), (
             f"pentagonal identity fails at order {order}"
