@@ -16,10 +16,10 @@ are deterministic for a given seed and configuration; the JSON form, with one
 to identical bytes.
 
 The reciprocity campaign, most of `verify all`, runs its pass in one
-process or in two forked shares: from order FORK_MIN_ORDER on, where
-`os.fork` exists, this process may run on more than one CPU and forking is
-safe, its rows k are dealt into two shares, and each share runs in a forked
-child that sends back, over one pipe that both shares write to, its eight
+process or in two forked shares: from order FORK_MIN_ORDER on, where this
+process may run on more than one CPU, its rows k are dealt into two shares,
+and `_forked`, where forking is safe, runs each share in a forked child
+that sends back, over one pipe that both shares write to, its eight
 checks' input counts, or None at its first input that fails.  `run_campaign`
 runs the campaigns after reciprocity while the shares work, and collects
 them, in the order they finish, after the last one.  When both shares
@@ -341,26 +341,6 @@ def run_jtp(report: VerificationReport, config: CliConfig) -> None:
 # runs at order 50, 7 at 60, 24 at 70 and 25 at 80.
 FORK_MIN_ORDER = 70
 
-def _forks_shares(limit: int) -> bool:
-    """Whether the reciprocity pass to `limit` runs in two forked shares:
-    where this process may run on more than one CPU, but not below
-    FORK_MIN_ORDER, without `os.fork`, while another thread runs (a child
-    could wait forever on a lock that thread held), or when SIGCHLD is not
-    at its default: where the kernel or a host's handler reaps a child that
-    has exited, its pid may be reused, and `_forked`'s cleanup would then
-    kill some other process."""
-    if limit < FORK_MIN_ORDER or not hasattr(os, "fork"):
-        return False
-    threading = sys.modules.get("threading")
-    if threading and threading.active_count() > 1:
-        return False
-    import signal
-
-    if signal.getsignal(signal.SIGCHLD) != signal.SIG_DFL:
-        return False
-    affinity = getattr(os, "sched_getaffinity", None)
-    return (len(affinity(0)) if affinity else os.cpu_count() or 1) > 1
-
 
 def _share_of(k: int) -> int:
     """The share, 0 or 1, that row k of the reciprocity pass falls in: rows
@@ -429,8 +409,15 @@ def _forked(tasks: list[Callable[[], object]]) -> Generator[None, None, list | N
     child shares.  A generator: it forks every child and yields once, so the
     caller can work while the children run; resumed, it returns the tasks'
     results in the order the children finish, or None as soon as one child
-    fails to deliver, or when the pipe or a fork cannot be made (then
-    without yielding).  A task's result must not be None.
+    fails to deliver.  A task's result must not be None.
+
+    Where forking is unsafe it returns None without yielding, before it
+    makes the pipe or forks: without `os.fork`, while another thread runs (a
+    child could wait forever on a lock that thread held), or when SIGCHLD is
+    not at its default (where the kernel or a host's handler reaps a child
+    that has exited, its pid may be reused, and the cleanup below would then
+    kill some other process).  It does the same when the pipe or a fork
+    cannot be made.
 
     Each child sends one record, its task's result marshalled, in a single
     `os.write`, and a write is atomic only up to PIPE_BUF, which POSIX puts
@@ -440,11 +427,17 @@ def _forked(tasks: list[Callable[[], object]]) -> Generator[None, None, list | N
     which also reads as None.  No exit status is read.  A child leaves
     through `os._exit`, so no buffer it shares with the parent (stdout, an
     open `verify --out` file) is flushed twice, and every child is killed
-    and reaped before this returns, raises or is closed, by this function
-    or, where SIGCHLD is ignored, by the kernel."""
+    and reaped by this function before it returns, raises or is closed."""
     import marshal
     import signal
 
+    threading = sys.modules.get("threading")
+    if (
+        not hasattr(os, "fork")
+        or threading and threading.active_count() > 1
+        or signal.getsignal(signal.SIGCHLD) != signal.SIG_DFL
+    ):
+        return None
     none = marshal.dumps(None)
     pids, ends = [], []  # the children not yet reaped, the pipe's ends not yet closed
     try:
@@ -479,7 +472,7 @@ def _forked(tasks: list[Callable[[], object]]) -> Generator[None, None, list | N
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):
-                pass  # reaped already, as where SIGCHLD is ignored
+                pass  # reaped already
 
 
 def run_reciprocity(report: VerificationReport, config: CliConfig) -> Generator | None:
@@ -504,18 +497,19 @@ def run_reciprocity(report: VerificationReport, config: CliConfig) -> Generator 
     oddness as N(-h, k) == -N(h, k).  The only Fractions are the defining
     sums and the floor-square sums.
 
-    Unless `_forks_shares(order)`, the pass feeds the report's checks
-    in-process, and this returns None.  Otherwise the rows k split into the
-    two shares `_share_of` deals, each run in a forked child (`_forked`),
-    which sends back its eight input counts or, at its first input that
-    fails, None; this then returns the pending pass, a generator that
-    `run_campaign` resumes after its other campaigns.  Resumed, it takes the
-    shares' counts in the order the shares finish and adds them to the
-    report's checks when both delivered.  At the first share that fails to
-    deliver, as when a kernel raises, or if a share cannot be forked (then
-    before this returns), the pass is run again in-process, so first
-    failures are those of one sweep per check in (k, h) order, and a raise
-    leaves the counts up to the failing pair.
+    Below order FORK_MIN_ORDER, or where this process may run on only one
+    CPU, the pass feeds the report's checks in-process, and this returns
+    None.  Otherwise the rows k split into the two shares `_share_of` deals
+    and go to `_forked`, which runs each in a forked child that sends back
+    its eight input counts or, at its first input that fails, None; this
+    then returns the pending pass, a generator that `run_campaign` resumes
+    after its other campaigns.  Resumed, it takes the shares' counts in the
+    order the shares finish and adds them to the report's checks when both
+    delivered.  At the first share that fails to deliver, as when a kernel
+    raises, or where `_forked` finds forking unsafe or cannot fork (then
+    before this returns), the pass runs in-process, so first failures are
+    those of one sweep per check in (k, h) order, and a raise leaves the
+    counts up to the failing pair.
     """
     limit = config.order or 500
     naive_limit, sweep_limit = min(limit, 300), min(limit, 200)
@@ -537,7 +531,8 @@ def run_reciprocity(report: VerificationReport, config: CliConfig) -> Generator 
 
     def reciprocity_pass():
         shares = None
-        if _forks_shares(limit):
+        affinity = getattr(os, "sched_getaffinity", None)
+        if limit >= FORK_MIN_ORDER and (len(affinity(0)) if affinity else os.cpu_count() or 1) > 1:
             rows = ([k for k in ks if _share_of(k) == j] for j in (0, 1))
             shares = yield from _forked([partial(_share_counts, share, limits) for share in rows])
         if shares is None:

@@ -239,11 +239,12 @@ def reciprocity_checks(report):
 
 
 def _forced_shares(monkeypatch, forks):
-    """Run every reciprocity pass in two forked shares if `forks`, else
-    in-process, whatever its size and the CPU count, and return the list
-    that collects what each forked pass's `_forked` returns when its shares
-    are collected: each share's counts, in the order the shares finish, or
-    None if a share failed or failed to deliver."""
+    """Hand every reciprocity pass to `_forked` if `forks`, else run it
+    in-process, whatever its size and the CPU count, by setting the policy's
+    FORK_MIN_ORDER and CPU mask, and return the list that collects what each
+    forked pass's `_forked` returns when its shares are collected: each
+    share's counts, in the order the shares finish, or None if a share
+    failed or failed to deliver."""
     forked = campaigns._forked
     returned = []
 
@@ -251,7 +252,8 @@ def _forced_shares(monkeypatch, forks):
         returned.append((yield from forked(tasks)))
         return returned[-1]
 
-    monkeypatch.setattr(campaigns, "_forks_shares", lambda limit: forks)
+    monkeypatch.setattr(campaigns, "FORK_MIN_ORDER", 1 if forks else math.inf)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(campaigns, "_forked", spy)
     return returned
 
@@ -521,45 +523,83 @@ def test_forked_reciprocity_runs_each_share_of_rows_with_the_pass_limits(monkeyp
     ]
 
 
-def test_reciprocity_workers_fork_from_the_threshold_up_to_the_cap(monkeypatch):
+def _hands_forked_its_tasks(monkeypatch, order):
+    """Whether `run_reciprocity` at `order` hands `_forked` its two shares;
+    the stand-in runs neither, and returns zero counts for both."""
+    handed = []
+
+    def spy(tasks):
+        handed.append(len(tasks))
+        return [[0] * 8 for _ in tasks]
+        yield  # a generator, as `_forked` is
+
+    monkeypatch.setattr(campaigns, "_forked", spy)
+    campaigns.run_campaign("reciprocity", campaigns.CliConfig(order=order))
+    assert handed in ([], [2])
+    return bool(handed)
+
+
+def test_reciprocity_forks_from_the_threshold_where_more_than_one_cpu_may_run(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     order = campaigns.FORK_MIN_ORDER
-    assert campaigns._forks_shares(order - 1) is False
-    assert campaigns._forks_shares(order) is True
+    assert order == 70
+    assert _hands_forked_its_tasks(monkeypatch, order - 1) is False
+    assert _hands_forked_its_tasks(monkeypatch, order) is True
     # more CPUs than were measured: still two shares
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-    assert campaigns._forks_shares(500) is True
+    assert _hands_forked_its_tasks(monkeypatch, 500) is True
+    # one CPU in the mask: in-process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _hands_forked_its_tasks(monkeypatch, order) is False
     # no affinity mask: the CPU count, which may be unknown
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert campaigns._forks_shares(order) is True
+    assert _hands_forked_its_tasks(monkeypatch, order) is True
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert campaigns._forks_shares(order) is False
+    assert _hands_forked_its_tasks(monkeypatch, order) is False
 
 
-def test_reciprocity_workers_stay_in_process_where_a_fork_is_unsafe(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    order = campaigns.FORK_MIN_ORDER
-    assert campaigns._forks_shares(order) is True
-    # another live thread
+def _refuses_to_fork():
+    """Assert that `_forked` returns None without yielding, calls `os.fork`
+    (where it exists) and `os.pipe` zero times, and leaves the open file
+    descriptors as they were."""
+    calls = []
+    fd_dir = "/proc/self/fd"
+    before = sorted(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("fork", "pipe"):
+            if hasattr(os, name):
+                real = getattr(os, name)
+                patch.setattr(os, name, lambda real=real, name=name: calls.append(name) or real())
+        with pytest.raises(StopIteration) as stop:
+            next(campaigns._forked([lambda: 1, lambda: 2]))
+    assert stop.value.value is None
+    assert calls == []
+    assert (sorted(os.listdir(fd_dir)) if before is not None else None) == before
+
+
+def test_forked_returns_none_at_once_where_a_fork_is_unsafe(monkeypatch):
+    assert _collected(campaigns._forked([lambda: 1])) == [1]
+    # another live thread: a child could wait forever on a lock it held
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        assert campaigns._forks_shares(order) is False
+        _refuses_to_fork()
     finally:
         release.set()
         waiter.join()
-    # SIGCHLD ignored or handled by the host
+    # SIGCHLD ignored or handled by the host: a reaped child's pid may be reused
     for disposition in (signal.SIG_IGN, lambda signum, frame: None):
         previous = signal.signal(signal.SIGCHLD, disposition)
         try:
-            assert campaigns._forks_shares(order) is False
+            _refuses_to_fork()
         finally:
             signal.signal(signal.SIGCHLD, previous)
     # no os.fork
     monkeypatch.delattr(os, "fork")
-    assert campaigns._forks_shares(order) is False
+    _refuses_to_fork()
+    assert_no_child_left()
 
 
 def test_reciprocity_with_sigchld_ignored_leaves_the_in_process_report(monkeypatch):
@@ -570,9 +610,8 @@ def test_reciprocity_with_sigchld_ignored_leaves_the_in_process_report(monkeypat
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
         (report,) = campaigns.run_campaign("reciprocity", config)
-        # the kernel reaps the children, and their records still arrive;
-        # the cleanup, which finds them reaped, does not raise
-        assert sorted(_collected(forked([lambda: 1, lambda: 2]))) == [1, 2]
+        # no child is forked, so none can be reaped by the kernel
+        assert _collected(forked([lambda: 1, lambda: 2])) is None
     finally:
         signal.signal(signal.SIGCHLD, previous)
     assert_no_child_left()
