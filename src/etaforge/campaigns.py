@@ -43,7 +43,7 @@ import time
 from collections import namedtuple
 from collections.abc import Callable, Generator, Iterable
 from functools import partial
-from math import gcd, inf, isnan
+from math import gamma, gcd, inf, isnan, pi
 from operator import eq
 
 from . import dedekind
@@ -59,7 +59,10 @@ from .dedekind import (
     omega,
 )
 from .evaluate import (
+    _bilateral_theta_sum,
     eta_pentagonal_eval,
+    eta_product_eval,
+    eta_transformed_eval,
     functional_eq_residual,
     gaussian_poisson_residual,
     theta_identity_residual,
@@ -102,8 +105,9 @@ TOLERANCES = {"functional-eq": 1e-10, "theta": 1e-12, "poisson": 1e-12}
 
 class CliConfig(ValueTuple, namedtuple("CliConfig", "order trials seed")):
     """Campaign knobs; None means the campaign's own default.  order and
-    trials are None or a positive int, seed an int; a bool, a float or a
-    Fraction raises ValueError."""
+    trials are None or a positive int, seed a non-negative int; a bool, a
+    float or a Fraction raises ValueError, and so does a negative seed, which
+    `random.Random` would read as its absolute value."""
 
     __slots__ = ()
 
@@ -114,6 +118,8 @@ class CliConfig(ValueTuple, namedtuple("CliConfig", "order trials seed")):
                 if value < 1:
                     raise ValueError(f"{name} must be a positive int, got {value!r}")
         check_int("seed", seed)
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {seed!r}")
         return tuple.__new__(cls, (order, trials, seed))
 
 
@@ -584,7 +590,10 @@ LARGE_RE_CASES = tuple(
 
 def run_functional_eq(report: VerificationReport, config: CliConfig) -> None:
     """Transformation-law residuals on fixed probes (two special values and
-    the large-Re points) and for random matrices and random points."""
+    the large-Re points) and for random matrices and random points, and the
+    relative error of each evaluation route at five closed-form values of
+    eta, which pin its absolute value and phase: the law's residuals hold
+    for any eta scaled by a constant."""
     trials = config.trials or 1000
     rng = random.Random(config.seed)
     report.record("special: S at tau = i", functional_eq_residual(S, complex(0.0, 1.0)))
@@ -594,6 +603,27 @@ def run_functional_eq(report: VerificationReport, config: CliConfig) -> None:
         "special: eta(i/2) = sqrt(2) eta(2i)",
         abs(eta_half_i - 2.0**0.5 * eta_2i) / abs(eta_half_i),
     )
+    # eta(i) and eta(rho) by the Chowla-Selberg formula; i^(-1/12) = e^(-pi i/24)
+    eta_i = gamma(0.25) / (2.0 * pi**0.75)
+    closed_forms = (
+        ("eta(i) = Gamma(1/4)/(2 pi^(3/4))", 1j, eta_i),
+        ("eta(2i) = Gamma(1/4)/(2^(11/8) pi^(3/4))", 2j, eta_i / 2.0**0.375),
+        ("eta(i/2) = Gamma(1/4)/(2^(7/8) pi^(3/4))", 0.5j, eta_i * 2.0**0.125),
+        (
+            "eta(rho) = e^(-pi i/24) 3^(1/8) Gamma(1/3)^(3/2)/(2 pi), rho = e^(2 pi i/3)",
+            complex(-0.5, 0.75**0.5),
+            1j ** (-1 / 12) * 3.0**0.125 * gamma(1 / 3) ** 1.5 / (2.0 * pi),
+        ),
+        ("eta(1 + i) = e^(pi i/12) eta(i)", 1 + 1j, 1j ** (1 / 6) * eta_i),
+    )
+    for route, evaluator in (
+        ("product", eta_product_eval),
+        ("pentagonal", eta_pentagonal_eval),
+        ("transformed", eta_transformed_eval),
+    ):
+        for label, tau, value in closed_forms:
+            residual = abs(evaluator(tau).value - value) / abs(value)
+            report.record(f"{route}: {label}", residual, f"closed forms, {route} route")
     for mat, tau in LARGE_RE_CASES:
         report.record(f"M = {mat}, tau = {tau}", functional_eq_residual(mat, tau), "large Re")
     for _ in range(trials):
@@ -630,9 +660,17 @@ def _identity_sweep(report, config, residual, names, fixed, draw) -> None:
 
 
 def run_theta(report: VerificationReport, config: CliConfig) -> None:
-    """Theta transformation residuals at fixed and random (tau, z, w), drawn in
-    that order, each as (re, im): tau in [-1, 1] + [0.3, 3]i, z and w in [-1, 1]
-    + [-0.3, 0.3]i, where double precision keeps both sides comparable at 1e-12."""
+    """The relative error of the theta sum at the closed form
+    theta_3(i) = H1(i, 0, 0) = pi^(1/4)/Gamma(3/4), which pins the sum's
+    absolute value, then theta transformation residuals at fixed and random
+    (tau, z, w), drawn in that order, each as (re, im): tau in [-1, 1] +
+    [0.3, 3]i, z and w in [-1, 1] + [-0.3, 0.3]i, where double precision keeps
+    both sides comparable at 1e-12."""
+    theta_i = pi**0.25 / gamma(0.75)
+    h1, _ = _bilateral_theta_sum(1j, 0j, 0j, report.tolerance)
+    report.record(
+        "theta_3(i) = H1(i, 0, 0) = pi^(1/4)/Gamma(3/4)", abs(h1 - theta_i) / theta_i, "closed form"
+    )
     _identity_sweep(
         report, config, theta_identity_residual, ("tau", "z", "w"), THETA_FIXED_CASES,
         lambda rng: (

@@ -175,7 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="series truncation order; reciprocity reads it as its largest modulus k",
     )
     p_ver.add_argument("--trials", type=int, default=None, help="random trial count")
-    p_ver.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    p_ver.add_argument(
+        "--seed", type=int, default=0, help="PRNG seed, a non-negative int (default 0)"
+    )
     p_ver.add_argument(
         "--format",
         choices=["human", "json"],

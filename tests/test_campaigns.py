@@ -3,6 +3,7 @@ one input at a time that fail on any inequality, the cap on the failures
 each check keeps, and which campaigns and checks catch which broken kernel."""
 
 import ast
+import cmath
 import json
 import math
 import os
@@ -732,6 +733,8 @@ def _floor_descent_step(a, b, c, d):
 
 
 _scaled, _CHI12 = dedekind._scaled_dedekind_sum, qseries._CHI12_TABLE
+_pentagonal, _theta_sum = evaluate._pentagonal_series, evaluate._bilateral_theta_sum
+_translated = evaluate._translated
 _jtp_product = qseries.jtp_product_side
 _divisor_sums = qseries._divisor_sums
 
@@ -758,6 +761,26 @@ def _divisor_sums_split_one_low(n):
         sig[d::d] = map(d.__add__, sig[d::d])
         sig[d * (s + 1)::d] = map(add, sig[d * (s + 1)::d], range(s + 1, n // d + 1))
     return sig
+
+
+def _pentagonal_times(factor):
+    # every eta route scaled by one constant: the transformation law and
+    # eta(i/2) = sqrt(2) eta(2i) still hold, only the closed forms do not
+    def scaled(z, tol):
+        value, tail, terms = _pentagonal(z, tol)
+        return factor * value, tail, terms
+
+    return scaled
+
+
+def _theta_sum_times_minus_2(tau, z, w, tol_abs):
+    value, terms = _theta_sum(tau, z, w, tol_abs)
+    return -2 * value, terms
+
+
+def _translated_times_2(series, tau, tol):
+    result = _translated(series, tau, tol)
+    return result._replace(value=2 * result.value)
 
 
 def _scaled_parity_swapped(h, k):
@@ -807,6 +830,17 @@ MUTATIONS = {
     "jtp_product_side (4, 0) + 1": [(qseries, "jtp_product_side", _jtp_product_plus_one_at_4_0)],
     "σ(4) + 1": [(qseries, "_divisor_sums", _divisor_sums_plus_one_at_4)],
     "σ split at isqrt(n) − 1": [(qseries, "_divisor_sums", _divisor_sums_split_one_low)],
+    "_pentagonal_series × 1.01": [(evaluate, "_pentagonal_series", _pentagonal_times(1.01))],
+    "_pentagonal_series × 2": [(evaluate, "_pentagonal_series", _pentagonal_times(2))],
+    "_pentagonal_series × −1": [(evaluate, "_pentagonal_series", _pentagonal_times(-1))],
+    "_pentagonal_series × e^(iπ/12)": [
+        (evaluate, "_pentagonal_series", _pentagonal_times(cmath.exp(1j * math.pi / 12)))
+    ],
+    "_bilateral_theta_sum × −2": [
+        (evaluate, "_bilateral_theta_sum", _theta_sum_times_minus_2),
+        (campaigns, "_bilateral_theta_sum", _theta_sum_times_minus_2),
+    ],
+    "_translated × 2": [(evaluate, "_translated", _translated_times_2)],
 }
 MUTATION_GOLDEN = Path(__file__).resolve().parent / "golden" / "mutation_checks.json"
 
@@ -848,4 +882,14 @@ def test_functional_eq_campaign_probes_large_real_parts():
     large_re = report.checks["large Re"]
     assert large_re.count == 6
     assert large_re.max_residual <= 1e-14
-    assert report.trials == 1 + 2 + 6
+    assert report.trials == 1 + 2 + 6 + 3 * 5
+
+
+def test_every_route_meets_the_closed_forms_of_eta_and_theta():
+    (report,) = campaigns.run_campaign("functional-eq", campaigns.CliConfig(trials=1))
+    for route in ("product", "pentagonal", "transformed"):
+        check = report.checks[f"closed forms, {route} route"]
+        assert check.count == 5 and check.max_residual <= 1e-13, route
+    (report,) = campaigns.run_campaign("theta", campaigns.CliConfig(trials=1))
+    check = report.checks["closed form"]
+    assert check.count == 1 and check.max_residual <= 1e-15

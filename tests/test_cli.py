@@ -513,6 +513,15 @@ def test_verify_bad_trials_exits_2(capsys):
     assert "positive" in err
 
 
+def test_verify_negative_seed_exits_2(capsys):
+    # random.Random(-5) draws the stream of Random(5), which would then be
+    # reported under the seed -5
+    code, out, err = run(capsys, "verify", "omega", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "seed must be a non-negative int, got -1" in err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense-suite"])

@@ -144,6 +144,11 @@ def test_make_and_replace_run_the_config_checks():
         CliConfig()._replace(order=0)
     with pytest.raises(ValueError, match="seed"):
         CliConfig._make((None, None, 1.5))
+    # random.Random(-n) draws the stream of Random(n)
+    with pytest.raises(ValueError, match="^seed must be a non-negative int, got -1$"):
+        CliConfig(seed=-1)
+    with pytest.raises(ValueError, match="^seed must be a non-negative int, got -5$"):
+        CliConfig()._replace(seed=-5)
 
 
 def test_make_and_replace_run_the_word_checks():
