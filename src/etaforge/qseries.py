@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import inf, isqrt
 from operator import add
-from struct import pack, unpack
+from struct import pack
 
 from ._valuetype import ValueTuple, check_int
 
@@ -157,19 +157,18 @@ class BiSeries(ValueTuple, namedtuple("BiSeries", "coeffs order")):
 def _divisor_sums(n: int) -> list[int]:
     """sigma(0..n) as a list, sigma(m) the sum of the divisors of m (sigma(0) = 0).
 
-    A sieve over divisor pairs x e = m, split at s = isqrt(n).  Each d <= s
-    adds itself to every multiple of d, then adds each co-divisor e > s to
-    d e, reading the values e from a range.  A divisor x of m <= n is then
-    counted exactly once: as itself if x <= s, else through its co-divisor
-    m / x, which is at most s, since m / x <= n / (s + 1) < s + 1.  That is
-    2s slice updates, where a sieve over every d <= n takes n, most of them
-    on slices of one element.
+    A sieve over divisor pairs d e = m with d <= e, each counted once, at
+    its smaller member d, which is at most isqrt(n): d^2 gets d, and each
+    d e with e > d gets d + e, read from a range.  A divisor x of m <= n is
+    then counted exactly once, in the pair {x, m / x}.  That is one slice
+    update per d <= isqrt(n), about n (H(sqrt(n)) - 1/2) element additions
+    for H the harmonic sum, where a sieve over every d <= n takes n slice
+    updates, most of them on slices of one element.
     """
     sig = [0] * (n + 1)
-    s = isqrt(n)
-    for d in range(1, s + 1):
-        sig[d::d] = map(d.__add__, sig[d::d])
-        sig[d * (s + 1)::d] = map(add, sig[d * (s + 1)::d], range(s + 1, n // d + 1))
+    for d in range(1, isqrt(n) + 1):
+        sig[d * d] += d
+        sig[d * (d + 1)::d] = map(add, sig[d * (d + 1)::d], range(2 * d + 1, d + n // d + 1))
     return sig
 
 
@@ -199,15 +198,22 @@ def euler_product_series(n_order: int) -> QSeries:
 
     The rows are added in C, on packed fields.  The sums live in one int,
     `acc`, whose 32-bit field j holds acc[m0 + j] + 2^30, m0 being the
-    first exponent of the current block, and the row sigma(1), sigma(2), ...
-    is packed once as the exact signed integer sum_t sigma(t + 1) 2^(32t).
-    The loop decodes the fields of a block of 256 exponents at a time,
-    unsigned.  A nonzero p(m) adds its row to the rest of the block in the
-    decoded list, in one slice update, and to every field past the block in
-    one big-int addition of p(m) times the packed row, shifted so that
-    sigma(1) lands on exponent m + 1; the fields of the block that addition
-    also touches are dropped with the block.  The rows for p(m) = +-1 are
-    built once; any other value scales them afresh.
+    first exponent of the current block of 256, and the row sigma(1),
+    sigma(2), ... is packed once as the exact signed integer
+    sum_t sigma(t + 1) 2^(32t).  The loop reads the sums in place: it masks
+    the block off `acc` and finds the next field that is not at the bias,
+    by the lowest set bit of the block XOR the all-bias pattern.  A field at
+    the bias is p(m) = 0 with no remainder, so skipping it is exact.  A
+    nonzero p(m) adds its row to `acc` in one big-int addition, shifted so
+    that sigma(1) lands on exponent m + 1, which updates the rest of the
+    block and every field past it, and the block is read again.
+
+    The rows for p(m) = +-1 are built once and kept mod 2^(32N), so they are
+    non-negative; any other p(m) adds |p(m)| times the row of its sign.
+    Such a row differs from the signed one only from N fields past exponent
+    m on, past exponent N, which no block reads.  So `acc` never goes
+    negative, and masking a block off it costs one block, where a negative
+    int would be walked whole.
 
     A field holds its value with no carry while it stays in [0, 2^31), that
     is while |acc[k]| < 2^30, and |acc[k]| <= (1 + sum |p(i)|) max |sigma|.
@@ -217,14 +223,12 @@ def euler_product_series(n_order: int) -> QSeries:
     product is about 1.7 10^7 at MAX_ORDER.  A dense result raises instead
     of coming out wrong: the partition numbers, which -sigma gives, hold to
     order 59.  No sparsity is assumed: the nonzero positions are read from
-    the coefficients already computed, not from the pentagonal-number
-    theorem.  The tests hold the product to the plain loop over every
-    factor.  Orders above MAX_ORDER raise ValueError before anything is
-    allocated.
+    the sums themselves, not from the pentagonal-number theorem.  The tests
+    hold the product to the plain loop over every factor.  Orders above
+    MAX_ORDER raise ValueError before anything is allocated.
     """
     _check_order(n_order, MAX_ORDER)
     sig = _divisor_sums(n_order)
-    tail = sig[1:]  # sigma(1), sigma(2), ...: the row of p(m) from exponent m + 1
     bias = 1 << 30
     top = max(map(abs, sig))
     if top >= bias:
@@ -233,33 +237,38 @@ def euler_product_series(n_order: int) -> QSeries:
     # there, with no borrow between fields; taking 2^31 off each field
     # leaves the signed sum, and half of that offset is the bias of `acc`
     offset = int.from_bytes(b"\0\0\0\x80" * n_order, "little")
-    packed = (int.from_bytes(pack(f"<{n_order}i", *tail), "little") ^ offset) - offset
+    packed = (int.from_bytes(pack(f"<{n_order}i", *sig[1:]), "little") ^ offset) - offset
     acc = packed + (offset >> 1)
-    # the row of p(m) reaches N fields past exponent m, so past exponent N,
-    # where the fields hold no bias and may borrow; a borrow only moves up,
-    # so the fields up to N, the only ones decoded, never see it
+    # the row of p(m), kept mod 2^(32N), differs from the signed one only
+    # from exponent m + N + 1 on, past N, where the fields hold no bias;
+    # what happens there only carries up, so the fields up to N, the only
+    # ones read, never see it, and `acc` stays non-negative
+    width = 1 << 32 * n_order
+    rows = {1: packed % width, -1: -packed % width}
     block = 256
-    head = tail[:block]
-    rows = {1: (head, packed), -1: ([-s for s in head], -packed)}
+    ones = int.from_bytes(b"\0\0\0\x40" * block, "little")  # every field at the bias
     coeffs = {0: 1}
     total = 1
     for m0 in range(1, n_order + 1, block):
         size = min(block, n_order + 1 - m0)
-        raw = (acc & ((1 << 32 * size) - 1)).to_bytes(4 * size, "little")
-        fields = list(unpack(f"<{size}I", raw))
-        for j in range(size):
+        mask = (1 << 32 * size) - 1
+        level = ones & mask
+        j = 0
+        while rest := ((acc & mask) ^ level) >> 32 * j:
+            skip = ((rest & -rest).bit_length() - 1) >> 5
+            j += skip
             m = m0 + j
-            c, r = divmod(bias - fields[j], m)
+            field = ((rest >> 32 * skip) & 0xFFFFFFFF) ^ bias
+            c, r = divmod(bias - field, m)
             if r:
                 raise ArithmeticError(f"inexact division at exponent {m}")
-            if c:
-                coeffs[m] = c
-                total += abs(c)
-                if total * top >= bias:
-                    raise ArithmeticError(f"packed field overflow at exponent {m}")
-                row, packed_row = rows[c] if c in rows else ([c * s for s in head], c * packed)
-                fields[j + 1:] = map(add, fields[j + 1:], row)
-                acc += packed_row << 32 * (j + 1)
+            coeffs[m] = c
+            total += abs(c)
+            if total * top >= bias:
+                raise ArithmeticError(f"packed field overflow at exponent {m}")
+            row = rows[c] if c in rows else abs(c) * rows[1 if c > 0 else -1]
+            acc += row << 32 * (j + 1)
+            j += 1
         acc >>= 32 * size
     return QSeries(coeffs, n_order)
 

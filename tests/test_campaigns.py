@@ -763,6 +763,16 @@ def _divisor_sums_split_one_low(n):
     return sig
 
 
+def _divisor_sums_pairs_one_short(n):
+    # the divisor-pair sieve with its loop stopping at isqrt(n) - 1: the
+    # pairs whose smaller member is isqrt(n), as at m = isqrt(n)^2, are lost
+    sig = [0] * (n + 1)
+    for d in range(1, math.isqrt(n)):
+        sig[d * d] += d
+        sig[d * (d + 1)::d] = map(add, sig[d * (d + 1)::d], range(2 * d + 1, d + n // d + 1))
+    return sig
+
+
 def _pentagonal_times(factor):
     # every eta route scaled by one constant: the transformation law and
     # eta(i/2) = sqrt(2) eta(2i) still hold, only the closed forms do not
@@ -830,6 +840,9 @@ MUTATIONS = {
     "jtp_product_side (4, 0) + 1": [(qseries, "jtp_product_side", _jtp_product_plus_one_at_4_0)],
     "σ(4) + 1": [(qseries, "_divisor_sums", _divisor_sums_plus_one_at_4)],
     "σ split at isqrt(n) − 1": [(qseries, "_divisor_sums", _divisor_sums_split_one_low)],
+    "σ pair loop one short of isqrt(n)": [
+        (qseries, "_divisor_sums", _divisor_sums_pairs_one_short)
+    ],
     "_pentagonal_series × 1.01": [(evaluate, "_pentagonal_series", _pentagonal_times(1.01))],
     "_pentagonal_series × 2": [(evaluate, "_pentagonal_series", _pentagonal_times(2))],
     "_pentagonal_series × −1": [(evaluate, "_pentagonal_series", _pentagonal_times(-1))],

@@ -196,8 +196,8 @@ def test_exponent_beyond_order_rejected_at_construction():
 
 
 def test_divisor_sums_match_trial_division():
-    # every n <= 400 passes the split isqrt(n) at each s^2 - 1, s^2 and
-    # s^2 + 1; sigma(m) does not depend on n, so one trial-division table
+    # every n <= 400 passes the last pair loop d = isqrt(n) at each s^2 - 1,
+    # s^2 and s^2 + 1; sigma(m) does not depend on n, so one trial-division table
     # serves every n, and n = 0 and 1 are the empty and the one-entry sieve
     trial = [0] + [sum(x for x in range(1, m + 1) if m % x == 0) for m in range(1, 401)]
     for n in range(401):
@@ -231,9 +231,9 @@ def test_euler_product_matches_the_descending_loop():
     # sigma(m) p(0), so the sweep reaches each m <= 512 where the division
     # first becomes inexact, also as the last exponent of a run; below 512
     # the reference is its order-512 table cut at each order, which factors
-    # past that order do not touch.  The kernel decodes its packed sums 256
-    # exponents at a time, so the sweep ends a run on either side of the
-    # block edges at 256 and 512, in a block of one and of 256 exponents
+    # past that order do not touch.  The kernel reads its packed sums in
+    # place, in blocks of 256 exponents, so the sweep ends a run on either
+    # side of the block edges at 256 and 512, in a block of one and of 256
     reference = reference_euler(512).coeffs
     for order in range(513):
         expected = QSeries({e: c for e, c in reference.items() if e <= order}, order)
@@ -248,13 +248,54 @@ def test_euler_coefficients_are_signs():
 
 def test_euler_kernel_takes_any_coefficient_value(monkeypatch):
     # 3 sigma is q P'/P for P the cube of the Euler product, whose coefficient
-    # at n(n+1)/2 is (-1)^n (2n + 1) (Jacobi); values past +-1 scale the
-    # kernel's rows afresh, both the decoded one inside a block and the packed
-    # one past it, and order 300 runs past the first block of 256 exponents
+    # at n(n+1)/2 is (-1)^n (2n + 1) (Jacobi); a value past +-1 adds |c|
+    # times the packed row of its sign, to the rest of its block and past it,
+    # and order 300 runs past the first block of 256 exponents
     sigma = qseries._divisor_sums
     monkeypatch.setattr(qseries, "_divisor_sums", lambda n: [3 * s for s in sigma(n)])
     expected = {n * (n + 1) // 2: (-1) ** n * (2 * n + 1) for n in range(25)}
     assert euler_product_series(300) == QSeries(expected, 300)
+
+
+def test_euler_kernel_takes_a_twisted_table_past_the_block_edges(monkeypatch):
+    # (-1)^m sigma(m) is q P'/P for P = prod (1 - (-q)^n), whose coefficient
+    # at e is (-1)^e times the Euler product's: a table with mixed signs,
+    # whose rows and sums cross zero, at runs that end on either side of the
+    # block edges at 256 and 512 and at one that crosses 39 of them
+    sigma = qseries._divisor_sums
+    monkeypatch.setattr(
+        qseries, "_divisor_sums", lambda n: [(-1) ** m * s for m, s in enumerate(sigma(n))]
+    )
+    for order in (255, 256, 257, 513, 10_000):
+        plain = reference_euler(order).coeffs
+        expected = QSeries({e: (-1) ** e * c for e, c in plain.items()}, order)
+        assert euler_product_series(order) == expected, order
+
+
+def test_euler_kernel_scales_its_rows_across_seven_block_edges(monkeypatch):
+    # the cube of the Euler product to order 2000, Jacobi's
+    # sum (-1)^n (2n + 1) q^(n(n+1)/2): |c| reaches 125 at exponent 1953
+    sigma = qseries._divisor_sums
+    monkeypatch.setattr(qseries, "_divisor_sums", lambda n: [3 * s for s in sigma(n)])
+    expected = {n * (n + 1) // 2: (-1) ** n * (2 * n + 1) for n in range(63)}
+    assert max(map(abs, expected.values())) == 125 and max(expected) == 1953
+    assert euler_product_series(2000) == QSeries(expected, 2000)
+
+
+@pytest.mark.parametrize("m", [255, 256, 257, 511, 512, 513])
+def test_euler_kernel_reports_a_wrong_sigma_at_a_block_edge(monkeypatch, m):
+    # sigma(m) + 1 first enters at exponent m, as (sigma(m) + 1) p(0), and
+    # m p(m) is then one off a multiple of m, however m sits in its block
+    sigma = qseries._divisor_sums
+
+    def off_by_one(n):
+        sig = sigma(n)
+        sig[m] += 1
+        return sig
+
+    monkeypatch.setattr(qseries, "_divisor_sums", off_by_one)
+    with pytest.raises(ArithmeticError, match=rf"^inexact division at exponent {m}$"):
+        euler_product_series(1024)
 
 
 def test_euler_kernel_is_exact_or_raises_up_to_its_field_bound(monkeypatch):
