@@ -46,7 +46,7 @@ _CHI12_TABLE = (0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)
 # The largest truncation order the producers accept, checked before anything
 # is allocated, so an order past it raises ValueError at once.  Sized by
 # measurement on a 2-core host (Python 3.11): euler_product_series(MAX_ORDER)
-# takes about 0.03 s, and jtp_shift_residual(MAX_W_ORDER), which expands the
+# takes about 0.02 s, and jtp_shift_residual(MAX_W_ORDER), which expands the
 # triple product to w-order (isqrt(MAX_W_ORDER) + 2)^2, about 0.05 s.  The
 # one-variable series take MAX_ORDER, the two-variable ones MAX_W_ORDER.
 MAX_ORDER = 20_000
@@ -239,25 +239,22 @@ def euler_product_series(n_order: int) -> QSeries:
     offset = int.from_bytes(b"\0\0\0\x80" * n_order, "little")
     packed = (int.from_bytes(pack(f"<{n_order}i", *sig[1:]), "little") ^ offset) - offset
     acc = packed + (offset >> 1)
-    # the row of p(m), kept mod 2^(32N), differs from the signed one only
-    # from exponent m + N + 1 on, past N, where the fields hold no bias;
-    # what happens there only carries up, so the fields up to N, the only
-    # ones read, never see it, and `acc` stays non-negative
+    # past exponent N the fields hold no bias, and the rows kept mod 2^(32N)
+    # differ there from the signed ones; what happens there only carries up,
+    # so the fields up to N, the only ones read, never see it
     width = 1 << 32 * n_order
     rows = {1: packed % width, -1: -packed % width}
     block = 256
-    ones = int.from_bytes(b"\0\0\0\x40" * block, "little")  # every field at the bias
     coeffs = {0: 1}
     total = 1
     for m0 in range(1, n_order + 1, block):
         size = min(block, n_order + 1 - m0)
         mask = (1 << 32 * size) - 1
-        level = ones & mask
-        j = 0
-        while rest := ((acc & mask) ^ level) >> 32 * j:
+        level = int.from_bytes(b"\0\0\0\x40" * size, "little")  # every field at the bias
+        m = m0
+        while rest := ((acc & mask) ^ level) >> 32 * (m - m0):
             skip = ((rest & -rest).bit_length() - 1) >> 5
-            j += skip
-            m = m0 + j
+            m += skip
             field = ((rest >> 32 * skip) & 0xFFFFFFFF) ^ bias
             c, r = divmod(bias - field, m)
             if r:
@@ -267,8 +264,8 @@ def euler_product_series(n_order: int) -> QSeries:
             if total * top >= bias:
                 raise ArithmeticError(f"packed field overflow at exponent {m}")
             row = rows[c] if c in rows else abs(c) * rows[1 if c > 0 else -1]
-            acc += row << 32 * (j + 1)
-            j += 1
+            acc += row << 32 * (m - m0 + 1)
+            m += 1
         acc >>= 32 * size
     return QSeries(coeffs, n_order)
 
