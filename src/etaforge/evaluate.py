@@ -32,7 +32,8 @@ entries with determinant 1), a tolerance that is not a finite positive
 number, or a non-finite theta/Poisson parameter (z, w, u, a, b; u, a and b
 must also be real, and u positive).  A series that would need more than
 MAX_SERIES_TERMS terms raises ConvergenceBudgetError instead, before summing
-where a closed-form lower bound on its term count already passes the budget.
+where a closed-form lower bound on its term count already passes the budget,
+and always for the theta sum, which finds where it stops before it sums.
 An intermediate value beyond the float range raises NumericDegeneracyError:
 a reduced or image point, f eta(tau) in functional_eq_residual when it
 underflows to 0, and -1/tau, the H2 factor or a theta term in
@@ -367,14 +368,18 @@ def _bilateral_theta_sum(
         t = Im(tau), beta = 2 pi (Im(w) - Re(tau) Im(z)),
         c0 = 2 pi Im(z) Re(w) + pi t Im(z)^2,
 
-    a Gaussian profile in x; summation starts at the profile vertex and stops
-    once both one-sided geometric majorants fall below tol_abs/4, so the
-    omitted tail is at most tol_abs/2.  A side can stop only where the
-    magnitude ratio is at most 1/2 and the magnitude itself is at most
-    tol_abs/4, so the distance of those points from the vertex bounds the term
-    count from below; past MAX_SERIES_TERMS the budget error is raised before
-    any term is summed.  The caller passes a checked tau and a finite positive
-    tol_abs.
+    a Gaussian profile in x.  Summation runs outward from the term n0 nearest
+    the profile vertex, and each side is cut at the first n0 +- i, i >= 1,
+    where the magnitude ratio onward is at most 1/2 and the geometric majorant
+    of the tail from there is at most tol_abs/4, so the omitted tail is at
+    most tol_abs/2.  Both cuts are found from the exact magnitudes before any
+    term is summed, and the budget error is raised when together they need
+    more than MAX_SERIES_TERMS terms.  Before the cuts are sought, the distance
+    from the vertex of the points where a side can stop (ratio at most 1/2,
+    magnitude at most tol_abs/4) bounds the term count from below and raises
+    the error at once past the budget.  Terms are added in the order n0,
+    n0 + 1, n0 - 1, n0 + 2, ..., each side up to its cut.  The caller passes a
+    checked tau and a finite positive tol_abs.
     """
     t = tau.imag
     pi = math.pi
@@ -394,36 +399,30 @@ def _bilateral_theta_sum(
         nz = n + z
         return cmath.exp(-2j * pi * nz * w + 1j * pi * tau * nz * nz)
 
-    def side_done(x_next: float, going_up: bool) -> bool:
-        # geometric ratio of magnitudes in the direction of travel
-        log_ratio = (-pi * t * (2.0 * x_next + 1.0) + beta) if going_up else (
-            pi * t * (2.0 * x_next - 1.0) - beta
-        )
-        if log_ratio > -math.log(2.0):
-            return False
-        log_mag = -pi * t * x_next * x_next + beta * x_next + c0
-        return log_mag - math.log1p(-math.exp(log_ratio)) <= log_target
+    def cut(step: int) -> int:
+        # the first i >= 1 at which the side going by step stops short of
+        # n0 + step * i; past MAX_SERIES_TERMS the count is over budget anyway
+        for i in range(1, MAX_SERIES_TERMS + 1):
+            x = n0 + step * i + zr
+            # log of the magnitude ratio of the next term out to the term at x
+            log_ratio = step * (beta - pi * t * (2.0 * x + step))
+            if log_ratio <= -math.log(2.0):
+                log_mag = -pi * t * x * x + beta * x + c0
+                if log_mag - math.log1p(-math.exp(log_ratio)) <= log_target:
+                    return i
+        return MAX_SERIES_TERMS + 1
 
     n0 = round(beta / (2.0 * pi * t) - zr)
+    cut_hi, cut_lo = cut(1), cut(-1)
+    if cut_hi + cut_lo - 1 > MAX_SERIES_TERMS:
+        raise _over_budget(f"theta sum at tau = {tau}, z = {z}, w = {w}")
     value = term(n0)
-    n_hi = n_lo = n0
-    terms = 1
-    while True:
-        hi_done = side_done(n_hi + 1 + zr, going_up=True)
-        lo_done = side_done(n_lo - 1 + zr, going_up=False)
-        if hi_done and lo_done:
-            break
-        if not hi_done:
-            n_hi += 1
-            value += term(n_hi)
-            terms += 1
-        if not lo_done:
-            n_lo -= 1
-            value += term(n_lo)
-            terms += 1
-        if terms > MAX_SERIES_TERMS:
-            raise _over_budget(f"theta sum at tau = {tau}, z = {z}, w = {w}")
-    return value, terms
+    for i in range(1, max(cut_hi, cut_lo)):
+        if i < cut_hi:
+            value += term(n0 + i)
+        if i < cut_lo:
+            value += term(n0 - i)
+    return value, cut_hi + cut_lo - 1
 
 
 def theta_identity_residual(
