@@ -131,7 +131,7 @@ def test_08_functional_equation_campaign():
     worst = random_trials.max_residual
     assert worst < 1e-10, f"max functional-equation residual {worst:.3e}"
 
-    for special in ("special: S at tau = i", "special: eta(i/2) = sqrt(2) eta(2i)"):
+    for special in ("special: S at tau = i", "closed forms, pentagonal route"):
         residual = report.checks[special].max_residual
         assert residual < 1e-12, f"{special}: residual {residual:.3e}"
     announce(8, f"functional equation: 10^3 random trials, max residual {worst:.2e}; specials OK")
