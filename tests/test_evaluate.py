@@ -506,15 +506,66 @@ def test_theta_identity_budget_error():
     assert time.perf_counter() - start < 1.0
 
 
+# (tau, z, w, tol_abs) where the theta sum's cuts, not its closed-form lower
+# bound on the term count, decide the budget
+THETA_BUDGET_POINT = (0.0005j, 0.25 + 0.1j, -0.3j, 1e-12)
+
+
 def test_theta_sum_just_inside_budget_still_sums(monkeypatch):
-    args = (0.0005j, 0.25 + 0.1j, -0.3j, 1e-12)
-    _, terms = evaluate._bilateral_theta_sum(*args)
+    _, terms = evaluate._bilateral_theta_sum(*THETA_BUDGET_POINT)
     assert terms > 1000
     monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", terms)
-    assert evaluate._bilateral_theta_sum(*args)[1] == terms
+    assert evaluate._bilateral_theta_sum(*THETA_BUDGET_POINT)[1] == terms
     monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", terms - 1)
     with pytest.raises(ConvergenceBudgetError):
-        evaluate._bilateral_theta_sum(*args)
+        evaluate._bilateral_theta_sum(*THETA_BUDGET_POINT)
+
+
+def test_theta_sum_decides_its_budget_before_any_term(monkeypatch):
+    # both cuts come from the exact term magnitudes, so a sum one term past
+    # the budget raises before it evaluates a single complex exponential
+    _, terms = evaluate._bilateral_theta_sum(*THETA_BUDGET_POINT)
+    exps = []
+
+    class CountingCmath:
+        def __getattr__(self, name):
+            return getattr(cmath, name)
+
+        def exp(self, x):
+            exps.append(x)
+            return cmath.exp(x)
+
+    monkeypatch.setattr(evaluate, "cmath", CountingCmath())
+    monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", terms)
+    evaluate._bilateral_theta_sum(*THETA_BUDGET_POINT)
+    assert len(exps) == terms  # the stand-in sees one exponential a term
+    exps.clear()
+    monkeypatch.setattr(evaluate, "MAX_SERIES_TERMS", terms - 1)
+    with pytest.raises(ConvergenceBudgetError):
+        evaluate._bilateral_theta_sum(*THETA_BUDGET_POINT)
+    assert exps == []
+
+
+def test_theta_sum_is_within_its_truncation_bound_of_a_wide_window():
+    # each side's omitted tail is at most tol_abs/4, so the sum is within
+    # tol_abs/2 of one over a window far past both cuts, up to rounding;
+    # an even term count i_hi + i_lo - 1 means the two cuts differ
+    rng = random.Random(41)
+    uneven = 0
+    for _ in range(200):
+        tau = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.1, 2.0))
+        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.3, 0.3))
+        w = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.3, 0.3))
+        tol_abs = 10.0 ** rng.uniform(-13.0, -8.0)
+        value, terms = evaluate._bilateral_theta_sum(tau, z, w, tol_abs)
+        uneven += terms % 2 == 0
+        window = [
+            cmath.exp(-2j * math.pi * (n + z) * w + 1j * math.pi * tau * (n + z) * (n + z))
+            for n in range(-80, 81)
+        ]
+        allowance = tol_abs / 2 + 8 * math.ulp(1.0) * sum(map(abs, window))
+        assert abs(value - sum(window)) <= allowance, (tau, z, w, tol_abs)
+    assert uneven >= 50
 
 
 def test_theta_identity_rejects_lower_half_plane():

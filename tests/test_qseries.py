@@ -6,6 +6,7 @@ the fast products must reproduce exactly.
 """
 
 import random
+from functools import cache
 from itertools import accumulate
 from math import isqrt
 from operator import add, sub
@@ -86,11 +87,13 @@ def brute_jtp(order: int) -> BiSeries:
     )
 
 
+@cache
 def reference_euler(n_order: int) -> QSeries:
     """prod (1 - q^n) by one in-place slice update per factor, descending n.
 
     Before factor m the partial product is supported on {0} and [m+1, N], so
-    (1 - q^m) sets c[m] = -1 and changes only c[2m+1..N].
+    (1 - q^m) sets c[m] = -1 and changes only c[2m+1..N].  Cached: the order
+    10^4 loop takes about a second, and callers only read the result.
     """
     dense = [1] + [-1] * n_order
     for m in range((n_order - 1) // 2, 0, -1):
